@@ -45,6 +45,16 @@ def _fr(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="assoform",
                      description="Associated forms of balanced complete "
@@ -77,14 +87,23 @@ def _build_parser() -> _Parser:
     add("mather-yau", "compare the invariant points of one or two quartics",
         nfiles=2)
     p = add("audit", "randomized semistability audit")
-    p.add_argument("--trials", type=int, default=20, help="number of sampled 1-PS")
+    p.add_argument("--trials", type=_non_negative, default=20,
+                   help="number of sampled 1-PS")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     return parser
 
 
 def _load(path: str) -> InputSystem:
-    with open(path, encoding="utf-8") as handle:
-        return parse_system(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})", line, col) from exc
+    # the newline translation of text-mode reading
+    return parse_system(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _single_form(system: InputSystem, what: str) -> Polynomial:

@@ -75,8 +75,8 @@ def _require_regular(gs) -> tuple[int, int]:
     return gs[0].nvars, gs[0].degree()
 
 
-def hilbert_point_functional(gs) -> HilbertPointFunctional:
-    """Solve for the unique functional killing I_nu with omega(det Jac) = 1."""
+def _functional_and_jac(gs) -> tuple[HilbertPointFunctional, Polynomial]:
+    """The normalized functional of gs, with the det Jac it is normalized on."""
     gs = list(gs)
     n, d = _require_regular(gs)
     nu = n * (d - 1)
@@ -97,13 +97,18 @@ def hilbert_point_functional(gs) -> HilbertPointFunctional:
     if scale == 0:
         raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
     values = {m: raw[i] / scale for i, m in enumerate(monos) if raw[i] != 0}
-    return HilbertPointFunctional(n, nu, values)
+    return HilbertPointFunctional(n, nu, values), jac
+
+
+def hilbert_point_functional(gs) -> HilbertPointFunctional:
+    """Solve for the unique functional killing I_nu with omega(det Jac) = 1."""
+    return _functional_and_jac(gs)[0]
 
 
 def associated_form(gs) -> AssociatedForm:
     """The associated form of a regular sequence, via the multinomial expansion."""
     gs = tuple(gs)
-    omega = hilbert_point_functional(gs)
+    omega, jac = _functional_and_jac(gs)
     n, nu = omega.nvars, omega.degree
     nu_fact = math.factorial(nu)
     terms = {m: Fraction(nu_fact, mono_factorial(m)) * v
@@ -111,7 +116,7 @@ def associated_form(gs) -> AssociatedForm:
     form = Polynomial(n, Space.DUAL, terms)
     if form.is_zero():
         raise RuntimeError("associated form vanished; impossible for a regular sequence")
-    if pairing(jacobian_det(list(gs)), form) != nu_fact:
+    if pairing(jac, form) != nu_fact:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
     return AssociatedForm(form, gs, omega)
 

@@ -1,10 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices store ``fractions.Fraction`` entries row-major and are immutable.
-Elimination picks the first nonzero pivot scanning top to bottom, so every
-result (RREF, kernel bases) is canonical and deterministic.  Rank has a
-fraction-free integer fast path (Bareiss); bases are always reduced
-Fractions.
+Every result (RREF, kernel bases) is canonical: the RREF of a matrix is
+unique, whichever pivot rows the elimination picks.
+
+Every elimination runs on one integer Gauss-Jordan core: each row is
+scaled to a primitive integer row, row operations stay in the integers, and
+the canonical Fraction RREF is formed once at the end, so the bases are
+those of elimination over Fractions.
+
+``rank`` first reduces the integer rows modulo the fixed prime ``_PRIME``.
+The rank mod p of an integer matrix never exceeds its rank over Q (a
+nonzero minor mod p is a nonzero integer minor), so when the rank mod p
+equals min(rows, cols) it is the exact rank.  Scaling rows to integers
+first means a denominator divisible by p needs no special case.  Only
+when the rank mod p comes out short does the exact integer core run.
 """
 
 from __future__ import annotations
@@ -12,6 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+# Modulus of the full-rank certificate in rank(): the largest prime below
+# 2^30, so every residue is a single-digit CPython int.
+_PRIME = (1 << 30) - 35
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,8 @@ def from_rows(rows, cols: int | None = None) -> QMatrix:
 
     ``cols`` is required when ``rows`` is empty.
     """
-    grid = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    grid = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in rows)
     if grid:
         ncols = len(grid[0])
     elif cols is None:
@@ -75,25 +90,67 @@ def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows, b.cols, grid)
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot columns)."""
+def _primitive(row: list[int]) -> list[int]:
+    """Divide an integer row by its content (the gcd of its entries)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row) -> list[int]:
+    """A primitive integer multiple of a rational row."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place integer Gauss-Jordan on the first ncols columns.
+
+    Returns the pivot columns.  Pivot row r ends with its pivot in column
+    pivots[r] and zeros in every other pivot column; rows below the rank
+    are zero on the first ncols columns.  Each update is
+    row_i = (p/g) row_i - (a/g) pivot_row with g = gcd(p, a), followed by
+    division by the row content, so entries stay integers of modest size.
+    """
     pivots: list[int] = []
+    nrows = len(rows)
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+        candidates = [i for i in range(r, nrows) if rows[i][c]]
+        if not candidates:
             continue
+        # any pivot row gives the same RREF; a small pivot keeps rows short
+        pivot = min(candidates, key=lambda i: abs(rows[i][c]))
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        p = rows[r][c]
+        tail = rows[r][c:]
+        for i in range(nrows):
+            a = rows[i][c]
+            if not a or i == r:
+                continue
+            g = math.gcd(p, a)
+            pg, ag = p // g, a // g
+            row = rows[i]
+            head = row[:c] if pg == 1 else [pg * x for x in row[:c]]
+            rows[i] = _primitive(head + [pg * x - ag * y for x, y in zip(row[c:], tail)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
+    return pivots
+
+
+def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place Gauss-Jordan; returns (rows, pivot columns).
+
+    The elimination runs on primitive integer rows; each pivot row is
+    divided by its pivot only at the end, which gives the canonical RREF.
+    """
+    ints = [_integer_row(row) for row in rows]
+    pivots = _gauss_jordan(ints, ncols)
+    zero = Fraction(0)
+    for i, row in enumerate(ints):
+        p = row[pivots[i]] if i < len(pivots) else 1
+        rows[i] = [Fraction(x, p) if x else zero for x in row]
     return rows, pivots
 
 
@@ -112,41 +169,37 @@ def row_space_basis(m: QMatrix) -> QMatrix:
     return QMatrix(len(pivots), m.cols, grid)
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Fraction-free elimination; entries stay integers of modest size."""
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    prev = 1
+def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix over GF(_PRIME); never above its rank over Q."""
+    p = _PRIME
+    rows = [[x % p for x in row] for row in rows]
+    nrows = len(rows)
+    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        for i in range(rank + 1, nrows):
-            f = rows[i][c]
-            new = []
-            for j in range(c, ncols):
-                q, rem = divmod(rows[i][j] * pv - f * rows[rank][j], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                new.append(q)
-            rows[i][c:] = new
-        prev = pv
-        rank += 1
-        if rank == nrows:
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        tail = [x * inv % p for x in rows[r][c:]]
+        for i in range(r + 1, nrows):
+            a = rows[i][c]
+            if a:
+                rows[i][c:] = [(x - a * y) % p for x, y in zip(rows[i][c:], tail)]
+        r += 1
+        if r == nrows:
             break
-    return rank
+    return r
 
 
 def rank(m: QMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    int_rows = []
-    for row in m.entries:
-        scale = math.lcm(*(x.denominator for x in row))
-        int_rows.append([int(x * scale) for x in row])
-    return _bareiss_rank(int_rows)
+    ints = [_integer_row(row) for row in m.entries]
+    full = min(m.rows, m.cols)
+    if _rank_mod_p(ints, m.cols) == full:
+        return full
+    return len(_gauss_jordan(ints, m.cols))
 
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
@@ -193,29 +246,6 @@ def inverse(m: QMatrix) -> QMatrix | None:
         return None
     grid = tuple(tuple(row[n:]) for row in rows)
     return QMatrix(n, n, grid)
-
-
-def det(m: QMatrix) -> Fraction:
-    """Determinant by exact elimination."""
-    if m.rows != m.cols:
-        raise ValueError("det expects a square matrix")
-    n = m.rows
-    rows = [list(r) for r in m.entries]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
 
 
 def in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:

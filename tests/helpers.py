@@ -6,8 +6,53 @@ import random
 from fractions import Fraction
 
 from assoform.ideals import is_regular_sequence
-from assoform.linalg import QMatrix, det, from_rows, identity, mat_mul
+from assoform.linalg import QMatrix, from_rows, identity, mat_mul
 from assoform.poly import Polynomial, Space, monomials_of_degree
+
+
+def det(m: QMatrix) -> Fraction:
+    """Determinant by exact elimination."""
+    if m.rows != m.cols:
+        raise ValueError("det expects a square matrix")
+    n = m.rows
+    rows = [list(r) for r in m.entries]
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
+
+
+def reference_rref_rows(rows: list[list[Fraction]], ncols: int):
+    """Oracle: Gauss-Jordan on Fractions, pivoting on the first nonzero entry."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 def random_form(rng: random.Random, n: int, d: int, space=Space.PRIMAL,

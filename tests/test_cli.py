@@ -64,6 +64,23 @@ def test_parse_error_exit_code(write, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"vars: x1 x2\nx1^2\nx2^2 \xff\n")
+    code, out, err = run(capsys, "--json", "regseq", str(path))
+    assert code == 1
+    assert out == ""
+    assert "parse error" in err and "UTF-8" in err and "line 3, column 6" in err
+
+
+def test_crlf_input_reads_like_lf(tmp_path, write, capsys):
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(SQUARES.replace("\n", "\r\n").encode())
+    code, out, _ = run(capsys, "--json", "assoc", str(path))
+    assert code == 0
+    assert out == run(capsys, "--json", "assoc", write("lf.txt", SQUARES))[1]
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "assoc", "/nonexistent/file.txt")
     assert code == 1
@@ -179,6 +196,22 @@ def test_audit_reports_are_reproducible(write, capsys):
     assert report["seed"] == 11
     assert report["result"]["all_mins_nonpositive"] is True
     assert len(report["result"]["samples"]) == 5
+
+
+@pytest.mark.parametrize("trials", ["-5", "-1", "two"])
+def test_audit_bad_trials_is_usage_error(write, capsys, trials):
+    path = write("f.txt", SQUARES)
+    code, out, err = run(capsys, "audit", path, "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert "--trials" in err
+
+
+def test_audit_zero_trials(write, capsys):
+    path = write("f.txt", SQUARES)
+    code, out, _ = run(capsys, "--json", "audit", path, "--trials", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["samples"] == []
 
 
 def test_inhomogeneous_input_is_precondition_failure(write, capsys):

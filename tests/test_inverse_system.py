@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (power_gens, random_form, random_invertible,
+from helpers import (det, power_gens, random_form, random_invertible,
                      random_regular_sequence, random_unimodular, series_hilbert)
 
 from assoform.ideals import GradedIdeal
@@ -14,7 +14,7 @@ from assoform.inverse_system import (NotRegularSequence, SingularHypersurface,
                                      hilbert_point_functional,
                                      macaulay_roundtrip, milnor_associated_form,
                                      perp_piece)
-from assoform.linalg import det, from_rows, identity, mat_mul
+from assoform.linalg import from_rows, identity, mat_mul
 from assoform.poly import (Polynomial, Space, inverse_transpose, jacobian_det,
                            monomials_of_degree, pairing, partial, substitute)
 

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from assoform.linalg import (QMatrix, det, from_rows, identity, in_row_space,
+from helpers import det
+
+from assoform.linalg import (QMatrix, from_rows, identity, in_row_space,
                              inverse, kernel_basis, mat_mul, rank, rref,
                              solve_square, transpose, zero_matrix)
 
