@@ -62,21 +62,23 @@ def _build_parser() -> _Parser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, nfiles=1):
+    def add(name, help_text, nfiles=1, degree_cap=False):
         p = sub.add_parser(name, help=help_text)
         if nfiles == 1:
             p.add_argument("file", help="input system file")
         else:
             p.add_argument("files", nargs="+", help="input system file(s)")
-        p.add_argument("--degree-cap", type=int, default=None,
-                       help="override the default degree bound")
+        if degree_cap:
+            p.add_argument("--degree-cap", type=_non_negative, default=None,
+                           help="highest graded degree to compute")
         return p
 
     add("assoc", "associated form of a regular sequence")
-    add("perp", "apolar ideal pieces of a single dual form")
-    add("hilbert", "Hilbert function of the quotient by the given forms")
+    add("perp", "apolar ideal pieces of a single dual form", degree_cap=True)
+    add("hilbert", "Hilbert function of the quotient by the given forms",
+        degree_cap=True)
     add("regseq", "certify that the forms are a regular sequence")
-    add("koszul-check", "graded exactness of the Koszul complex")
+    add("koszul-check", "graded exactness of the Koszul complex", degree_cap=True)
     p = add("decompose", "decomposability recognition certificate")
     p.add_argument("--split", type=int, default=None,
                    help="split index b; all of 1..n-1 when omitted")

@@ -96,6 +96,19 @@ class GradedIdeal:
                 self._rank_cache[k] = rank(self._product_matrix(k))
         return self._rank_cache[k]
 
+    def is_regular(self) -> bool:
+        """Whether the generators form a regular sequence (n forms in n variables).
+
+        Certified by dim (S/I)_{n(d-1)+1} = 0: a standard graded quotient that
+        vanishes in one degree vanishes above it, and for n forms in n
+        variables Artinian is equivalent to being a regular sequence.  The
+        rank is cached with the ideal, so repeated calls cost nothing.
+        """
+        if len(self.generators) != self.nvars:
+            return False
+        k = self.nvars * (self.d - 1) + 1
+        return self.dim_piece(k) == dim_degree(self.nvars, k)
+
     def contains(self, f: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in the ideal."""
         if f.is_zero():
@@ -141,17 +154,9 @@ def _validate_balanced(gs, require_square=True) -> tuple[int, int]:
 
 
 def is_regular_sequence(gs) -> bool:
-    """Whether n degree-d forms in n variables form a regular sequence.
-
-    Certified by dim (S/I)_{n(d-1)+1} = 0: a standard graded quotient that
-    vanishes in one degree vanishes above it, and for n forms in n
-    variables Artinian is equivalent to being a regular sequence.
-    """
+    """Whether n degree-d forms in n variables form a regular sequence."""
     n, d = _validate_balanced(gs)
-    _check_degree_cap(n, d)
-    ideal = GradedIdeal(n, d, gs)
-    k = n * (d - 1) + 1
-    return ideal.dim_piece(k) == dim_degree(n, k)
+    return GradedIdeal(n, d, gs).is_regular()
 
 
 def min_nonideal_monomial(ideal: GradedIdeal, k: int,

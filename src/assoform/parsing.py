@@ -34,6 +34,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^()]))")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Deepest nesting of '(' and unary '-' in one expression; the recursive
+# descent stays far below the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -71,6 +75,7 @@ class _ExprParser:
         self.index = {name: i for i, name in enumerate(names)}
         self.line = line
         self.space = space
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -83,6 +88,15 @@ class _ExprParser:
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, self.line, tok.col)
+
+    def nested(self, parse, tok: _Token) -> Polynomial:
+        """Run parse one nesting level deeper; tok opened the level."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def parse(self) -> Polynomial:
         result = self.expr()
@@ -110,7 +124,7 @@ class _ExprParser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return -self.factor()
+            return -self.nested(self.factor, tok)
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
@@ -142,7 +156,7 @@ class _ExprParser:
                 raise ParseError(f"undeclared variable {tok.text!r}", self.line, tok.col)
             return Polynomial.variable(n, idx, self.space)
         if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, tok)
             closing = self.peek()
             if not (closing.kind == "op" and closing.text == ")"):
                 self.fail("expected ')'", closing)

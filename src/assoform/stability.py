@@ -9,13 +9,16 @@ the primal side must negate the weights once (the torus acts with opposite
 weights on the dual basis); semistability_audit does that conversion
 internally.
 
-A diagonal destabilizer exists iff the balanced point (deg/n, ..., deg/n)
-lies outside the convex hull of the support exponents.  Membership is
-decided by an exact phase-1 simplex; when a destabilizer exists, the
-returned certificate is the minimum-norm point of {u . a >= 1, sum u = 0},
-found by exact KKT enumeration over active subsets.  Uniqueness of that
-point makes the output deterministic and equivariant under simultaneous
-permutation of variables.
+A diagonal destabilizer exists iff the balanced point c = (deg/n, ..., deg/n)
+lies outside the convex hull of the support exponents.  One exact run of
+Wolfe's min-norm-point algorithm (Math. Programming 11 (1976) 128-149)
+decides both questions: with p the point of conv{a - c} nearest the origin,
+p = 0 iff c is in the hull, and otherwise p/|p|^2 is the minimum-norm point
+of {u . a >= 1, sum u = 0}, the returned certificate.  Every answer is
+checked exactly: p is a positive convex combination of the support, and
+every support point lies on the far side of the hyperplane through p
+normal to it.  Uniqueness of p makes the output deterministic and
+equivariant under simultaneous permutation of variables.
 """
 
 from __future__ import annotations
@@ -100,89 +103,51 @@ def limit_exists(f: Polynomial, u: OnePS) -> bool:
     return support_weight_range(f, u)[0] >= 0
 
 
-# -- exact convex-position test and certificate ------------------------------
+# -- exact min-norm point and destabilizer ------------------------------------
 
 
-def _centroid_in_hull(points: list[Mono], centroid: list[Fraction]) -> bool:
-    """Phase-1 simplex (Bland's rule) for centroid in conv(points)."""
-    ncon = len(centroid) + 1
-    npts = len(points)
-    rows = []
-    for i in range(len(centroid)):
-        rows.append([Fraction(p[i]) for p in points]
-                    + [Fraction(1 if k == i else 0) for k in range(ncon)]
-                    + [centroid[i]])
-    rows.append([Fraction(1)] * npts
-                + [Fraction(1 if k == ncon - 1 else 0) for k in range(ncon)]
-                + [Fraction(1)])
-    basis = [npts + i for i in range(ncon)]
-    total_cols = npts + ncon
-    # reduced costs for minimizing the sum of artificials
-    red = [-sum(rows[i][j] for i in range(ncon)) for j in range(total_cols)]
-    for j in range(npts, total_cols):
-        red[j] += 1  # artificial cost
-
-    while True:
-        enter = next((j for j in range(total_cols) if red[j] < 0), None)
-        if enter is None:
-            break
-        best = None
-        for i in range(ncon):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0]
-                                                       and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            raise ArithmeticError("phase-1 simplex unbounded; cannot happen")
-        _, leave = best
-        pv = rows[leave][enter]
-        rows[leave] = [x / pv for x in rows[leave]]
-        for i in range(ncon):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, rows[leave][:-1])]
-        basis[leave] = enter
-
-    slack = sum((rows[i][-1] for i in range(ncon) if basis[i] >= npts), Fraction(0))
-    return slack == 0
+def _dot(p, q):
+    return sum(a * b for a, b in zip(p, q))
 
 
-def _min_norm_certificate(points: list[Mono], n: int) -> tuple[Fraction, ...] | None:
-    """Minimum-norm u with u . a >= 1 for all support points and sum u = 0.
+def _combine(points, corral, weights) -> list[Fraction]:
+    return [sum(w * points[i][k] for i, w in zip(corral, weights))
+            for k in range(len(points[0]))]
 
-    Enumerates KKT active subsets; by convexity any consistent KKT point is
-    the unique optimum, so the enumeration order cannot matter.
+
+def _min_norm_point(points: list[tuple[int, ...]]):
+    """Wolfe's algorithm in exact arithmetic: the point of conv(points) nearest 0.
+
+    Returns (x, corral, weights) with x = sum weights[k] * points[corral[k]],
+    every weight positive.  Ties go to the lowest index, so the run is
+    deterministic; the nearest point itself is unique.
     """
-    npts = len(points)
-    for size in range(1, n):
-        for active in itertools.combinations(range(npts), size):
-            dim = n + size + 1
-            mat = [[Fraction(0)] * dim for _ in range(dim)]
-            rhs = [Fraction(0)] * dim
-            for i in range(n):  # stationarity: 2u - sum(lam_t a_t) - mu 1 = 0
-                mat[i][i] = Fraction(2)
-                for t, pt in enumerate(active):
-                    mat[i][n + t] = Fraction(-points[pt][i])
-                mat[i][n + size] = Fraction(-1)
-            for t, pt in enumerate(active):  # active constraints at equality
-                for i in range(n):
-                    mat[n + t][i] = Fraction(points[pt][i])
-                rhs[n + t] = Fraction(1)
-            for i in range(n):  # zero-sum
-                mat[n + size][i] = Fraction(1)
-            sol = solve_square(from_rows(mat), rhs)
+    start = min(range(len(points)), key=lambda i: _dot(points[i], points[i]))
+    corral, weights = [start], [Fraction(1)]
+    x = list(points[start])
+    while any(x):
+        j = min(range(len(points)), key=lambda i: _dot(points[i], x))
+        if _dot(points[j], x) >= _dot(x, x):
+            break
+        corral.append(j)
+        weights.append(Fraction(0))
+        while True:  # minor cycle: affine minimizer of the corral
+            m = len(corral)
+            bordered = [[_dot(points[i], points[k]) for k in corral] + [1] for i in corral]
+            bordered.append([1] * m + [0])
+            sol = solve_square(from_rows(bordered), [0] * m + [1])
             if sol is None:
-                continue
-            u = sol[:n]
-            lams = sol[n:n + size]
-            if any(lam < 0 for lam in lams):
-                continue
-            if all(sum(Fraction(p[i]) * u[i] for i in range(n)) >= 1 for p in points):
-                return u
-    return None
+                raise ArithmeticError("Wolfe corral lost affine independence")
+            alpha = sol[:m]
+            if all(a > 0 for a in alpha):
+                weights = list(alpha)
+                break
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            weights = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            corral = [i for i, w in zip(corral, weights) if w > 0]
+            weights = [w for w in weights if w > 0]
+        x = _combine(points, corral, weights)
+    return x, corral, weights
 
 
 def torus_destabilizer(f: Polynomial) -> OnePS | None:
@@ -191,24 +156,32 @@ def torus_destabilizer(f: Polynomial) -> OnePS | None:
     Returns None iff none exists, i.e. iff the balanced exponent point lies
     in the convex hull of the support.  The certificate is canonical: the
     minimum-norm rational solution scaled to a primitive integer vector.
+
+    Wolfe's algorithm runs on the integer points b = n*a - deg*(1..1), the
+    support shifted by the balanced point and scaled by n.  Their nearest
+    point x is 0 iff the balanced point is in the hull; otherwise x points
+    the same way as the minimum-norm separating weight.  Both outcomes are
+    checked exactly: x is a positive convex combination of the b's, and
+    b.x >= |x|^2 for every b.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no destabilizer")
     n = f.nvars
-    points = list(f.terms)
     deg = f.degree()
-    centroid = [Fraction(deg, n)] * n
-    if _centroid_in_hull(points, centroid):
+    points = [tuple(n * e - deg for e in mono) for mono in f.terms]
+    x, corral, weights = _min_norm_point(points)
+    if min(weights) <= 0 or sum(weights) != 1 or _combine(points, corral, weights) != x:
+        raise ArithmeticError("min-norm point is not a convex combination of the support")
+    norm = _dot(x, x)
+    if any(_dot(p, x) < norm for p in points):
+        raise ArithmeticError("min-norm point does not separate the support")
+    if not any(x):
         return None
-    u = _min_norm_certificate(points, n)
-    if u is None:
-        raise ArithmeticError("hull separation promised a certificate; none found")
-    scale = math.lcm(*(x.denominator for x in u))
-    ints = [int(x * scale) for x in u]
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    result = OnePS(tuple(ints))
-    if any(sum(w * e for w, e in zip(result.weights, mono)) <= 0 for mono in points):
+    scale = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * scale) for v in x]
+    g = math.gcd(*ints)
+    result = OnePS(tuple(v // g for v in ints))
+    if any(_dot(result.weights, mono) <= 0 for mono in f.terms):
         raise ArithmeticError("destabilizer certificate failed verification")
     return result
 
@@ -362,7 +335,7 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     n, d = ideal.nvars, ideal.d
     if not 1 <= b <= n - 1:
         raise ValueError("split index must satisfy 1 <= b <= n-1")
-    if len(ideal.generators) != n or not is_regular_sequence(ideal.generators):
+    if not ideal.is_regular():
         raise NotRegularSequence("decomposability certificate needs a balanced "
                                  "complete intersection")
     basis = ideal.graded_piece(d)
@@ -467,6 +440,9 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
     gs = list(gs)
     assoc = associated_form(gs)  # raises NotRegularSequence if not regular
     n, d = gs[0].nvars, gs[0].degree()
+    if n < 2:
+        raise ValueError("the audit needs at least 2 variables: the only "
+                         "zero-sum weight in one variable is 0")
     nu = assoc.nu
     rng = random.Random(seed)
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 from assoform.ideals import is_regular_sequence
-from assoform.linalg import QMatrix, from_rows, identity, mat_mul
-from assoform.poly import Polynomial, Space, monomials_of_degree
+from assoform.linalg import QMatrix, from_rows, identity, mat_mul, solve_square
+from assoform.poly import Mono, Polynomial, Space, monomials_of_degree
+from assoform.stability import OnePS
 
 
 def det(m: QMatrix) -> Fraction:
@@ -53,6 +56,111 @@ def reference_rref_rows(rows: list[list[Fraction]], ncols: int):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _centroid_in_hull(points: list[Mono], centroid: list[Fraction]) -> bool:
+    """Phase-1 simplex (Bland's rule) for centroid in conv(points)."""
+    ncon = len(centroid) + 1
+    npts = len(points)
+    rows = []
+    for i in range(len(centroid)):
+        rows.append([Fraction(p[i]) for p in points]
+                    + [Fraction(1 if k == i else 0) for k in range(ncon)]
+                    + [centroid[i]])
+    rows.append([Fraction(1)] * npts
+                + [Fraction(1 if k == ncon - 1 else 0) for k in range(ncon)]
+                + [Fraction(1)])
+    basis = [npts + i for i in range(ncon)]
+    total_cols = npts + ncon
+    # reduced costs for minimizing the sum of artificials
+    red = [-sum(rows[i][j] for i in range(ncon)) for j in range(total_cols)]
+    for j in range(npts, total_cols):
+        red[j] += 1  # artificial cost
+
+    while True:
+        enter = next((j for j in range(total_cols) if red[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(ncon):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if best is None or ratio < best[0] or (ratio == best[0]
+                                                       and basis[i] < basis[best[1]]):
+                    best = (ratio, i)
+        if best is None:
+            raise ArithmeticError("phase-1 simplex unbounded; cannot happen")
+        _, leave = best
+        pv = rows[leave][enter]
+        rows[leave] = [x / pv for x in rows[leave]]
+        for i in range(ncon):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        f = red[enter]
+        red = [x - f * y for x, y in zip(red, rows[leave][:-1])]
+        basis[leave] = enter
+
+    slack = sum((rows[i][-1] for i in range(ncon) if basis[i] >= npts), Fraction(0))
+    return slack == 0
+
+
+def _min_norm_certificate(points: list[Mono], n: int) -> tuple[Fraction, ...] | None:
+    """Minimum-norm u with u . a >= 1 for all support points and sum u = 0.
+
+    Enumerates KKT active subsets; by convexity any consistent KKT point is
+    the unique optimum, so the enumeration order cannot matter.
+    """
+    npts = len(points)
+    for size in range(1, n):
+        for active in itertools.combinations(range(npts), size):
+            dim = n + size + 1
+            mat = [[Fraction(0)] * dim for _ in range(dim)]
+            rhs = [Fraction(0)] * dim
+            for i in range(n):  # stationarity: 2u - sum(lam_t a_t) - mu 1 = 0
+                mat[i][i] = Fraction(2)
+                for t, pt in enumerate(active):
+                    mat[i][n + t] = Fraction(-points[pt][i])
+                mat[i][n + size] = Fraction(-1)
+            for t, pt in enumerate(active):  # active constraints at equality
+                for i in range(n):
+                    mat[n + t][i] = Fraction(points[pt][i])
+                rhs[n + t] = Fraction(1)
+            for i in range(n):  # zero-sum
+                mat[n + size][i] = Fraction(1)
+            sol = solve_square(from_rows(mat), rhs)
+            if sol is None:
+                continue
+            u = sol[:n]
+            lams = sol[n:n + size]
+            if any(lam < 0 for lam in lams):
+                continue
+            if all(sum(Fraction(p[i]) * u[i] for i in range(n)) >= 1 for p in points):
+                return u
+    return None
+
+
+def reference_destabilizer(f: Polynomial) -> OnePS | None:
+    """Oracle: phase-1 simplex for hull membership, then KKT enumeration."""
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no destabilizer")
+    n = f.nvars
+    points = list(f.terms)
+    deg = f.degree()
+    centroid = [Fraction(deg, n)] * n
+    if _centroid_in_hull(points, centroid):
+        return None
+    u = _min_norm_certificate(points, n)
+    if u is None:
+        raise ArithmeticError("hull separation promised a certificate; none found")
+    scale = math.lcm(*(x.denominator for x in u))
+    ints = [int(x * scale) for x in u]
+    g = math.gcd(*(abs(v) for v in ints))
+    ints = [v // g for v in ints]
+    result = OnePS(tuple(ints))
+    if any(sum(w * e for w, e in zip(result.weights, mono)) <= 0 for mono in points):
+        raise ArithmeticError("destabilizer certificate failed verification")
+    return result
 
 
 def random_form(rng: random.Random, n: int, d: int, space=Space.PRIMAL,

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import assoform
 from assoform.cli import main
+from assoform.parsing import MAX_NESTING
 
 
 @pytest.fixture
@@ -219,3 +225,58 @@ def test_inhomogeneous_input_is_precondition_failure(write, capsys):
     code, _, err = run(capsys, "assoc", path)
     assert code == 2
     assert "homogeneous" in err
+
+
+def test_audit_one_variable_is_precondition_failure(write):
+    # a separate process, so that a hang fails the test instead of the suite
+    path = write("f.txt", "vars: x1\nx1^3\n")
+    src = str(Path(assoform.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "assoform.cli", "audit", path],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "2 variables" in proc.stderr
+
+
+@pytest.mark.parametrize("line", [
+    "(" * 3000 + "x1" + ")" * 3000 + "^2",
+    "-" * 3000 + "x1^2",
+])
+def test_deep_nesting_is_parse_error(write, capsys, line):
+    path = write("f.txt", f"vars: x1 x2\n{line}\nx2^2\n")
+    code, out, err = run(capsys, "regseq", path)
+    assert code == 1
+    assert out == ""
+    assert f"line 2, column {MAX_NESTING + 1}" in err and "nested" in err
+
+
+def test_nesting_at_the_limit_parses(write, capsys):
+    depth = MAX_NESTING
+    path = write("f.txt", "vars: x1 x2\n" + "(" * depth + "x1" + ")" * depth
+                 + "^2\n" + "-" * depth + "x2^2\n")
+    code, out, _ = run(capsys, "regseq", path)
+    assert code == 0 and "REGULAR" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["assoc", "--degree-cap", "3"],
+    ["regseq", "--degree-cap", "3"],
+    ["hilbert", "--degree-cap", "-1"],
+    ["koszul-check", "--degree-cap", "x"],
+])
+def test_degree_cap_usage_errors(write, capsys, argv):
+    path = write("f.txt", SQUARES)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "--degree-cap" in err
+
+
+def test_degree_cap_bounds_the_degrees(write, capsys):
+    path = write("f.txt", SQUARES)
+    code, out, _ = run(capsys, "hilbert", path, "--degree-cap", "1")
+    assert code == 0 and out.strip() == "1 2"
+    code, out, _ = run(capsys, "--json", "koszul-check", path, "--degree-cap", "0")
+    assert code == 0 and json.loads(out)["result"]["k_max"] == 0

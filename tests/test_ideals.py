@@ -6,6 +6,7 @@ import pytest
 from helpers import (power_gens, random_form, random_regular_sequence,
                      series_hilbert)
 
+from assoform import ideals
 from assoform.ideals import (DegreeCapError, GradedIdeal, hilbert_function,
                              is_regular_sequence, koszul_exactness_check,
                              koszul_matrices, min_nonideal_monomial)
@@ -114,6 +115,17 @@ def test_regular_validation_errors():
         is_regular_sequence([P(2, {(2, 0): 1}), P(2, {(1, 1): 1, (1, 0): 1})])
     with pytest.raises(ValueError):
         is_regular_sequence([P(2, {(2, 0): 1}), P(2, {(0, 3): 1})])  # mixed degree
+
+
+def test_graded_ideal_is_regular(monkeypatch):
+    assert GradedIdeal(2, 4, power_gens(2, [4, 4])).is_regular()
+    assert not GradedIdeal(2, 2, [P(2, {(2, 0): 1}), P(2, {(1, 1): 1})]).is_regular()
+    assert not GradedIdeal(2, 2, [P(2, {(2, 0): 1})]).is_regular()  # one generator
+    assert not GradedIdeal(2, 2, squares(2) + [P(2, {(1, 1): 1})]).is_regular()
+    ideal = GradedIdeal(3, 2, squares(3))
+    assert ideal.is_regular()
+    monkeypatch.setattr(ideals, "rank", None)  # a second rank would fail
+    assert ideal.is_regular()
 
 
 def test_degree_cap_enforced():

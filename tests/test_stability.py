@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from helpers import power_gens, random_form, random_regular_sequence
 
+from assoform import ideals
 from assoform.ideals import GradedIdeal
 from assoform.inverse_system import NotRegularSequence, associated_form
 from assoform.linalg import from_rows, row_space_basis
@@ -220,6 +221,16 @@ def test_recognize_requires_complete_intersection():
             GradedIdeal(2, 2, [P(2, {(2, 0): 1}), P(2, {(1, 1): 1})]), 1)
 
 
+def test_recognize_certifies_regularity_once_per_ideal(monkeypatch):
+    ideal = GradedIdeal(3, 2, power_gens(3, [2, 2, 2]))
+    ranks = []
+    real = ideals.rank
+    monkeypatch.setattr(ideals, "rank", lambda m: ranks.append(m.rows) or real(m))
+    assert recognize_decomposable(ideal, 1) is not None
+    assert recognize_decomposable(ideal, 2) is not None
+    assert len(ranks) == 1
+
+
 def test_recognize_split_index_range():
     ideal = GradedIdeal(2, 2, power_gens(2, [2, 2]))
     with pytest.raises(ValueError):
@@ -326,3 +337,8 @@ def test_audit_deterministic():
 def test_audit_requires_regular():
     with pytest.raises(NotRegularSequence):
         semistability_audit([P(2, {(2, 0): 1}), P(2, {(1, 1): 1})], 5, 0)
+
+
+def test_audit_one_variable_raises_before_sampling():
+    with pytest.raises(ValueError, match="2 variables"):
+        semistability_audit([P(1, {(3,): 1})], trials=5, seed=0)
