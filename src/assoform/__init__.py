@@ -1,6 +1,6 @@
 """Exact computation with associated forms of balanced complete intersections."""
 
-from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, HilbertData,
+from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal,
                      hilbert_function, is_regular_sequence, koszul_exactness_check,
                      koszul_matrices, min_nonideal_monomial)
 from .inverse_system import (AssociatedForm, HilbertPointFunctional,
@@ -21,7 +21,7 @@ from .stability import (AuditReport, DecompositionCertificate, OnePS,
                         torus_destabilizer)
 
 __all__ = [
-    "DEGREE_CAP", "DegreeCapError", "GradedIdeal", "HilbertData",
+    "DEGREE_CAP", "DegreeCapError", "GradedIdeal",
     "hilbert_function", "is_regular_sequence", "koszul_exactness_check",
     "koszul_matrices", "min_nonideal_monomial",
     "AssociatedForm", "HilbertPointFunctional", "NotRegularSequence",

@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Subcommands wrap each pipeline: assoc, perp, hilbert, regseq, koszul-check,
-decompose, degenerate, stability, binary-stability, mather-yau, audit.
-Input files are UTF-8 system files (see parsing); output is human-readable
-text or, with --json, a report of the shape
+One table, COMMANDS, lists the subcommands (assoc, perp, hilbert, regseq,
+koszul-check, decompose, degenerate, stability, binary-stability,
+mather-yau, audit): for each its help text, its arguments, how its input is
+read and its handler.  main reads and validates the input once (a system
+file becomes one GradedIdeal, perp and binary-stability read one dual form,
+mather-yau one quartic per file), builds the report header, and runs the
+handler, which returns the "result" value.  Input files are UTF-8 system
+files (see parsing); output is human-readable text or, with --json, a
+report of the shape
 
     {"command": ..., "nvars": ..., "d": ..., "nu": ..., "result": ...}
 
@@ -17,16 +22,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .ideals import GradedIdeal, hilbert_function, is_regular_sequence, \
-    koszul_exactness_check
-from .inverse_system import (NotRegularSequence, SingularHypersurface,
-                             associated_form, perp_piece)
+from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
+                     koszul_exactness_check)
+from .inverse_system import associated_form, perp_piece
 from .invariants import mather_yau_point, points_equal
-from .linalg import QMatrix
 from .parsing import InputSystem, ParseError, parse_system
-from .poly import Polynomial, Space, dim_degree, monomials_of_degree
+from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
                         recognize_decomposable, degeneration_limit,
                         semistability_audit, torus_destabilizer)
@@ -41,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fr(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _non_negative(text: str) -> int:
     try:
         value = int(text)
@@ -53,46 +53,6 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="assoform",
-                     description="Associated forms of balanced complete "
-                                 "intersections, exactly over Q.")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, nfiles=1, degree_cap=False):
-        p = sub.add_parser(name, help=help_text)
-        if nfiles == 1:
-            p.add_argument("file", help="input system file")
-        else:
-            p.add_argument("files", nargs="+", help="input system file(s)")
-        if degree_cap:
-            p.add_argument("--degree-cap", type=_non_negative, default=None,
-                           help="highest graded degree to compute")
-        return p
-
-    add("assoc", "associated form of a regular sequence")
-    add("perp", "apolar ideal pieces of a single dual form", degree_cap=True)
-    add("hilbert", "Hilbert function of the quotient by the given forms",
-        degree_cap=True)
-    add("regseq", "certify that the forms are a regular sequence")
-    add("koszul-check", "graded exactness of the Koszul complex", degree_cap=True)
-    p = add("decompose", "decomposability recognition certificate")
-    p.add_argument("--split", type=int, default=None,
-                   help="split index b; all of 1..n-1 when omitted")
-    p = add("degenerate", "limit of the direct-sum degeneration")
-    p.add_argument("--split", type=int, required=True, help="block size a")
-    add("stability", "stability analysis of the associated form")
-    add("binary-stability", "exact GIT classification of one binary form")
-    add("mather-yau", "compare the invariant points of one or two quartics",
-        nfiles=2)
-    p = add("audit", "randomized semistability audit")
-    p.add_argument("--trials", type=_non_negative, default=20,
-                   help="number of sampled 1-PS")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    return parser
 
 
 def _load(path: str) -> InputSystem:
@@ -115,24 +75,38 @@ def _single_form(system: InputSystem, what: str) -> Polynomial:
     return system.polynomials[0]
 
 
-def _common_degree(system: InputSystem) -> int:
-    degrees = set()
-    for g in system.polynomials:
-        if g.is_zero() or not g.is_homogeneous():
-            raise ValueError("all polynomials must be nonzero and homogeneous")
-        degrees.add(g.degree())
-    if len(degrees) != 1:
-        raise ValueError("all polynomials must have the same degree")
-    return degrees.pop()
+# -- inputs: each reader returns (subject for the handler, report header) ------
 
 
-def _basis_renders(basis: QMatrix, nvars: int, k: int, names) -> list[str]:
-    monos = monomials_of_degree(nvars, k)
-    out = []
-    for row in basis.entries:
-        poly = Polynomial(nvars, Space.PRIMAL, dict(zip(monos, row)))
-        out.append(poly.render(list(names)))
-    return out
+class _System(NamedTuple):
+    ideal: GradedIdeal
+    names: tuple[str, ...]
+
+
+def _read_system(args):
+    system = _load(args.file)
+    ideal = GradedIdeal.of(system.polynomials)
+    n, d = ideal.nvars, ideal.d
+    return _System(ideal, system.names), {"nvars": n, "d": d, "nu": n * (d - 1)}
+
+
+def _read_form(args):
+    # degree() rejects the zero form; perp_piece and binary_stability reject
+    # inhomogeneous ones
+    f = _single_form(_load(args.file), args.command).retag(Space.DUAL)
+    return f, {"nvars": f.nvars, "d": f.degree(), "nu": f.degree()}
+
+
+def _read_quartics(args):
+    if len(args.files) not in (1, 2):
+        raise ValueError("mather-yau takes one or two input files")
+    # lazy: each file is read just before its point is computed, so the
+    # first failing file decides the exit code
+    forms = (_single_form(_load(path), "mather-yau") for path in args.files)
+    return forms, {"nvars": 2, "d": 3, "nu": 4}
+
+
+# -- handlers: (subject, args, out) -> the report's "result"; text lines go to out
 
 
 def _witness_json(witness):
@@ -146,21 +120,19 @@ def _witness_json(witness):
     raise TypeError(f"unknown witness type {type(witness)!r}")
 
 
-def _run_assoc(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    assoc = associated_form(system.polynomials)
-    out.text(assoc.form.render())
-    return {"nvars": system.nvars, "d": d, "nu": assoc.nu,
-            "result": {"form": assoc.form.render(),
-                       "normalized_form": assoc.form.normalized().render()}}, 0
+def _binary_json(report) -> dict:
+    return {"verdict": report.verdict.value,
+            "witness": _witness_json(report.witness),
+            "multiplicities": [list(pair) for pair in report.multiplicities]}
 
 
-def _run_perp(args, out):
-    system = _load(args.file)
-    f = _single_form(system, "perp").retag(Space.DUAL)
-    if f.is_zero() or not f.is_homogeneous():
-        raise ValueError("perp expects a nonzero homogeneous form")
+def _assoc(system, args, out):
+    form = associated_form(system.ideal).form
+    out.append(form.render())
+    return {"form": form.render(), "normalized_form": form.normalized().render()}
+
+
+def _perp(f, args, out):
     nu = f.degree()
     k_max = min(nu + 1, args.degree_cap) if args.degree_cap is not None else nu + 1
     dims, hilbert = [], []
@@ -168,158 +140,112 @@ def _run_perp(args, out):
         piece = perp_piece(f, k)
         dims.append(piece.rows)
         hilbert.append(dim_degree(f.nvars, k) - piece.rows)
-        out.text(f"degree {k}: dim (f_perp)_{k} = {piece.rows}, "
-                 f"dim quotient = {hilbert[-1]}")
-    return {"nvars": f.nvars, "d": nu, "nu": nu,
-            "result": {"dims": dims, "quotient_hilbert": hilbert}}, 0
+        out.append(f"degree {k}: dim (f_perp)_{k} = {piece.rows}, "
+                   f"dim quotient = {hilbert[-1]}")
+    return {"dims": dims, "quotient_hilbert": hilbert}
 
 
-def _run_hilbert(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    n = system.nvars
-    ideal = GradedIdeal(n, d, system.polynomials)
+def _hilbert(system, args, out):
+    ideal = system.ideal
+    n, d = ideal.nvars, ideal.d
     bound = args.degree_cap if args.degree_cap is not None else n * (d - 1) + 1
-    data = hilbert_function(ideal, bound)
-    out.text(" ".join(str(v) for v in data.values))
-    return {"nvars": n, "d": d, "nu": n * (d - 1),
-            "result": {"values": list(data.values)}}, 0
+    values = hilbert_function(ideal, bound)
+    out.append(" ".join(str(v) for v in values))
+    return {"values": list(values)}
 
 
-def _run_regseq(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    regular = is_regular_sequence(system.polynomials)
+def _regseq(system, args, out):
+    regular = is_regular_sequence(system.ideal)
     if regular:
-        out.text("REGULAR SEQUENCE")
+        out.append("REGULAR SEQUENCE")
     else:
-        out.text("NOT a regular sequence: the forms have a non-trivial "
-                 "common zero over the algebraic closure")
-    return {"nvars": system.nvars, "d": d, "nu": system.nvars * (d - 1),
-            "result": {"regular": regular}}, 0 if regular else PRECONDITION_EXIT
+        out.append("NOT a regular sequence: the forms have a non-trivial "
+                   "common zero over the algebraic closure")
+    return {"regular": regular}
 
 
-def _run_koszul(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    n = system.nvars
+def _koszul(system, args, out):
+    ideal = system.ideal
+    n, d = ideal.nvars, ideal.d
     k_max = args.degree_cap if args.degree_cap is not None else n * (d - 1) + d
-    exact = koszul_exactness_check(system.polynomials, k_max)
-    out.text(f"Koszul complex exact away from degree 0 up to graded degree "
-             f"{k_max}: {'yes' if exact else 'NO'}")
-    return {"nvars": n, "d": d, "nu": n * (d - 1),
-            "result": {"exact": exact, "k_max": k_max}}, \
-        0 if exact else PRECONDITION_EXIT
+    exact = koszul_exactness_check(ideal, k_max)
+    out.append(f"Koszul complex exact away from degree 0 up to graded degree "
+               f"{k_max}: {'yes' if exact else 'NO'}")
+    return {"exact": exact, "k_max": k_max}
 
 
-def _run_decompose(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    n = system.nvars
-    ideal = GradedIdeal(n, d, system.polynomials)
-    splits = [args.split] if args.split is not None else list(range(1, n))
-    certificate = None
-    for b in splits:
-        cert = recognize_decomposable(ideal, b)
-        if cert is not None:
-            certificate = cert
-            break
+def _decompose(system, args, out):
+    ideal = system.ideal
+    splits = [args.split] if args.split is not None else list(range(1, ideal.nvars))
+    certificate = next(filter(None, (recognize_decomposable(ideal, b) for b in splits)),
+                       None)
     if certificate is None:
-        out.text("no decomposition certificate in the given coordinates "
-                 f"(tried splits {splits})")
-        result = {"certificate": None, "tried": splits}
-    else:
-        gens = [g.render(list(system.names)) for g in certificate.generators]
-        out.text(f"decomposable at split b = {certificate.split_index}; "
-                 f"extracted generators: {', '.join(gens)}")
-        result = {"certificate": {"split": certificate.split_index,
-                                  "generators": gens,
-                                  "condition_a": certificate.condition_a,
-                                  "condition_b": certificate.condition_b},
-                  "tried": splits}
-    return {"nvars": n, "d": d, "nu": n * (d - 1), "result": result}, 0
+        out.append("no decomposition certificate in the given coordinates "
+                   f"(tried splits {splits})")
+        return {"certificate": None, "tried": splits}
+    gens = [g.render(list(system.names)) for g in certificate.generators]
+    out.append(f"decomposable at split b = {certificate.split_index}; "
+               f"extracted generators: {', '.join(gens)}")
+    # both recognition conditions hold on every returned certificate
+    return {"certificate": {"split": certificate.split_index, "generators": gens,
+                            "condition_a": True, "condition_b": True},
+            "tried": splits}
 
 
-def _run_degenerate(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    limit = degeneration_limit(system.polynomials, args.split)
+def _degenerate(system, args, out):
+    limit = degeneration_limit(system.ideal.generators, args.split)
     renders = [g.render(list(system.names)) for g in limit]
     for text in renders:
-        out.text(text)
-    return {"nvars": system.nvars, "d": d, "nu": system.nvars * (d - 1),
-            "result": {"limit": renders}}, 0
+        out.append(text)
+    return {"limit": renders}
 
 
-def _run_stability(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    n = system.nvars
-    assoc = associated_form(system.polynomials)
-    destab = torus_destabilizer(assoc.form)
-    result = {"form": assoc.form.render(),
+def _stability(system, args, out):
+    form = associated_form(system.ideal).form
+    destab = torus_destabilizer(form)
+    result = {"form": form.render(),
               "torus_destabilizer": list(destab.weights) if destab else None}
     if destab is None:
-        out.text("no diagonal destabilizer in the given coordinates "
-                 "(semistability evidence)")
+        out.append("no diagonal destabilizer in the given coordinates "
+                   "(semistability evidence)")
     else:
-        out.text(f"DESTABILIZED by weights {destab.weights}")
-    if n == 2:
-        report = binary_stability(assoc.form)
-        result["binary"] = {
-            "verdict": report.verdict.value,
-            "witness": _witness_json(report.witness),
-            "multiplicities": [list(pair) for pair in report.multiplicities],
-        }
-        out.text(f"binary classification: {report.verdict.value}")
-    return {"nvars": n, "d": d, "nu": assoc.nu, "result": result}, 0
+        out.append(f"DESTABILIZED by weights {destab.weights}")
+    if form.nvars == 2:
+        report = binary_stability(form)
+        result["binary"] = _binary_json(report)
+        out.append(f"binary classification: {report.verdict.value}")
+    return result
 
 
-def _run_binary_stability(args, out):
-    system = _load(args.file)
-    f = _single_form(system, "binary-stability").retag(Space.DUAL)
+def _binary_stability(f, args, out):
     report = binary_stability(f)
-    out.text(report.verdict.value)
-    result = {"verdict": report.verdict.value,
-              "witness": _witness_json(report.witness),
-              "multiplicities": [list(pair) for pair in report.multiplicities]}
-    return {"nvars": f.nvars, "d": f.degree(), "nu": f.degree(),
-            "result": result}, 0
+    out.append(report.verdict.value)
+    return _binary_json(report)
 
 
-def _run_mather_yau(args, out):
-    if len(args.files) not in (1, 2):
-        raise ValueError("mather-yau takes one or two input files")
-    points = []
-    for path in args.files:
-        system = _load(path)
-        F = _single_form(system, "mather-yau")
-        points.append(mather_yau_point(F))
-    coords = [[_fr(c) for c in p.coordinates] for p in points]
+def _mather_yau(forms, args, out):
+    points = [mather_yau_point(F) for F in forms]
+    coords = [[str(c) for c in p.coordinates] for p in points]
     result = {"points": coords}
-    code = 0
     if len(points) == 2:
-        equal = points_equal(points[0], points[1])
-        result["equal"] = equal
-        out.text("EQUAL" if equal else "DIFFERENT")
+        result["equal"] = points_equal(*points)
+        out.append("EQUAL" if result["equal"] else "DIFFERENT")
     else:
-        out.text(f"[{' : '.join(coords[0])}]")
-    return {"nvars": 2, "d": 3, "nu": 4, "result": result}, code
+        out.append(f"[{' : '.join(coords[0])}]")
+    return result
 
 
-def _run_audit(args, out):
-    system = _load(args.file)
-    d = _common_degree(system)
-    report = semistability_audit(system.polynomials, args.trials, args.seed)
-    out.text(f"sampled {report.trials} one-parameter subgroups (seed {report.seed})")
-    out.text(f"all minimum dual weights <= 0: {report.all_mins_nonpositive}")
-    out.text(f"grevlex partial-sum inequalities hold: {report.grevlex_ok}")
+def _audit(system, args, out):
+    report = semistability_audit(system.ideal, args.trials, args.seed)
+    out.append(f"sampled {report.trials} one-parameter subgroups (seed {report.seed})")
+    out.append(f"all minimum dual weights <= 0: {report.all_mins_nonpositive}")
+    out.append(f"grevlex partial-sum inequalities hold: {report.grevlex_ok}")
     if report.decomposable_split is not None:
-        out.text(f"decomposable in given coordinates at b = {report.decomposable_split}")
+        out.append(f"decomposable in given coordinates at b = {report.decomposable_split}")
     else:
-        out.text("no given-coordinate decomposition certificate; samples "
-                 f"admitting a limit: {list(report.limit_admitting)}")
-    result = {
+        out.append("no given-coordinate decomposition certificate; samples "
+                   f"admitting a limit: {list(report.limit_admitting)}")
+    return {
         "all_mins_nonpositive": report.all_mins_nonpositive,
         "grevlex_ok": report.grevlex_ok,
         "min_monomial": list(report.min_monomial) if report.min_monomial else None,
@@ -329,35 +255,68 @@ def _run_audit(args, out):
                      "dual_max": s.dual_max, "admits_limit": s.admits_limit}
                     for s in report.samples],
     }
-    return {"nvars": report.nvars, "d": report.d, "nu": report.nu,
-            "seed": report.seed, "result": result}, 0
 
 
-_HANDLERS = {
-    "assoc": _run_assoc,
-    "perp": _run_perp,
-    "hilbert": _run_hilbert,
-    "regseq": _run_regseq,
-    "koszul-check": _run_koszul,
-    "decompose": _run_decompose,
-    "degenerate": _run_degenerate,
-    "stability": _run_stability,
-    "binary-stability": _run_binary_stability,
-    "mather-yau": _run_mather_yau,
-    "audit": _run_audit,
+# -- the command table ---------------------------------------------------------
+
+_FILE = (("file",), {"help": "input system file"})
+_DEGREE_CAP = (("--degree-cap",), {"type": _non_negative, "default": None,
+                                   "help": "highest graded degree to compute"})
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    read: Callable      # args -> (subject, header)
+    run: Callable       # (subject, args, out) -> result
+    arguments: tuple = (_FILE,)  # (flags, options) pairs for add_argument
+    verdict: str | None = None  # result key whose false value exits 2
+
+
+COMMANDS = {
+    "assoc": _Command("associated form of a regular sequence", _read_system, _assoc),
+    "perp": _Command("apolar ideal pieces of a single dual form", _read_form, _perp,
+                     (_FILE, _DEGREE_CAP)),
+    "hilbert": _Command("Hilbert function of the quotient by the given forms",
+                        _read_system, _hilbert, (_FILE, _DEGREE_CAP)),
+    "regseq": _Command("certify that the forms are a regular sequence",
+                       _read_system, _regseq, verdict="regular"),
+    "koszul-check": _Command("graded exactness of the Koszul complex", _read_system,
+                             _koszul, (_FILE, _DEGREE_CAP), verdict="exact"),
+    "decompose": _Command(
+        "decomposability recognition certificate", _read_system, _decompose,
+        (_FILE, (("--split",), {"type": int, "default": None,
+                                "help": "split index b; all of 1..n-1 when omitted"}))),
+    "degenerate": _Command(
+        "limit of the direct-sum degeneration", _read_system, _degenerate,
+        (_FILE, (("--split",), {"type": int, "required": True, "help": "block size a"}))),
+    "stability": _Command("stability analysis of the associated form", _read_system,
+                          _stability),
+    "binary-stability": _Command("exact GIT classification of one binary form",
+                                 _read_form, _binary_stability),
+    "mather-yau": _Command(
+        "compare the invariant points of one or two quartics", _read_quartics,
+        _mather_yau, ((("files",), {"nargs": "+", "help": "input system file(s)"}),)),
+    "audit": _Command(
+        "randomized semistability audit", _read_system, _audit,
+        (_FILE,
+         (("--trials",), {"type": _non_negative, "default": 20,
+                          "help": "number of sampled 1-PS"}),
+         (("--seed",), {"type": int, "default": 0, "help": "sampling seed"}))),
 }
 
 
-class _Output:
-    """Collects human-readable lines; suppressed under --json."""
-
-    def __init__(self, json_mode: bool):
-        self.json_mode = json_mode
-        self.lines: list[str] = []
-
-    def text(self, line: str):
-        if not self.json_mode:
-            self.lines.append(line)
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="assoform",
+                     description="Associated forms of balanced complete "
+                                 "intersections, exactly over Q.")
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -366,28 +325,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    out = _Output(args.json)
+    command = COMMANDS[args.command]
+    out: list[str] = []  # the human-readable report, printed without --json
     try:
-        payload, code = _HANDLERS[args.command](args, out)
+        subject, header = command.read(args)
+        result = command.run(subject, args, out)
     except ParseError as exc:
         print(f"assoform: parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except OSError as exc:
         print(f"assoform: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (NotRegularSequence, SingularHypersurface) as exc:
-        print(f"assoform: {exc}", file=sys.stderr)
-        return PRECONDITION_EXIT
-    except ValueError as exc:
+    except ValueError as exc:  # includes NotRegularSequence and SingularHypersurface
         print(f"assoform: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     if args.json:
-        report = {"command": args.command, **payload}
-        print(json.dumps(report, sort_keys=True))
+        if "seed" in args:
+            header["seed"] = args.seed
+        print(json.dumps({"command": args.command, **header, "result": result},
+                         sort_keys=True))
     else:
-        for line in out.lines:
+        for line in out:
             print(line)
-    return code
+    return PRECONDITION_EXIT if command.verdict and not result[command.verdict] else 0
 
 
 if __name__ == "__main__":

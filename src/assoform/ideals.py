@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (QMatrix, from_rows, in_row_space, kernel_basis, mat_mul,
@@ -26,13 +25,6 @@ class DegreeCapError(ValueError):
     """Raised when n(d-1) exceeds the supported desk-scale bound."""
 
 
-def _check_degree_cap(nvars: int, d: int):
-    socle = nvars * (d - 1)
-    if socle > DEGREE_CAP:
-        raise DegreeCapError(
-            f"socle degree {nvars}*({d}-1) = {socle} exceeds the supported bound {DEGREE_CAP}")
-
-
 def coeff_vector(f: Polynomial, basis: tuple[Mono, ...]) -> list[Fraction]:
     return [f.terms.get(m, Fraction(0)) for m in basis]
 
@@ -43,23 +35,44 @@ def vectors_to_polynomials(m: QMatrix, basis: tuple[Mono, ...], nvars: int,
 
 
 class GradedIdeal:
-    """Ideal generated by homogeneous degree-d forms, with cached graded pieces."""
+    """Ideal generated by homogeneous degree-d forms, with cached graded pieces.
+
+    The constructor is the one place where input forms are validated; every
+    operation that takes forms builds (or is handed) one ideal and computes
+    each graded piece and rank on it at most once.
+    """
 
     def __init__(self, nvars: int, d: int, generators):
         gens = tuple(generators)
-        if d < 1:
-            raise ValueError("generator degree must be positive")
         for g in gens:
             if g.nvars != nvars or g.space is not Space.PRIMAL:
                 raise ValueError("generators must be primal forms in n variables")
             if g.is_zero() or not g.is_homogeneous(d):
                 raise ValueError(f"generators must be nonzero homogeneous of degree {d}")
-        _check_degree_cap(nvars, d)
+        if d < 1:
+            raise ValueError("generator degree must be positive")
+        if nvars * (d - 1) > DEGREE_CAP:
+            raise DegreeCapError(f"socle degree {nvars}*({d}-1) = {nvars * (d - 1)} "
+                                 f"exceeds the supported bound {DEGREE_CAP}")
         self.nvars = nvars
         self.d = d
         self.generators = gens
         self._piece_cache: dict[int, tuple[QMatrix, tuple[int, ...]]] = {}
         self._rank_cache: dict[int, int] = {}
+
+    @classmethod
+    def of(cls, forms) -> GradedIdeal:
+        """The ideal of a non-empty list of forms, reading n and d off the first.
+
+        An ideal passed in is returned as it is, with its caches.
+        """
+        if isinstance(forms, cls):
+            return forms
+        gens = tuple(forms)
+        if not gens:
+            raise ValueError("empty form list")
+        first = gens[0]
+        return cls(first.nvars, 0 if first.is_zero() else first.degree(), gens)
 
     def _piece_with_pivots(self, k: int) -> tuple[QMatrix, tuple[int, ...]]:
         cached = self._piece_cache.get(k)
@@ -121,42 +134,19 @@ class GradedIdeal:
         return in_row_space(basis, pivots, vec)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+def hilbert_function(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
     """dim (S/I)_k for k = 0..bound."""
-
-    values: tuple[int, ...]
-
-
-def hilbert_function(ideal: GradedIdeal, bound: int) -> HilbertData:
-    values = tuple(dim_degree(ideal.nvars, k) - ideal.dim_piece(k)
-                   for k in range(bound + 1))
-    return HilbertData(values)
-
-
-def _validate_balanced(gs, require_square=True) -> tuple[int, int]:
-    gs = list(gs)
-    if not gs:
-        raise ValueError("empty form list")
-    n = gs[0].nvars
-    if require_square and len(gs) != n:
-        raise ValueError(f"need exactly {n} forms in {n} variables, got {len(gs)}")
-    degrees = set()
-    for g in gs:
-        if g.nvars != n or g.space is not Space.PRIMAL:
-            raise ValueError("forms must be primal polynomials in n variables")
-        if g.is_zero() or not g.is_homogeneous():
-            raise ValueError("forms must be nonzero and homogeneous")
-        degrees.add(g.degree())
-    if len(degrees) != 1:
-        raise ValueError("forms must all have the same degree")
-    return n, degrees.pop()
+    return tuple(dim_degree(ideal.nvars, k) - ideal.dim_piece(k)
+                 for k in range(bound + 1))
 
 
 def is_regular_sequence(gs) -> bool:
-    """Whether n degree-d forms in n variables form a regular sequence."""
-    n, d = _validate_balanced(gs)
-    return GradedIdeal(n, d, gs).is_regular()
+    """Whether n degree-d forms in n variables (or their ideal) form a regular sequence."""
+    ideal = GradedIdeal.of(gs)
+    n, m = ideal.nvars, len(ideal.generators)
+    if m != n:
+        raise ValueError(f"need exactly {n} forms in {n} variables, got {m}")
+    return ideal.is_regular()
 
 
 def min_nonideal_monomial(ideal: GradedIdeal, k: int,
@@ -196,8 +186,8 @@ def koszul_matrices(gs, j: int, k: int) -> QMatrix:
     target basis: the same with j-1 wedge factors.  Columns index the
     source.  d_j sends e_I to the signed sum of g_{i_r} times e_{I minus i_r}.
     """
-    n, d = _validate_balanced(gs, require_square=False)
-    gs = list(gs)
+    ideal = GradedIdeal.of(gs)
+    n, d, gs = ideal.nvars, ideal.d, ideal.generators
     m = len(gs)
     if not 1 <= j <= m:
         raise ValueError(f"homological index {j} out of range 1..{m}")
@@ -231,9 +221,8 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
     and every 1 <= j <= m; true for regular sequences, where the complex is
     a minimal free resolution.
     """
-    n, d = _validate_balanced(gs, require_square=False)
-    gs = list(gs)
-    m = len(gs)
+    ideal = GradedIdeal.of(gs)
+    n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
     ranks: dict[tuple[int, int], int] = {}
 
     def rank_dj(j: int, k: int) -> int:
@@ -241,7 +230,7 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
             return 0
         key = (j, k)
         if key not in ranks:
-            ranks[key] = rank(koszul_matrices(gs, j, k))
+            ranks[key] = rank(koszul_matrices(ideal, j, k))
         return ranks[key]
 
     for k in range(k_max + 1):

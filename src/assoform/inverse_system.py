@@ -18,7 +18,7 @@ form equals nu!, asserted at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ideals import GradedIdeal, coeff_vector, is_regular_sequence
@@ -56,39 +56,44 @@ class HilbertPointFunctional:
 
 @dataclass(frozen=True)
 class AssociatedForm:
-    """The dual form A(g_1..g_n) together with its normalizing functional."""
+    """The dual form A(g_1..g_n), its normalizing functional and its ideal.
+
+    ideal is the GradedIdeal the form was solved on; its cached graded
+    pieces and ranks serve later questions about the same intersection.
+    """
 
     form: Polynomial
-    source: tuple[Polynomial, ...]
     omega: HilbertPointFunctional
+    ideal: GradedIdeal = field(compare=False, repr=False)
+
+    @property
+    def source(self) -> tuple[Polynomial, ...]:
+        return self.ideal.generators
 
     @property
     def nu(self) -> int:
         return self.omega.degree
 
 
-def _require_regular(gs) -> tuple[int, int]:
-    gs = list(gs)
-    if not is_regular_sequence(gs):
+def associated_form(gs) -> AssociatedForm:
+    """The associated form of a regular sequence, via the multinomial expansion.
+
+    gs is a list of forms or a GradedIdeal; regularity is certified and
+    omega solved for on that one ideal.
+    """
+    ideal = GradedIdeal.of(gs)
+    if not is_regular_sequence(ideal):
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
-    return gs[0].nvars, gs[0].degree()
-
-
-def _functional_and_jac(gs) -> tuple[HilbertPointFunctional, Polynomial]:
-    """The normalized functional of gs, with the det Jac it is normalized on."""
-    gs = list(gs)
-    n, d = _require_regular(gs)
-    nu = n * (d - 1)
-    ideal = GradedIdeal(n, d, gs)
-    basis = ideal.graded_piece(nu)
-    kernel = kernel_basis(basis)
+    n = ideal.nvars
+    nu = n * (ideal.d - 1)
+    kernel = kernel_basis(ideal.graded_piece(nu))
     if len(kernel) != 1:
         raise RuntimeError(
             f"I_nu has codimension {len(kernel)}, expected 1 for a complete intersection")
     raw = kernel[0]
     monos = monomials_of_degree(n, nu)
-    jac = jacobian_det(gs)
+    jac = jacobian_det(ideal.generators)
     scale = Fraction(0)
     for i, m in enumerate(monos):
         c = jac.terms.get(m)
@@ -97,28 +102,20 @@ def _functional_and_jac(gs) -> tuple[HilbertPointFunctional, Polynomial]:
     if scale == 0:
         raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
     values = {m: raw[i] / scale for i, m in enumerate(monos) if raw[i] != 0}
-    return HilbertPointFunctional(n, nu, values), jac
-
-
-def hilbert_point_functional(gs) -> HilbertPointFunctional:
-    """Solve for the unique functional killing I_nu with omega(det Jac) = 1."""
-    return _functional_and_jac(gs)[0]
-
-
-def associated_form(gs) -> AssociatedForm:
-    """The associated form of a regular sequence, via the multinomial expansion."""
-    gs = tuple(gs)
-    omega, jac = _functional_and_jac(gs)
-    n, nu = omega.nvars, omega.degree
+    omega = HilbertPointFunctional(n, nu, values)
     nu_fact = math.factorial(nu)
-    terms = {m: Fraction(nu_fact, mono_factorial(m)) * v
-             for m, v in omega.values.items()}
+    terms = {m: Fraction(nu_fact, mono_factorial(m)) * v for m, v in values.items()}
     form = Polynomial(n, Space.DUAL, terms)
     if form.is_zero():
         raise RuntimeError("associated form vanished; impossible for a regular sequence")
     if pairing(jac, form) != nu_fact:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
-    return AssociatedForm(form, gs, omega)
+    return AssociatedForm(form, omega, ideal)
+
+
+def hilbert_point_functional(gs) -> HilbertPointFunctional:
+    """The unique functional killing I_nu with omega(det Jac) = 1."""
+    return associated_form(gs).omega
 
 
 def perp_piece(f: Polynomial, k: int) -> QMatrix:
@@ -152,13 +149,9 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
 
 def macaulay_roundtrip(gs) -> bool:
     """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1."""
-    gs = list(gs)
     assoc = associated_form(gs)
-    n, d = gs[0].nvars, gs[0].degree()
-    ideal = GradedIdeal(n, d, gs)
-    nu = assoc.nu
-    return all(perp_piece(assoc.form, k) == ideal.graded_piece(k)
-               for k in range(nu + 2))
+    return all(perp_piece(assoc.form, k) == assoc.ideal.graded_piece(k)
+               for k in range(assoc.nu + 2))
 
 
 def _lift(f: Polynomial, nvars: int, offset: int) -> Polynomial:
@@ -194,8 +187,8 @@ def direct_sum_assoc(gs1, gs2) -> AssociatedForm:
     nu_fact = math.factorial(nu)
     omega = HilbertPointFunctional(
         n, nu, {m: c * mono_factorial(m) / nu_fact for m, c in form.terms.items()})
-    source = tuple(_lift(g, n, 0) for g in gs1) + tuple(_lift(g, n, a) for g in gs2)
-    return AssociatedForm(form, source, omega)
+    source = [_lift(g, n, 0) for g in gs1] + [_lift(g, n, a) for g in gs2]
+    return AssociatedForm(form, omega, GradedIdeal.of(source))
 
 
 def milnor_associated_form(F: Polynomial) -> AssociatedForm:
@@ -206,7 +199,8 @@ def milnor_associated_form(F: Polynomial) -> AssociatedForm:
     grads = [partial(F, i) for i in range(F.nvars)]
     if any(g.is_zero() for g in grads):
         raise SingularHypersurface("a partial derivative vanishes identically")
-    if not is_regular_sequence(grads):
+    try:
+        return associated_form(grads)
+    except NotRegularSequence:
         raise SingularHypersurface(
-            "the gradient has a non-trivial common zero (singular hypersurface)")
-    return associated_form(grads)
+            "the gradient has a non-trivial common zero (singular hypersurface)") from None

@@ -69,11 +69,6 @@ def identity(n: int) -> QMatrix:
                                for i in range(n)))
 
 
-def zero_matrix(rows: int, cols: int) -> QMatrix:
-    z = Fraction(0)
-    return QMatrix(rows, cols, tuple((z,) * cols for _ in range(rows)))
-
-
 def transpose(m: QMatrix) -> QMatrix:
     return QMatrix(m.cols, m.rows,
                    tuple(tuple(m.entries[i][j] for i in range(m.rows))

@@ -9,6 +9,7 @@ line.  All errors carry a line and column.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # descent stays far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Bounds on one '*' or '^', checked from its operands before it is
+# computed: the degree of the result, the size of its coefficients in bits
+# (common denominator plus largest numerator over it) and the number of
+# term-by-term products it costs.  Desk-scale inputs stay far below them;
+# past them a line such as (x1 + x2)^3000 would expand for minutes.
+MAX_DEGREE = 200
+MAX_COEFF_BITS = 10_000
+MAX_TERM_PRODUCTS = 100_000
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -62,6 +72,30 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         pos = match.end()
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
+
+
+def _int(tok: _Token, line: int) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:  # past the interpreter's limit on decimal digits
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                         line, tok.col) from None
+
+
+def _size(f: Polynomial) -> tuple[int, int]:
+    """Degree and coefficient bits of f (0, 0 for zero).
+
+    The bits are those of the common denominator L plus those of the
+    largest |c * L|; both parts only add up under products.
+    """
+    if len(f.terms) == 1:  # the common case, kept cheap
+        ((mono, c),) = f.terms.items()
+        return sum(mono), c.numerator.bit_length() + c.denominator.bit_length()
+    if not f.terms:
+        return 0, 0
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    top = max(abs(c.numerator) * (den // c.denominator) for c in f.terms.values())
+    return f.degree(), den.bit_length() + top.bit_length()
 
 
 class _ExprParser:
@@ -98,6 +132,41 @@ class _ExprParser:
         self.depth -= 1
         return result
 
+    def check(self, tok: _Token, degree: int, bits: int = 0, products: int = 0):
+        """Fail at operator tok if its result would pass one of the size bounds."""
+        if degree <= MAX_DEGREE and bits <= MAX_COEFF_BITS and products <= MAX_TERM_PRODUCTS:
+            return
+        for what, value, limit in (("degree", degree, MAX_DEGREE),
+                                   ("coefficient bits", bits, MAX_COEFF_BITS),
+                                   ("term products", products, MAX_TERM_PRODUCTS)):
+            if value > limit:
+                self.fail(f"{tok.text!r} would give {what} {value}, above the bound {limit}",
+                          tok)
+
+    def product(self, a: Polynomial, b: Polynomial, tok: _Token) -> Polynomial:
+        # a coefficient of a*b sums at most min(|a|, |b|) products
+        (da, ba), (db, bb) = _size(a), _size(b)
+        na, nb = len(a.terms), len(b.terms)
+        self.check(tok, da + db, ba + bb + (min(na, nb) - 1).bit_length(), na * nb)
+        return a * b
+
+    def power(self, base: Polynomial, e: int, tok: _Token) -> Polynomial:
+        m = len(base.terms)
+        degree, bits = _size(base)
+        if m <= 1:  # a monomial or zero: binary powering, log e tiny products
+            self.check(tok, e * degree, e * bits)
+            return base ** e
+        # base^k has at most C(m+k-1, k) terms, each coefficient a sum of
+        # products of k coefficients of base, so e multiplications by base
+        # cost at most m * C(m+e-1, e-1) term products (e is bounded first)
+        self.check(tok, e * degree)
+        self.check(tok, 0, e * (bits + (m - 1).bit_length()),
+                   m * math.comb(m + e - 1, e - 1))
+        result = Polynomial.constant(base.nvars, base.space, 1)
+        for _ in range(e):
+            result = result * base
+        return result
+
     def parse(self) -> Polynomial:
         result = self.expr()
         tok = self.peek()
@@ -116,8 +185,8 @@ class _ExprParser:
     def term(self) -> Polynomial:
         total = self.factor()
         while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            total = total * self.factor()
+            tok = self.advance()
+            total = self.product(total, self.factor(), tok)
         return total
 
     def factor(self) -> Polynomial:
@@ -127,28 +196,29 @@ class _ExprParser:
             return -self.nested(self.factor, tok)
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            tok = self.advance()
             etok = self.peek()
             if etok.kind != "num":
                 self.fail("exponent must be a non-negative integer", etok)
             self.advance()
-            return base ** int(etok.text)
+            return self.power(base, _int(etok, self.line), tok)
         return base
 
     def atom(self) -> Polynomial:
         tok = self.advance()
         n = len(self.names)
         if tok.kind == "num":
-            value = Fraction(int(tok.text))
+            value = Fraction(_int(tok, self.line))
             if self.peek().kind == "op" and self.peek().text == "/":
                 self.advance()
                 dtok = self.peek()
                 if dtok.kind != "num":
                     self.fail("expected an integer denominator", dtok)
                 self.advance()
-                if int(dtok.text) == 0:
+                den = _int(dtok, self.line)
+                if den == 0:
                     self.fail("division by zero in rational literal", dtok)
-                value /= int(dtok.text)
+                value /= den
             return Polynomial.constant(n, self.space, value)
         if tok.kind == "ident":
             idx = self.index.get(tok.text)

@@ -28,10 +28,6 @@ class Space(Enum):
     DUAL = "z"
 
 
-def mono_degree(a: Mono) -> int:
-    return sum(a)
-
-
 def grevlex_less(a: Mono, b: Mono) -> bool:
     """True iff a < b in grevlex order."""
     if len(a) != len(b):

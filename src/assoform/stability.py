@@ -84,8 +84,6 @@ class DecompositionCertificate:
 
     split_index: int
     generators: tuple[Polynomial, ...]
-    condition_a: bool
-    condition_b: bool
 
 
 def support_weight_range(f: Polynomial, u: OnePS) -> tuple[int, int]:
@@ -342,23 +340,12 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     monos_d = monomials_of_degree(n, d)
 
     touches_tail = [sum(m[b:]) > 0 for m in monos_d]
-    inter = intersect_with_coordinates(basis, touches_tail)
-    cond_a = inter.rows == n - b
-    if not cond_a:
-        return None
-
-    power = (n - b) * (d - 1) + 1
-    cond_b = True
-    if power < d:
-        cond_b = False  # I has nothing below degree d
-    else:
-        for tail_mono in monomials_of_degree(n - b, power):
-            mono = (0,) * b + tail_mono
-            if not ideal.contains(Polynomial.from_monomial(n, Space.PRIMAL, mono)):
-                cond_b = False
-                break
-    if not cond_b:
-        return None
+    if intersect_with_coordinates(basis, touches_tail).rows != n - b:
+        return None  # (A) fails
+    power = (n - b) * (d - 1) + 1  # >= d, since b < n
+    if not all(ideal.contains(Polynomial.from_monomial(n, Space.PRIMAL, (0,) * b + tail))
+               for tail in monomials_of_degree(n - b, power)):
+        return None  # (B) fails
 
     pure_tail = [sum(m[:b]) == 0 for m in monos_d]
     extracted = intersect_with_coordinates(basis, pure_tail)
@@ -366,7 +353,7 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
         raise RuntimeError("conditions (A) and (B) hold but the extracted subspace "
                            f"has dimension {extracted.rows}, expected {n - b}")
     gens = tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL))
-    return DecompositionCertificate(b, gens, cond_a, cond_b)
+    return DecompositionCertificate(b, gens)
 
 
 def degeneration_limit(gs, a: int) -> tuple[Polynomial, ...]:
@@ -380,8 +367,6 @@ def degeneration_limit(gs, a: int) -> tuple[Polynomial, ...]:
     n = gs[0].nvars
     if not 1 <= a <= n - 1:
         raise ValueError("split index must satisfy 1 <= a <= n-1")
-    if len(gs) != n:
-        raise ValueError(f"need exactly {n} generators")
     for i, g in enumerate(gs[a:], start=a + 1):
         if any(sum(m[:a]) > 0 for m in g.terms):
             raise ValueError(
@@ -437,9 +422,9 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
     recorded (for an indecomposable intersection none should, over the
     closure).
     """
-    gs = list(gs)
     assoc = associated_form(gs)  # raises NotRegularSequence if not regular
-    n, d = gs[0].nvars, gs[0].degree()
+    ideal = assoc.ideal
+    n, d = ideal.nvars, ideal.d
     if n < 2:
         raise ValueError("the audit needs at least 2 variables: the only "
                          "zero-sum weight in one variable is 0")
@@ -457,7 +442,6 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
         lo, hi = support_weight_range(assoc.form, dual)
         samples.append(WeightSample(w, lo, hi, lo >= 0))
 
-    ideal = GradedIdeal(n, d, gs)
     mono = min_nonideal_monomial(ideal, nu)
     grevlex_ok = mono is not None and all(
         sum(mono[:i]) <= i * (d - 1) for i in range(1, n + 1))

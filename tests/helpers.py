@@ -13,6 +13,11 @@ from assoform.poly import Mono, Polynomial, Space, monomials_of_degree
 from assoform.stability import OnePS
 
 
+def zero_matrix(rows: int, cols: int) -> QMatrix:
+    z = Fraction(0)
+    return QMatrix(rows, cols, tuple((z,) * cols for _ in range(rows)))
+
+
 def det(m: QMatrix) -> Fraction:
     """Determinant by exact elimination."""
     if m.rows != m.cols:

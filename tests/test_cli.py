@@ -280,3 +280,41 @@ def test_degree_cap_bounds_the_degrees(write, capsys):
     assert code == 0 and out.strip() == "1 2"
     code, out, _ = run(capsys, "--json", "koszul-check", path, "--degree-cap", "0")
     assert code == 0 and json.loads(out)["result"]["k_max"] == 0
+
+
+@pytest.mark.parametrize("command", [
+    "assoc", "hilbert", "regseq", "koszul-check", "decompose", "stability", "audit",
+    "degenerate --split 1",
+])
+def test_socle_degree_above_the_cap_is_rejected(write, capsys, command):
+    # n(d-1) = 2*13 = 26 > DEGREE_CAP: every system command refuses it up front
+    path = write("f.txt", "vars: x1 x2\nx1^14\nx2^14\n")
+    name, *extra = command.split()
+    code, out, err = run(capsys, "--json", name, path, *extra)
+    assert code == 2
+    assert out == ""
+    assert "socle degree 2*(14-1) = 26 exceeds" in err
+
+
+def _cli_process(*argv, timeout=30):
+    src = str(Path(assoform.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "assoform.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+@pytest.mark.parametrize("line, col, what", [
+    ("(x1 + x2)^3000", 10, "degree 3000"),
+    ("(((((3^25)^25)^25)^25)^25)^25*x1^2", 15, "coefficient bits"),
+    ("*".join(["(x1+x2)^20"] * 12), 110, "degree 220"),
+    ("(x1+x2+x3)^60", 11, "term products"),
+])
+def test_oversized_products_are_parse_errors(write, line, col, what):
+    # in a separate process with a timeout: before the bounds these expanded for minutes
+    path = write("f.txt", f"vars: x1 x2 x3\n{line}\nx2^2\nx3^2\n")
+    proc = _cli_process("--json", "regseq", path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"line 2, column {col}" in proc.stderr and what in proc.stderr

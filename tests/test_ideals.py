@@ -4,13 +4,13 @@ import random
 
 import pytest
 from helpers import (power_gens, random_form, random_regular_sequence,
-                     series_hilbert)
+                     series_hilbert, zero_matrix)
 
 from assoform import ideals
 from assoform.ideals import (DegreeCapError, GradedIdeal, hilbert_function,
                              is_regular_sequence, koszul_exactness_check,
                              koszul_matrices, min_nonideal_monomial)
-from assoform.linalg import from_rows, mat_mul, zero_matrix
+from assoform.linalg import from_rows, mat_mul
 from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
 
 
@@ -60,21 +60,21 @@ def test_graded_piece_caching_is_stable():
 def test_hilbert_three_squares():
     ideal = GradedIdeal(3, 2, squares(3))
     data = hilbert_function(ideal, 5)
-    assert list(data.values) == [1, 3, 3, 1, 0, 0]
-    assert list(data.values) == series_hilbert(3, 2, 5)
+    assert list(data) == [1, 3, 3, 1, 0, 0]
+    assert list(data) == series_hilbert(3, 2, 5)
 
 
 def test_hilbert_two_cubes():
     ideal = GradedIdeal(2, 3, power_gens(2, [3, 3]))
     data = hilbert_function(ideal, 6)
-    assert list(data.values) == [1, 2, 3, 2, 1, 0, 0]
-    assert list(data.values) == series_hilbert(2, 3, 6)
+    assert list(data) == [1, 2, 3, 2, 1, 0, 0]
+    assert list(data) == series_hilbert(2, 3, 6)
 
 
 def test_hilbert_zero_ideal():
     ideal = GradedIdeal(3, 2, [])
     data = hilbert_function(ideal, 4)
-    assert list(data.values) == [dim_degree(3, k) for k in range(5)]
+    assert list(data) == [dim_degree(3, k) for k in range(5)]
 
 
 def test_hilbert_first_value_and_trailing_zeros():
@@ -82,7 +82,7 @@ def test_hilbert_first_value_and_trailing_zeros():
     for _ in range(6):
         n, d = rng.choice([(2, 2), (2, 3), (3, 2)])
         gs = random_regular_sequence(rng, n, d)
-        values = hilbert_function(GradedIdeal(n, d, gs), n * (d - 1) + 3).values
+        values = hilbert_function(GradedIdeal(n, d, gs), n * (d - 1) + 3)
         assert values[0] == 1
         seen_zero = False
         for v in values:
@@ -265,7 +265,7 @@ def test_gorenstein_symmetry():
         n, d = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2)])
         gs = random_regular_sequence(rng, n, d)
         nu = n * (d - 1)
-        values = hilbert_function(GradedIdeal(n, d, gs), nu + 1).values
+        values = hilbert_function(GradedIdeal(n, d, gs), nu + 1)
         assert list(values) == series_hilbert(n, d, nu + 1)
         for k in range(nu + 1):
             assert values[k] == values[nu - k]

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 
-from helpers import det
+from helpers import det, zero_matrix
 
 from assoform.linalg import (QMatrix, from_rows, identity, in_row_space,
                              inverse, kernel_basis, mat_mul, rank, rref,
-                             solve_square, transpose, zero_matrix)
+                             solve_square, transpose)
 
 
 def test_rref_rank_one():

@@ -1,12 +1,14 @@
 """Tests for the input grammar and the render/parse round trip."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import random_form
 
-from assoform.parsing import ParseError, parse_polynomial, parse_system
+from assoform.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS,
+                              ParseError, parse_polynomial, parse_system)
 from assoform.poly import Polynomial, Space
 
 
@@ -102,3 +104,28 @@ def test_roundtrip_fixed_renders():
     for text in cases:
         poly = parse_polynomial(text, ("x1", "x2"))
         assert parse_polynomial(poly.render(["x1", "x2"]), ("x1", "x2")) == poly
+
+
+def test_products_up_to_the_bounds_parse():
+    names = ("x1", "x2", "x3")
+    f = parse_polynomial("*".join(["(x1+x2)^20"] * (MAX_DEGREE // 20)), names)
+    assert f.degree() == MAX_DEGREE
+    assert f.coeff((100, 100, 0)) == math.comb(200, 100)
+    assert parse_polynomial("((3^25)^25)*x1", names).coeff((1, 0, 0)) == 3 ** 625
+    assert len(parse_polynomial("(x1+x2+x3)^55", names).terms) == math.comb(57, 2)
+    assert MAX_TERM_PRODUCTS >= 3 * math.comb(57, 3) and MAX_COEFF_BITS >= 1000
+
+
+@pytest.mark.parametrize("text, col, what", [
+    ("x1^201", 3, "degree 201"),
+    ("x1^100*x1^101", 7, "degree 201"),
+    ("(2^5000)*x1", 3, "coefficient bits"),
+    ("(1/3)^5000", 6, "coefficient bits"),
+    ("(x1+x2+x3)^60", 11, "term products"),
+    ("1" + "0" * 5000, 1, "too long"),
+])
+def test_size_bounds_name_the_operator(text, col, what):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, ("x1", "x2", "x3"), line=4)
+    assert (err.value.line, err.value.col) == (4, col)
+    assert what in str(err.value)

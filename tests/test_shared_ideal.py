@@ -1,0 +1,87 @@
+"""One validated ideal per operation: each elimination of an intersection runs once.
+
+The spies record the shape of every matrix passed to ``rank`` and ``rref``
+at both places they are called from (``ideals`` binds its own names), so a
+second ideal built for the same forms shows up as a repeated shape.
+"""
+
+import random
+
+import pytest
+from helpers import power_gens, random_form, random_regular_sequence
+
+from assoform import ideals, linalg
+from assoform.ideals import GradedIdeal, is_regular_sequence
+from assoform.invariants import mather_yau_point
+from assoform.inverse_system import (associated_form, hilbert_point_functional,
+                                     macaulay_roundtrip)
+from assoform.poly import Polynomial, Space
+from assoform.stability import semistability_audit
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    calls = []
+    for name in ("rank", "rref"):
+        real = getattr(linalg, name)
+
+        def spy(m, _name=name, _real=real):
+            calls.append((_name, m.rows, m.cols))
+            return _real(m)
+
+        for module in (linalg, ideals):
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_audit_certifies_and_reduces_once(eliminations):
+    gs = random_regular_sequence(random.Random(3), 3, 3)
+    eliminations.clear()
+    semistability_audit(gs, trials=4, seed=0)
+    # regularity: the 45x36 product matrix of I_7; omega and the grevlex
+    # monomial: the 30x28 product matrix of I_6
+    assert eliminations.count(("rank", 45, 36)) == 1
+    assert eliminations.count(("rref", 30, 28)) == 1
+
+
+def test_mather_yau_certifies_the_gradient_once(eliminations):
+    rng = random.Random(7)
+    quartics = []
+    while len(quartics) < 3:
+        F = random_form(rng, 2, 4)
+        try:
+            mather_yau_point(F)
+        except ValueError:  # singular: the gradient is not a regular sequence
+            continue
+        quartics.append(F)
+    eliminations.clear()
+    for F in quartics:
+        mather_yau_point(F)
+    # the gradient's regularity matrix: dim S_2 * 2 = 6 rows, dim S_5 = 6 columns
+    assert eliminations.count(("rank", 6, 6)) == len(quartics)
+
+
+def test_associated_form_keeps_its_ideal(eliminations):
+    gs = power_gens(3, [3, 3, 3])
+    ideal = GradedIdeal.of(gs)
+    assoc = associated_form(ideal)
+    assert assoc.ideal is ideal and assoc.source == tuple(gs)
+    assert is_regular_sequence(ideal)
+    assert hilbert_point_functional(ideal) == assoc.omega
+    # the 45x36 regularity matrix of I_7 and the 30x28 product matrix of I_6
+    assert eliminations.count(("rank", 45, 36)) == 1
+    assert eliminations.count(("rref", 30, 28)) == 1
+    assert macaulay_roundtrip(gs)
+
+
+def test_of_reads_n_and_d_from_the_forms():
+    ideal = GradedIdeal.of(power_gens(3, [4, 4, 4]))
+    assert (ideal.nvars, ideal.d, len(ideal.generators)) == (3, 4, 3)
+    assert GradedIdeal.of(ideal) is ideal
+    with pytest.raises(ValueError, match="empty"):
+        GradedIdeal.of([])
+    with pytest.raises(ValueError, match="homogeneous of degree 2"):
+        GradedIdeal.of([Polynomial(2, Space.PRIMAL, {(2, 0): 1}),
+                        Polynomial(2, Space.PRIMAL, {(0, 3): 1})])
+    with pytest.raises(ValueError, match="nonzero"):
+        GradedIdeal.of([Polynomial.zero(2, Space.PRIMAL)])
