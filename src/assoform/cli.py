@@ -126,6 +126,11 @@ def _binary_json(report) -> dict:
             "multiplicities": [list(pair) for pair in report.multiplicities]}
 
 
+def _top_degree(args, default: int) -> int:
+    # --degree-cap lowers the command's top degree, never raises it
+    return default if args.degree_cap is None else min(args.degree_cap, default)
+
+
 def _assoc(system, args, out):
     form = associated_form(system.ideal).form
     out.append(form.render())
@@ -134,7 +139,7 @@ def _assoc(system, args, out):
 
 def _perp(f, args, out):
     nu = f.degree()
-    k_max = min(nu + 1, args.degree_cap) if args.degree_cap is not None else nu + 1
+    k_max = _top_degree(args, nu + 1)
     dims, hilbert = [], []
     for k in range(k_max + 1):
         piece = perp_piece(f, k)
@@ -147,9 +152,7 @@ def _perp(f, args, out):
 
 def _hilbert(system, args, out):
     ideal = system.ideal
-    n, d = ideal.nvars, ideal.d
-    bound = args.degree_cap if args.degree_cap is not None else n * (d - 1) + 1
-    values = hilbert_function(ideal, bound)
+    values = hilbert_function(ideal, _top_degree(args, ideal.nvars * (ideal.d - 1) + 1))
     out.append(" ".join(str(v) for v in values))
     return {"values": list(values)}
 
@@ -166,8 +169,7 @@ def _regseq(system, args, out):
 
 def _koszul(system, args, out):
     ideal = system.ideal
-    n, d = ideal.nvars, ideal.d
-    k_max = args.degree_cap if args.degree_cap is not None else n * (d - 1) + d
+    k_max = _top_degree(args, ideal.nvars * (ideal.d - 1) + ideal.d)
     exact = koszul_exactness_check(ideal, k_max)
     out.append(f"Koszul complex exact away from degree 0 up to graded degree "
                f"{k_max}: {'yes' if exact else 'NO'}")
@@ -261,7 +263,8 @@ def _audit(system, args, out):
 
 _FILE = (("file",), {"help": "input system file"})
 _DEGREE_CAP = (("--degree-cap",), {"type": _non_negative, "default": None,
-                                   "help": "highest graded degree to compute"})
+                                   "help": "highest graded degree to compute, at most "
+                                           "the default top degree"})
 
 
 @dataclass(frozen=True)

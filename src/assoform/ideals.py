@@ -13,8 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import (QMatrix, from_rows, in_row_space, kernel_basis, mat_mul,
-                     rank, row_space_basis, rref, transpose)
+from .linalg import QMatrix, from_rows, in_row_space, rank, rref, unit_columns
 from .poly import (Mono, Polynomial, Space, dim_degree, grevlex_key,
                    monomials_of_degree)
 
@@ -74,7 +73,8 @@ class GradedIdeal:
         first = gens[0]
         return cls(first.nvars, 0 if first.is_zero() else first.degree(), gens)
 
-    def _piece_with_pivots(self, k: int) -> tuple[QMatrix, tuple[int, ...]]:
+    def piece_with_pivots(self, k: int) -> tuple[QMatrix, tuple[int, ...]]:
+        """Canonical RREF basis of I_k and its pivot columns, reduced once."""
         cached = self._piece_cache.get(k)
         if cached is None:
             reduced, pivots = rref(self._product_matrix(k))
@@ -98,15 +98,12 @@ class GradedIdeal:
 
     def graded_piece(self, k: int) -> QMatrix:
         """Canonical RREF basis of I_k inside S_k; empty for k < d."""
-        return self._piece_with_pivots(k)[0]
+        return self.piece_with_pivots(k)[0]
 
     def dim_piece(self, k: int) -> int:
         """dim I_k, via a fraction-free rank when no basis is cached yet."""
         if k not in self._rank_cache:
-            if k in self._piece_cache:
-                self._rank_cache[k] = self._piece_cache[k][0].rows
-            else:
-                self._rank_cache[k] = rank(self._product_matrix(k))
+            self._rank_cache[k] = rank(self._product_matrix(k))
         return self._rank_cache[k]
 
     def is_regular(self) -> bool:
@@ -129,7 +126,7 @@ class GradedIdeal:
         if not f.is_homogeneous():
             raise ValueError("membership test expects a homogeneous polynomial")
         k = f.degree()
-        basis, pivots = self._piece_with_pivots(k)
+        basis, pivots = self.piece_with_pivots(k)
         vec = coeff_vector(f, monomials_of_degree(self.nvars, k))
         return in_row_space(basis, pivots, vec)
 
@@ -154,25 +151,15 @@ def min_nonideal_monomial(ideal: GradedIdeal, k: int,
     """Grevlex-smallest degree-k monomial outside I_k, or None.
 
     With restrict=(a, N), only monomials of total degree >= N in the last
-    n-a variables are considered.
+    n-a variables are considered.  Membership is read off the RREF of I_k.
     """
-    basis, pivots = ideal._piece_with_pivots(k)
+    a, power = restrict if restrict is not None else (ideal.nvars, 0)  # (n, 0) keeps all
+    if not 1 <= a <= ideal.nvars or power < 0:
+        raise ValueError("restriction must satisfy 1 <= a <= n and N >= 0")
     target = monomials_of_degree(ideal.nvars, k)
-    index = {m: i for i, m in enumerate(target)}
-    candidates = sorted(target, key=grevlex_key)
-    if restrict is not None:
-        a, power = restrict
-        if not 1 <= a <= ideal.nvars or power < 0:
-            raise ValueError("restriction must satisfy 1 <= a <= n and N >= 0")
-        candidates = [m for m in candidates if sum(m[a:]) >= power]
-    dim_k = len(target)
-    unit = [Fraction(0)] * dim_k
-    for mono in candidates:
-        vec = list(unit)
-        vec[index[mono]] = Fraction(1)
-        if not in_row_space(basis, pivots, vec):
-            return mono
-    return None
+    members = {target[j] for j in unit_columns(*ideal.piece_with_pivots(k))}
+    return min((m for m in target if m not in members and sum(m[a:]) >= power),
+               key=grevlex_key, default=None)
 
 
 def _wedges(m: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -248,13 +235,13 @@ def intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
     nonzero; the result is the subspace of row-space vectors supported on
     the kept columns, again in RREF.
     """
-    drop = [i for i, keep in enumerate(keep_cols) if not keep]
-    if not drop:
-        return basis
-    projected = from_rows([[row[i] for i in drop] for row in basis.entries],
-                          cols=len(drop))
-    combos = kernel_basis(transpose(projected))
-    if not combos:
-        return QMatrix(0, basis.cols, ())
-    coeff = from_rows(combos, cols=basis.rows)
-    return row_space_basis(mat_mul(coeff, basis))
+    # one RREF with the dropped columns first: the rows pivoting past them
+    # vanish there and span the intersection, already reduced
+    order = sorted(range(basis.cols), key=lambda c: bool(keep_cols[c]))
+    reduced, pivots = rref(from_rows([[row[c] for c in order] for row in basis.entries],
+                                     cols=basis.cols))
+    back = sorted(range(basis.cols), key=order.__getitem__)  # the inverse permutation
+    ndrop = sum(not keep for keep in keep_cols)
+    grid = tuple(tuple(row[j] for j in back)
+                 for row, pc in zip(reduced.entries, pivots) if pc >= ndrop)
+    return QMatrix(len(grid), basis.cols, grid)

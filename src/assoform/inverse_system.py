@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import GradedIdeal, coeff_vector, is_regular_sequence
-from .linalg import (QMatrix, from_rows, identity, kernel_basis,
-                     row_space_basis, transpose)
+from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
+                     is_regular_sequence)
+from .linalg import QMatrix, from_rows, kernel_of_rref, null_space, transpose
 from .poly import (Mono, Polynomial, Space, apolar_apply, jacobian_det,
                    mono_factorial, monomials_of_degree, pairing)
 
@@ -87,21 +87,18 @@ def associated_form(gs) -> AssociatedForm:
             "the forms have a non-trivial common zero (not a regular sequence)")
     n = ideal.nvars
     nu = n * (ideal.d - 1)
-    kernel = kernel_basis(ideal.graded_piece(nu))
+    # the kernel is read off the cached RREF of I_nu: no second reduction
+    kernel = kernel_of_rref(*ideal.piece_with_pivots(nu))
     if len(kernel) != 1:
         raise RuntimeError(
             f"I_nu has codimension {len(kernel)}, expected 1 for a complete intersection")
-    raw = kernel[0]
-    monos = monomials_of_degree(n, nu)
+    raw = HilbertPointFunctional(
+        n, nu, {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x})
     jac = jacobian_det(ideal.generators)
-    scale = Fraction(0)
-    for i, m in enumerate(monos):
-        c = jac.terms.get(m)
-        if c is not None:
-            scale += c * raw[i]
+    scale = raw(jac)
     if scale == 0:
         raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
-    values = {m: raw[i] / scale for i, m in enumerate(monos) if raw[i] != 0}
+    values = {m: x / scale for m, x in raw.values.items()}
     omega = HilbertPointFunctional(n, nu, values)
     nu_fact = math.factorial(nu)
     terms = {m: Fraction(nu_fact, mono_factorial(m)) * v for m, v in values.items()}
@@ -122,7 +119,7 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
     """Canonical basis of the degree-k piece of the apolar ideal of f.
 
     This is the kernel of the catalecticant map S_k -> D_{nu-k} sending g to
-    g acting on f; for k > deg f it is all of S_k.
+    g acting on f: all of S_k for k > deg f.  Refused for deg f > DEGREE_CAP.
     """
     if f.is_zero():
         raise ValueError("the zero form has no apolar ideal piece")
@@ -130,21 +127,13 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
         raise ValueError("perp_piece expects a homogeneous dual form")
     if k < 0:
         raise ValueError("degree must be non-negative")
-    n = f.nvars
-    nu = f.degree()
-    src = monomials_of_degree(n, k)
-    if k > nu:
-        return identity(len(src))
+    n, nu = f.nvars, f.degree()
+    if nu > DEGREE_CAP:
+        raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
     tgt = monomials_of_degree(n, nu - k)
-    rows = []
-    for mono in src:
-        g = Polynomial.from_monomial(n, Space.PRIMAL, mono)
-        rows.append(coeff_vector(apolar_apply(g, f), tgt))
-    cat = from_rows(rows, cols=len(tgt))
-    kern = kernel_basis(transpose(cat))
-    if not kern:
-        return QMatrix(0, len(src), ())
-    return row_space_basis(from_rows(kern, cols=len(src)))
+    cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
+           for mono in monomials_of_degree(n, k)]
+    return null_space(transpose(from_rows(cat, cols=len(tgt))))
 
 
 def macaulay_roundtrip(gs) -> bool:

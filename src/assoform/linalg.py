@@ -15,6 +15,10 @@ nonzero minor mod p is a nonzero integer minor), so when the rank mod p
 equals min(rows, cols) it is the exact rank.  Scaling rows to integers
 first means a denominator divisible by p needs no special case.  Only
 when the rank mod p comes out short does the exact integer core run.
+
+Each subspace is read off one elimination: ``kernel_of_rref`` reads a
+kernel off an RREF at hand, ``null_space`` reduces once for the canonical
+kernel basis, and ``unit_columns`` reads unit-vector membership off an RREF.
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ class QMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("entry grid does not match column count")
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
 
 def from_rows(rows, cols: int | None = None) -> QMatrix:
@@ -197,24 +198,37 @@ def rank(m: QMatrix) -> int:
     return len(_gauss_jordan(ints, m.cols))
 
 
-def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space; empty iff full column rank.
-
-    Standard free-variable construction from the RREF: one vector per
-    non-pivot column, with entry 1 there.
-    """
-    reduced, pivots = rref(m)
+def kernel_of_rref(reduced: QMatrix,
+                   pivots: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
+    """Null-space basis off an RREF (pivot rows suffice): one vector per free column."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(reduced.cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.cols
+        vec = [Fraction(0)] * reduced.cols
         vec[free] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced.entries[r][free]
         basis.append(tuple(vec))
     return basis
+
+
+def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the right null space; empty iff full column rank."""
+    return kernel_of_rref(*rref(m))
+
+
+def null_space(m: QMatrix) -> QMatrix:
+    """Canonical (RREF) basis of the right null space, from one elimination.
+
+    With the columns reduced in reverse order, each free-variable vector,
+    read back in the original order, leads with its 1 and is zero at the
+    other free columns: listed last free column first, they are the RREF.
+    """
+    flipped = QMatrix(m.rows, m.cols, tuple(row[::-1] for row in m.entries))
+    grid = tuple(vec[::-1] for vec in reversed(kernel_of_rref(*rref(flipped))))
+    return QMatrix(len(grid), m.cols, grid)
 
 
 def solve_square(m: QMatrix, rhs) -> tuple[Fraction, ...] | None:
@@ -252,3 +266,8 @@ def in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
             row = basis.entries[r]
             vec = [x - f * y for x, y in zip(vec, row)]
     return all(x == 0 for x in vec)
+
+
+def unit_columns(basis: QMatrix, pivots: tuple[int, ...]) -> set[int]:
+    """Columns j with e_j in the row space of an RREF basis: pivots whose row is e_j."""
+    return {pc for r, pc in enumerate(pivots) if not any(basis.entries[r][pc + 1:])}

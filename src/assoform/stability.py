@@ -343,9 +343,8 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     if intersect_with_coordinates(basis, touches_tail).rows != n - b:
         return None  # (A) fails
     power = (n - b) * (d - 1) + 1  # >= d, since b < n
-    if not all(ideal.contains(Polynomial.from_monomial(n, Space.PRIMAL, (0,) * b + tail))
-               for tail in monomials_of_degree(n - b, power)):
-        return None  # (B) fails
+    if min_nonideal_monomial(ideal, power, restrict=(b, power)) is not None:
+        return None  # (B) fails: a pure monomial in the last variables lies outside I
 
     pure_tail = [sum(m[:b]) == 0 for m in monos_d]
     extracted = intersect_with_coordinates(basis, pure_tail)

@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 
 from assoform.ideals import is_regular_sequence
-from assoform.linalg import QMatrix, from_rows, identity, mat_mul, solve_square
+from assoform.linalg import (QMatrix, from_rows, identity, kernel_basis, mat_mul,
+                             row_space_basis, solve_square, transpose)
 from assoform.poly import Mono, Polynomial, Space, monomials_of_degree
 from assoform.stability import OnePS
 
@@ -262,3 +263,24 @@ def mixed_direct_sum(rng: random.Random, n: int, b: int, d: int):
                       for j in range(n)), Polynomial.zero(n, Space.PRIMAL))
                  for i in range(n)]
         return lifted, mixed
+
+
+# Oracle for ideals.intersect_with_coordinates: its earlier form, which takes
+# the kernel of the dropped columns, multiplies back and reduces a second time.
+def reference_intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
+    """Canonical basis of (row space of basis) cut to a coordinate subspace.
+
+    keep_cols flags, per column, whether the corresponding coordinate may be
+    nonzero; the result is the subspace of row-space vectors supported on
+    the kept columns, again in RREF.
+    """
+    drop = [i for i, keep in enumerate(keep_cols) if not keep]
+    if not drop:
+        return basis
+    projected = from_rows([[row[i] for i in drop] for row in basis.entries],
+                          cols=len(drop))
+    combos = kernel_basis(transpose(projected))
+    if not combos:
+        return QMatrix(0, basis.cols, ())
+    coeff = from_rows(combos, cols=basis.rows)
+    return row_space_basis(mat_mul(coeff, basis))

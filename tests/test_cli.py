@@ -318,3 +318,37 @@ def test_oversized_products_are_parse_errors(write, line, col, what):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"line 2, column {col}" in proc.stderr and what in proc.stderr
+
+
+def test_perp_refuses_a_form_above_the_degree_cap(write):
+    # in a separate process with a timeout: unbounded, this ran past 20 s
+    line = "(x1+2*x2)^100*(3*x1-x2)^99 + x2^199"
+    path = write("f.txt", f"vars: x1 x2\n{line}\n")
+    proc = _cli_process("--json", "perp", path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "form degree 199 exceeds the supported bound 24" in proc.stderr
+    proc = _cli_process("--json", "binary-stability", path)
+    assert proc.returncode == 0
+
+
+def test_perp_at_the_degree_cap_runs(write, capsys):
+    path = write("f.txt", "vars: x1 x2\nx1^24 + x2^24\n")
+    code, out, _ = run(capsys, "--json", "perp", path)
+    assert code == 0
+    assert json.loads(out)["result"]["quotient_hilbert"] == [1] + [2] * 23 + [1, 0]
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["hilbert", "--degree-cap", "40"], "values", [1, 3, 3, 1, 0]),
+    (["koszul-check", "--degree-cap", "60"], "k_max", 5),
+])
+def test_degree_cap_never_raises_the_top_degree(write, argv, key, expected):
+    # x1^2, x2^2, x3^2 (nu = 3): the cap is lowered to the default top degree,
+    # nu + 1 for hilbert and nu + d for koszul-check; in a separate process
+    # with a timeout, as uncapped these ran past 30 s
+    path = write("f.txt", "vars: x1 x2 x3\nx1^2\nx2^2\nx3^2\n")
+    proc = _cli_process("--json", argv[0], path, *argv[1:])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"][key] == expected

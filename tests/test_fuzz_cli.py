@@ -28,10 +28,8 @@ EXPONENTS = ["", "", "", "^2", "^3", "^13", "^25", "^40", "^201", "^3000"]
 WRAPS = [("", "")] * 4 + [("-", ""), ("-" * 60, ""), ("(" * 60, ")" * 60),
                           ("(" * 120, ")" * 120)]
 
-# perp is left out: it has no degree bound, and one high-degree form keeps
-# it busy for minutes
 COMMANDS = ["assoc", "regseq", "hilbert", "koszul-check", "decompose", "stability",
-            "audit", "binary-stability", "mather-yau"]
+            "audit", "perp", "binary-stability", "mather-yau"]
 
 LIMIT_S = 20
 

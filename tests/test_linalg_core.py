@@ -3,18 +3,22 @@
 Every public elimination in ``linalg`` must return exactly what the plain
 Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``rank`` must be exact whether or not its mod-p certificate settles it.
+The subspaces read off one elimination (``null_space``, ``unit_columns``,
+``ideals.intersect_with_coordinates``) must equal what two eliminations give.
 """
 
 from fractions import Fraction
 
 import pytest
-from helpers import reference_rref_rows
-from hypothesis import given, settings
+from helpers import reference_intersect_with_coordinates, reference_rref_rows
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from assoform.ideals import intersect_with_coordinates
 from assoform.linalg import (_PRIME, _integer_row, _rank_mod_p, from_rows,
-                             identity, inverse, kernel_basis, rank, rref,
-                             solve_square)
+                             identity, in_row_space, inverse, kernel_basis,
+                             null_space, rank, row_space_basis, rref,
+                             solve_square, unit_columns)
 
 ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -90,6 +94,40 @@ def test_solve_and_inverse_match_reference(m, data):
         assert got is None
     else:
         assert got.entries == tuple(tuple(row[n:]) for row in reduced)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(from_rows([], cols=0))
+@example(from_rows([], cols=3))
+@example(from_rows([[], [], []]))
+def test_null_space_is_the_reduced_kernel(m):
+    got = null_space(m)
+    assert got == row_space_basis(from_rows(kernel_basis(m), cols=m.cols))
+    assert got.rows == m.cols - rank(m)
+    for v in got.entries:
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_intersect_with_coordinates_matches_reference(m, data):
+    basis = row_space_basis(m)
+    keep = data.draw(st.lists(st.booleans(), min_size=m.cols, max_size=m.cols))
+    assert (intersect_with_coordinates(basis, keep)
+            == reference_intersect_with_coordinates(basis, keep))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_unit_columns_agree_with_in_row_space(m):
+    reduced, pivots = rref(m)
+    basis = row_space_basis(m)  # the pivot rows, as a cached ideal piece keeps them
+    units = unit_columns(basis, pivots)
+    assert units == unit_columns(reduced, pivots)
+    for j in range(m.cols):
+        e_j = [int(i == j) for i in range(m.cols)]
+        assert (j in units) == in_row_space(basis, pivots, e_j)
 
 
 SYMPY_CASES = [

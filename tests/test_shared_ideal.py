@@ -2,7 +2,8 @@
 
 The spies record the shape of every matrix passed to ``rank`` and ``rref``
 at both places they are called from (``ideals`` binds its own names), so a
-second ideal built for the same forms shows up as a repeated shape.
+second ideal built for the same forms shows up as a repeated shape, and a
+subspace reduced twice shows up as a second ``rref``.
 """
 
 import random
@@ -11,11 +12,12 @@ import pytest
 from helpers import power_gens, random_form, random_regular_sequence
 
 from assoform import ideals, linalg
-from assoform.ideals import GradedIdeal, is_regular_sequence
+from assoform.ideals import (GradedIdeal, intersect_with_coordinates,
+                             is_regular_sequence)
 from assoform.invariants import mather_yau_point
 from assoform.inverse_system import (associated_form, hilbert_point_functional,
-                                     macaulay_roundtrip)
-from assoform.poly import Polynomial, Space
+                                     macaulay_roundtrip, perp_piece)
+from assoform.poly import Polynomial, Space, monomials_of_degree
 from assoform.stability import semistability_audit
 
 
@@ -85,3 +87,31 @@ def test_of_reads_n_and_d_from_the_forms():
                         Polynomial(2, Space.PRIMAL, {(0, 3): 1})])
     with pytest.raises(ValueError, match="nonzero"):
         GradedIdeal.of([Polynomial.zero(2, Space.PRIMAL)])
+
+
+def test_associated_form_reads_omega_off_the_cached_piece(eliminations):
+    gs = random_regular_sequence(random.Random(3), 3, 3)
+    eliminations.clear()
+    assoc = associated_form(gs)
+    # the 30x28 product matrix of I_6 is reduced once; its 27x28 RREF basis
+    # is not reduced again to find the kernel
+    assert eliminations.count(("rref", 30, 28)) == 1
+    assert ("rref", 27, 28) not in eliminations
+    assert assoc.omega(assoc.ideal.generators[0] * assoc.ideal.generators[1]) == 0
+
+
+def test_perp_piece_reduces_once_per_degree(eliminations):
+    form = associated_form(random_regular_sequence(random.Random(3), 3, 3)).form
+    for k in range(form.degree() + 2):
+        eliminations.clear()
+        perp_piece(form, k)
+        assert [name for name, _, _ in eliminations] == ["rref"], k
+
+
+def test_intersect_with_coordinates_reduces_once(eliminations):
+    ideal = GradedIdeal.of(power_gens(3, [3, 3, 3]))
+    basis = ideal.graded_piece(3)
+    touches_tail = [sum(m[1:]) > 0 for m in monomials_of_degree(3, 3)]
+    eliminations.clear()
+    assert intersect_with_coordinates(basis, touches_tail).rows == 2
+    assert [name for name, _, _ in eliminations] == ["rref"]
