@@ -342,6 +342,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # includes NotRegularSequence and SingularHypersurface
         print(f"assoform: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
+    except MemoryError:  # a last resort: the input outgrew the available memory
+        print(f"assoform: {args.command}: out of memory; the input is too large",
+              file=sys.stderr)
+        return PRECONDITION_EXIT
     if args.json:
         if "seed" in args:
             header["seed"] = args.seed

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .linalg import QMatrix, from_rows, in_row_space, rank, rref, unit_columns
-from .poly import (Mono, Polynomial, Space, dim_degree, grevlex_key,
+from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    monomials_of_degree)
 
 DEGREE_CAP = 24
@@ -25,7 +25,7 @@ class DegreeCapError(ValueError):
 
 
 def coeff_vector(f: Polynomial, basis: tuple[Mono, ...]) -> list[Fraction]:
-    return [f.terms.get(m, Fraction(0)) for m in basis]
+    return [f.terms.get(m, ZERO) for m in basis]
 
 
 def vectors_to_polynomials(m: QMatrix, basis: tuple[Mono, ...], nvars: int,
@@ -93,7 +93,7 @@ class GradedIdeal:
                 for g in self.generators:
                     product = {tuple(a + b for a, b in zip(mono, gm)): c
                                for gm, c in g.terms.items()}
-                    rows.append([product.get(m, Fraction(0)) for m in target])
+                    rows.append([product.get(m, ZERO) for m in target])
         return from_rows(rows, cols=len(target))
 
     def graded_piece(self, k: int) -> QMatrix:
@@ -187,7 +187,7 @@ def koszul_matrices(gs, j: int, k: int) -> QMatrix:
                  for mi, mono in enumerate(tgt_monos)}
     ncols = len(src_wedges) * len(src_monos)
     nrows = len(tgt_wedges) * len(tgt_monos)
-    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
+    grid = [[ZERO] * ncols for _ in range(nrows)]
     col = 0
     for wedge in src_wedges:
         for mono in src_monos:
@@ -206,14 +206,14 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
 
     Checks rank d_j + rank d_{j+1} = dim K_j in every graded degree k <= k_max
     and every 1 <= j <= m; true for regular sequences, where the complex is
-    a minimal free resolution.
+    a minimal free resolution.  No d_j is built below degree j*d, where K_j = 0.
     """
     ideal = GradedIdeal.of(gs)
     n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
     ranks: dict[tuple[int, int], int] = {}
 
     def rank_dj(j: int, k: int) -> int:
-        if j > m:
+        if j > m or j * d > k:
             return 0
         key = (j, k)
         if key not in ranks:
@@ -221,7 +221,7 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
         return ranks[key]
 
     for k in range(k_max + 1):
-        for j in range(1, m + 1):
+        for j in range(1, min(m, k // d) + 1):
             dim_kj = math.comb(m, j) * dim_degree(n, k - j * d)
             if rank_dj(j, k) + rank_dj(j + 1, k) != dim_kj:
                 return False

@@ -13,6 +13,11 @@ inverse system of the quotient: the apolar ideal of A recovers I in every
 degree.  Both normalizations the literature uses are kept consistent here:
 omega(det Jac) = 1 by construction, and the pairing of det Jac against the
 form equals nu!, asserted at construction time.
+
+The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
+z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
+nu! omega(x^b): nu! times the Hankel matrix of omega (Iarrobino and Kanev,
+Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).
 """
 
 from __future__ import annotations
@@ -21,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
-                     is_regular_sequence)
-from .linalg import QMatrix, from_rows, kernel_of_rref, null_space, transpose
-from .poly import (Mono, Polynomial, Space, apolar_apply, jacobian_det,
-                   mono_factorial, monomials_of_degree, pairing)
+from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, is_regular_sequence
+from .linalg import QMatrix, from_rows, kernel_of_rref, null_space
+from .poly import (ZERO, Mono, Polynomial, Space, jacobian_det, mono_factorial,
+                   monomials_of_degree, pairing)
 
 
 class NotRegularSequence(ValueError):
@@ -130,10 +134,11 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
     n, nu = f.nvars, f.degree()
     if nu > DEGREE_CAP:
         raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
-    tgt = monomials_of_degree(n, nu - k)
-    cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
-           for mono in monomials_of_degree(n, k)]
-    return null_space(transpose(from_rows(cat, cols=len(tgt))))
+    weighted = {b: c * mono_factorial(b) for b, c in f.terms.items()}
+    src = monomials_of_degree(n, k)
+    rows = [[weighted.get(tuple(x + y for x, y in zip(a, c)), ZERO) for c in src]
+            for a in monomials_of_degree(n, nu - k)]
+    return null_space(from_rows(rows, cols=len(src)))
 
 
 def macaulay_roundtrip(gs) -> bool:

@@ -64,28 +64,6 @@ def from_rows(rows, cols: int | None = None) -> QMatrix:
     return QMatrix(len(grid), ncols, grid)
 
 
-def identity(n: int) -> QMatrix:
-    one, zero = Fraction(1), Fraction(0)
-    return QMatrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                               for i in range(n)))
-
-
-def transpose(m: QMatrix) -> QMatrix:
-    return QMatrix(m.cols, m.rows,
-                   tuple(tuple(m.entries[i][j] for i in range(m.rows))
-                         for j in range(m.cols)))
-
-
-def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = transpose(b)
-    grid = tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
-                       for col in bt.entries)
-                 for row in a.entries)
-    return QMatrix(a.rows, b.cols, grid)
-
-
 def _primitive(row: list[int]) -> list[int]:
     """Divide an integer row by its content (the gcd of its entries)."""
     g = math.gcd(*row)
@@ -241,20 +219,6 @@ def solve_square(m: QMatrix, rhs) -> tuple[Fraction, ...] | None:
     if len(pivots) < n:
         return None
     return tuple(rows[i][n] for i in range(n))
-
-
-def inverse(m: QMatrix) -> QMatrix | None:
-    """Exact inverse, or None if singular."""
-    if m.rows != m.cols:
-        raise ValueError("inverse expects a square matrix")
-    n = m.rows
-    ident = identity(n)
-    rows = [list(m.entries[i]) + list(ident.entries[i]) for i in range(n)]
-    rows, pivots = _rref_rows(rows, n)
-    if len(pivots) < n:
-        return None
-    grid = tuple(tuple(row[n:]) for row in rows)
-    return QMatrix(n, n, grid)
 
 
 def in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:

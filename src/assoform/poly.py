@@ -18,9 +18,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import QMatrix, inverse, transpose
+from .linalg import QMatrix
 
 Mono = tuple[int, ...]
+
+# Fractions are immutable, so one shared zero serves every missing entry.
+ZERO = Fraction(0)
 
 
 class Space(Enum):
@@ -119,7 +122,7 @@ class Polynomial:
         return not self.terms
 
     def coeff(self, mono: Mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), ZERO)
 
     def degree(self) -> int:
         if not self.terms:
@@ -164,7 +167,7 @@ class Polynomial:
         self._check_compat(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, ZERO) + c
         return Polynomial(self.nvars, self.space, out)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
@@ -181,7 +184,7 @@ class Polynomial:
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
                     key = tuple(x + y for x, y in zip(ma, mb))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
+                    out[key] = out.get(key, ZERO) + ca * cb
             return Polynomial(self.nvars, self.space, out)
         c = Fraction(other)
         return Polynomial(self.nvars, self.space,
@@ -261,7 +264,7 @@ def partial(f: Polynomial, i: int) -> Polynomial:
         if e == 0:
             continue
         key = mono[:i] + (e - 1,) + mono[i + 1:]
-        out[key] = out.get(key, Fraction(0)) + coeff * e
+        out[key] = out.get(key, ZERO) + coeff * e
     return Polynomial(f.nvars, f.space, out)
 
 
@@ -280,7 +283,7 @@ def apolar_apply(g: Polynomial, f: Polynomial) -> Polynomial:
             for x, y in zip(a, b):
                 scale *= math.perm(y, x)
             key = tuple(y - x for x, y in zip(a, b))
-            out[key] = out.get(key, Fraction(0)) + ca * cb * scale
+            out[key] = out.get(key, ZERO) + ca * cb * scale
     return Polynomial(f.nvars, Space.DUAL, out)
 
 
@@ -365,10 +368,3 @@ def substitute(f: Polynomial, m: QMatrix) -> Polynomial:
         out = out + term
     return out
 
-
-def inverse_transpose(m: QMatrix) -> QMatrix:
-    """Matrix acting on dual variables when m acts on primal ones."""
-    inv = inverse(m)
-    if inv is None:
-        raise ValueError("substitution matrix is singular")
-    return transpose(inv)

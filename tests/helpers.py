@@ -7,11 +7,33 @@ import math
 import random
 from fractions import Fraction
 
-from assoform.ideals import is_regular_sequence
-from assoform.linalg import (QMatrix, from_rows, identity, kernel_basis, mat_mul,
-                             row_space_basis, solve_square, transpose)
-from assoform.poly import Mono, Polynomial, Space, monomials_of_degree
+from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular_sequence
+from assoform.linalg import (QMatrix, from_rows, kernel_basis, null_space,
+                             row_space_basis, solve_square)
+from assoform.poly import Mono, Polynomial, Space, apolar_apply, monomials_of_degree
 from assoform.stability import OnePS
+
+
+def identity(n: int) -> QMatrix:
+    one, zero = Fraction(1), Fraction(0)
+    return QMatrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
+                               for i in range(n)))
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    return QMatrix(m.cols, m.rows,
+                   tuple(tuple(m.entries[i][j] for i in range(m.rows))
+                         for j in range(m.cols)))
+
+
+def mat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bt = transpose(b)
+    grid = tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+                       for col in bt.entries)
+                 for row in a.entries)
+    return QMatrix(a.rows, b.cols, grid)
 
 
 def zero_matrix(rows: int, cols: int) -> QMatrix:
@@ -62,6 +84,39 @@ def reference_rref_rows(rows: list[list[Fraction]], ncols: int):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def inverse_transpose(m: QMatrix) -> QMatrix:
+    """Matrix acting on dual variables when m acts on primal ones: (m^-1)^T."""
+    n = m.rows
+    rows = [list(row) + list(unit) for row, unit in zip(m.entries, identity(n).entries)]
+    rows, pivots = reference_rref_rows(rows, n)
+    if len(pivots) < n:
+        raise ValueError("substitution matrix is singular")
+    return transpose(from_rows([row[n:] for row in rows], cols=n))
+
+
+# Oracle for inverse_system.perp_piece: its earlier form, one apolar_apply
+# per source monomial, transposed into the catalecticant.
+def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
+    """Canonical basis of the degree-k piece of the apolar ideal of f.
+
+    This is the kernel of the catalecticant map S_k -> D_{nu-k} sending g to
+    g acting on f: all of S_k for k > deg f.  Refused for deg f > DEGREE_CAP.
+    """
+    if f.is_zero():
+        raise ValueError("the zero form has no apolar ideal piece")
+    if f.space is not Space.DUAL or not f.is_homogeneous():
+        raise ValueError("perp_piece expects a homogeneous dual form")
+    if k < 0:
+        raise ValueError("degree must be non-negative")
+    n, nu = f.nvars, f.degree()
+    if nu > DEGREE_CAP:
+        raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
+    tgt = monomials_of_degree(n, nu - k)
+    cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
+           for mono in monomials_of_degree(n, k)]
+    return null_space(transpose(from_rows(cat, cols=len(tgt))))
 
 
 def _centroid_in_hull(points: list[Mono], centroid: list[Fraction]) -> bool:

@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (lift_block, mixed_direct_sum, power_gens, random_form,
-                     random_regular_sequence, random_unimodular,
+from helpers import (inverse_transpose, lift_block, mixed_direct_sum, power_gens,
+                     random_form, random_regular_sequence, random_unimodular,
                      restrict_block, series_hilbert)
 
 from assoform.ideals import (GradedIdeal, hilbert_function,
@@ -22,8 +22,7 @@ from assoform.inverse_system import (associated_form, direct_sum_assoc,
                                      perp_piece)
 from assoform.invariants import mather_yau_point, points_equal
 from assoform.linalg import from_rows, row_space_basis
-from assoform.poly import (Polynomial, Space, inverse_transpose,
-                           monomials_of_degree, partial, substitute)
+from assoform.poly import Polynomial, Space, monomials_of_degree, partial, substitute
 from assoform.stability import (Verdict, binary_stability, degeneration_limit,
                                 recognize_decomposable, semistability_audit,
                                 torus_destabilizer)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import assoform
+from assoform import cli
 from assoform.cli import main
 from assoform.parsing import MAX_NESTING
 
@@ -318,6 +319,25 @@ def test_oversized_products_are_parse_errors(write, line, col, what):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert f"line 2, column {col}" in proc.stderr and what in proc.stderr
+
+
+def test_koszul_check_on_many_linear_forms_finishes(write):
+    # in a separate process with a timeout: building every d_j took 18 s and 0.8 GB
+    lines = "".join(f"x1 + {i}*x2\n" for i in range(1, 25))
+    proc = _cli_process("koszul-check", write("f.txt", f"vars: x1 x2\n{lines}"), timeout=10)
+    assert proc.returncode == 2
+    assert "up to graded degree 1: NO" in proc.stdout
+
+
+def test_memory_error_is_a_precondition_failure(write, capsys, monkeypatch):
+    def exhausted(_ideal):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "is_regular_sequence", exhausted)
+    code, out, err = run(capsys, "regseq", write("f.txt", SQUARES))
+    assert code == 2
+    assert out == ""
+    assert err == "assoform: regseq: out of memory; the input is too large\n"
 
 
 def test_perp_refuses_a_form_above_the_degree_cap(write):

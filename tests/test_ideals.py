@@ -3,14 +3,14 @@
 import random
 
 import pytest
-from helpers import (power_gens, random_form, random_regular_sequence,
+from helpers import (mat_mul, power_gens, random_form, random_regular_sequence,
                      series_hilbert, zero_matrix)
 
 from assoform import ideals
 from assoform.ideals import (DegreeCapError, GradedIdeal, hilbert_function,
                              is_regular_sequence, koszul_exactness_check,
                              koszul_matrices, min_nonideal_monomial)
-from assoform.linalg import from_rows, mat_mul
+from assoform.linalg import from_rows
 from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
 
 
@@ -242,6 +242,21 @@ def test_koszul_index_range():
         koszul_matrices(squares(2), 3, 4)
     with pytest.raises(ValueError):
         koszul_matrices(squares(2), 0, 4)
+
+
+def test_koszul_check_builds_no_matrix_of_a_zero_module(monkeypatch):
+    built = []
+    original = ideals.koszul_matrices
+
+    def spy(gs, j, k):
+        built.append((j, k))
+        return original(gs, j, k)
+
+    monkeypatch.setattr(ideals, "koszul_matrices", spy)
+    gs = [P(2, {(1, 0): 1, (0, 1): c}) for c in range(1, 7)]
+    # K_j vanishes below degree j*d = j, so no d_j is built there
+    assert not koszul_exactness_check(gs, 3)
+    assert built and all(j <= k for j, k in built)
 
 
 def test_koszul_exactness_examples():

@@ -5,18 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (det, power_gens, random_form, random_invertible,
-                     random_regular_sequence, random_unimodular, series_hilbert)
+from helpers import (det, identity, inverse_transpose, mat_mul, power_gens, random_form,
+                     random_invertible, random_regular_sequence, random_unimodular,
+                     reference_perp_piece, series_hilbert)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from assoform import inverse_system, poly
 from assoform.ideals import GradedIdeal
 from assoform.inverse_system import (NotRegularSequence, SingularHypersurface,
                                      associated_form, direct_sum_assoc,
                                      hilbert_point_functional,
                                      macaulay_roundtrip, milnor_associated_form,
                                      perp_piece)
-from assoform.linalg import from_rows, identity, mat_mul
-from assoform.poly import (Polynomial, Space, inverse_transpose, jacobian_det,
-                           monomials_of_degree, pairing, partial, substitute)
+from assoform.linalg import from_rows
+from assoform.poly import (Polynomial, Space, jacobian_det, monomials_of_degree, pairing,
+                           partial, substitute)
 
 
 def P(n, terms):
@@ -146,6 +150,43 @@ def test_perp_of_monomial_is_power_ideal():
                              if any(e >= d for e, d in zip(m, degrees))]
             expected = from_rows(expected_rows, cols=len(monos))
             assert perp_piece(f, k) == expected
+
+
+COEFFS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def dual_forms(draw):
+    """Dual forms with n = 1..4 and degree 0..6, on sparse or dense supports."""
+    n, nu = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    monos = monomials_of_degree(n, nu)
+    if draw(st.booleans()):  # dense
+        support = monos
+    else:
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return D(n, {m: draw(COEFFS) for m in support})
+
+
+@settings(max_examples=150, deadline=None)
+@given(dual_forms())
+def test_perp_piece_matches_reference(f):
+    for k in range(f.degree() + 2):
+        assert perp_piece(f, k) == reference_perp_piece(f, k)
+
+
+def test_perp_piece_makes_no_apolar_apply_call(monkeypatch):
+    calls = []
+
+    def spy(g, f):
+        calls.append((g, f))
+        return poly.apolar_apply(g, f)
+
+    monkeypatch.setattr(inverse_system, "apolar_apply", spy, raising=False)
+    rng = random.Random(36)
+    f = random_form(rng, 3, 4, space=Space.DUAL)
+    pieces = [perp_piece(f, k) for k in range(6)]
+    assert calls == []
+    assert pieces == [reference_perp_piece(f, k) for k in range(6)]
 
 
 def test_perp_rejects_zero_and_primal():

@@ -3,11 +3,10 @@
 import random
 from fractions import Fraction
 
-from helpers import det, zero_matrix
+from helpers import det, identity, zero_matrix
 
-from assoform.linalg import (QMatrix, from_rows, identity, in_row_space,
-                             inverse, kernel_basis, mat_mul, rank, rref,
-                             solve_square, transpose)
+from assoform.linalg import (QMatrix, from_rows, in_row_space, kernel_basis, rank, rref,
+                             solve_square)
 
 
 def test_rref_rank_one():
@@ -78,16 +77,14 @@ def test_exact_arithmetic_reassociation():
     assert forward == backward  # bit-for-bit: Fractions are canonical
 
 
-def test_solve_and_inverse():
+def test_solve_square():
     rng = random.Random(904)
     for _ in range(20):
         n = rng.randint(1, 4)
         m = from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        inv = inverse(m)
-        if inv is None:
-            assert det(m) == 0
+        if det(m) == 0:
+            assert solve_square(m, [0] * n) is None
             continue
-        assert mat_mul(m, inv) == identity(n)
         rhs = [rng.randint(-4, 4) for _ in range(n)]
         x = solve_square(m, rhs)
         assert x is not None
@@ -109,9 +106,3 @@ def test_in_row_space():
     assert in_row_space(basis, pivots, [2, 1, 7])
     assert not in_row_space(basis, pivots, [0, 0, 1])
 
-
-def test_transpose_shape():
-    m = from_rows([[1, 2, 3], [4, 5, 6]])
-    t = transpose(m)
-    assert (t.rows, t.cols) == (3, 2)
-    assert t.entries[2][1] == 6

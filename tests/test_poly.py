@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_form, random_invertible
+from helpers import identity, inverse_transpose, mat_mul, random_form, random_invertible
 
-from assoform.linalg import from_rows, mat_mul
+from assoform.linalg import from_rows
 from assoform.poly import (Polynomial, Space, apolar_apply, grevlex_key,
-                           grevlex_less, inverse_transpose, jacobian_det,
+                           grevlex_less, jacobian_det,
                            mono_factorial, monomials_of_degree, pairing,
                            partial, substitute)
 
@@ -177,7 +177,6 @@ def test_jacobian_matches_permutation_expansion():
 
 
 def test_substitute_identity():
-    from assoform.linalg import identity
     f = P(2, {(1, 0): 1})
     assert substitute(f, identity(2)) == f
 
