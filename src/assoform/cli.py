@@ -86,8 +86,8 @@ class _System(NamedTuple):
 def _read_system(args):
     system = _load(args.file)
     ideal = GradedIdeal.of(system.polynomials)
-    n, d = ideal.nvars, ideal.d
-    return _System(ideal, system.names), {"nvars": n, "d": d, "nu": n * (d - 1)}
+    return _System(ideal, system.names), {"nvars": ideal.nvars, "d": ideal.d,
+                                          "nu": ideal.nu}
 
 
 def _read_form(args):
@@ -151,8 +151,7 @@ def _perp(f, args, out):
 
 
 def _hilbert(system, args, out):
-    ideal = system.ideal
-    values = hilbert_function(ideal, _top_degree(args, ideal.nvars * (ideal.d - 1) + 1))
+    values = hilbert_function(system.ideal, _top_degree(args, system.ideal.nu + 1))
     out.append(" ".join(str(v) for v in values))
     return {"values": list(values)}
 
@@ -169,7 +168,7 @@ def _regseq(system, args, out):
 
 def _koszul(system, args, out):
     ideal = system.ideal
-    k_max = _top_degree(args, ideal.nvars * (ideal.d - 1) + ideal.d)
+    k_max = _top_degree(args, ideal.nu + ideal.d)
     exact = koszul_exactness_check(ideal, k_max)
     out.append(f"Koszul complex exact away from degree 0 up to graded degree "
                f"{k_max}: {'yes' if exact else 'NO'}")
@@ -322,10 +321,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     command = COMMANDS[args.command]

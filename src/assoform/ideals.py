@@ -50,8 +50,9 @@ class GradedIdeal:
                 raise ValueError(f"generators must be nonzero homogeneous of degree {d}")
         if d < 1:
             raise ValueError("generator degree must be positive")
-        if nvars * (d - 1) > DEGREE_CAP:
-            raise DegreeCapError(f"socle degree {nvars}*({d}-1) = {nvars * (d - 1)} "
+        self.nu = nvars * (d - 1)  # the socle degree of a balanced complete intersection
+        if self.nu > DEGREE_CAP:
+            raise DegreeCapError(f"socle degree {nvars}*({d}-1) = {self.nu} "
                                  f"exceeds the supported bound {DEGREE_CAP}")
         self.nvars = nvars
         self.d = d
@@ -106,19 +107,6 @@ class GradedIdeal:
             self._rank_cache[k] = rank(self._product_matrix(k))
         return self._rank_cache[k]
 
-    def is_regular(self) -> bool:
-        """Whether the generators form a regular sequence (n forms in n variables).
-
-        Certified by dim (S/I)_{n(d-1)+1} = 0: a standard graded quotient that
-        vanishes in one degree vanishes above it, and for n forms in n
-        variables Artinian is equivalent to being a regular sequence.  The
-        rank is cached with the ideal, so repeated calls cost nothing.
-        """
-        if len(self.generators) != self.nvars:
-            return False
-        k = self.nvars * (self.d - 1) + 1
-        return self.dim_piece(k) == dim_degree(self.nvars, k)
-
     def contains(self, f: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in the ideal."""
         if f.is_zero():
@@ -138,12 +126,19 @@ def hilbert_function(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
 
 
 def is_regular_sequence(gs) -> bool:
-    """Whether n degree-d forms in n variables (or their ideal) form a regular sequence."""
+    """Whether n degree-d forms in n variables (or their ideal) form a regular sequence.
+
+    Certified by dim (S/I)_{nu+1} = 0: a standard graded quotient that
+    vanishes in one degree vanishes above it, and for n forms in n
+    variables Artinian is equivalent to being a regular sequence.  The
+    rank is cached with the ideal, so repeated calls cost nothing.
+    Raises ValueError unless there are exactly n forms.
+    """
     ideal = GradedIdeal.of(gs)
     n, m = ideal.nvars, len(ideal.generators)
     if m != n:
         raise ValueError(f"need exactly {n} forms in {n} variables, got {m}")
-    return ideal.is_regular()
+    return ideal.dim_piece(ideal.nu + 1) == dim_degree(n, ideal.nu + 1)
 
 
 def min_nonideal_monomial(ideal: GradedIdeal, k: int,

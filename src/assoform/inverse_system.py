@@ -12,7 +12,9 @@ the expansion of omega((x_1 z_1 + ... + x_n z_n)^nu).  It is a Macaulay
 inverse system of the quotient: the apolar ideal of A recovers I in every
 degree.  Both normalizations the literature uses are kept consistent here:
 omega(det Jac) = 1 by construction, and the pairing of det Jac against the
-form equals nu!, asserted at construction time.
+form equals nu!, asserted at construction time.  A and omega determine each
+other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
+read off it on demand.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
@@ -60,14 +62,13 @@ class HilbertPointFunctional:
 
 @dataclass(frozen=True)
 class AssociatedForm:
-    """The dual form A(g_1..g_n), its normalizing functional and its ideal.
+    """The dual form A(g_1..g_n) and its ideal.
 
     ideal is the GradedIdeal the form was solved on; its cached graded
     pieces and ranks serve later questions about the same intersection.
     """
 
     form: Polynomial
-    omega: HilbertPointFunctional
     ideal: GradedIdeal = field(compare=False, repr=False)
 
     @property
@@ -76,7 +77,15 @@ class AssociatedForm:
 
     @property
     def nu(self) -> int:
-        return self.omega.degree
+        return self.ideal.nu
+
+    @property
+    def omega(self) -> HilbertPointFunctional:
+        """The normalizing functional, read off A: omega(x^a) = (a!/nu!) A_a."""
+        nu_fact = math.factorial(self.nu)
+        return HilbertPointFunctional(
+            self.form.nvars, self.nu,
+            {m: c * mono_factorial(m) / nu_fact for m, c in self.form.terms.items()})
 
 
 def associated_form(gs) -> AssociatedForm:
@@ -89,29 +98,26 @@ def associated_form(gs) -> AssociatedForm:
     if not is_regular_sequence(ideal):
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
-    n = ideal.nvars
-    nu = n * (ideal.d - 1)
+    n, nu = ideal.nvars, ideal.nu
     # the kernel is read off the cached RREF of I_nu: no second reduction
     kernel = kernel_of_rref(*ideal.piece_with_pivots(nu))
     if len(kernel) != 1:
         raise RuntimeError(
             f"I_nu has codimension {len(kernel)}, expected 1 for a complete intersection")
-    raw = HilbertPointFunctional(
-        n, nu, {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x})
+    raw = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
     jac = jacobian_det(ideal.generators)
-    scale = raw(jac)
+    scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)
     if scale == 0:
         raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
-    values = {m: x / scale for m, x in raw.values.items()}
-    omega = HilbertPointFunctional(n, nu, values)
+    # A_a = (nu!/a!) omega(x^a), with omega = raw / scale
     nu_fact = math.factorial(nu)
-    terms = {m: Fraction(nu_fact, mono_factorial(m)) * v for m, v in values.items()}
-    form = Polynomial(n, Space.DUAL, terms)
+    form = Polynomial(n, Space.DUAL, {m: nu_fact * x / (scale * mono_factorial(m))
+                                      for m, x in raw.items()})
     if form.is_zero():
         raise RuntimeError("associated form vanished; impossible for a regular sequence")
     if pairing(jac, form) != nu_fact:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
-    return AssociatedForm(form, omega, ideal)
+    return AssociatedForm(form, ideal)
 
 
 def hilbert_point_functional(gs) -> HilbertPointFunctional:
@@ -167,22 +173,17 @@ def direct_sum_assoc(gs1, gs2) -> AssociatedForm:
     if not gs1 or not gs2:
         raise ValueError("both blocks must be non-empty")
     a, n = gs1[0].nvars, gs1[0].nvars + gs2[0].nvars
-    d = gs1[0].degree()
-    if gs2[0].degree() != d:
+    if gs2[0].degree() != gs1[0].degree():
         raise ValueError("both blocks must have the same generator degree")
+    ideal = GradedIdeal.of([_lift(g, n, 0) for g in gs1] + [_lift(g, n, a) for g in gs2])
     try:
         a1 = associated_form(gs1)
         a2 = associated_form(gs2)
     except NotRegularSequence as exc:
         raise NotRegularSequence(f"block is not a regular sequence: {exc}") from exc
-    nu = n * (d - 1)
-    scalar = math.comb(nu, a * (d - 1))
+    scalar = math.comb(ideal.nu, a1.nu)
     form = scalar * (_lift(a1.form, n, 0) * _lift(a2.form, n, a))
-    nu_fact = math.factorial(nu)
-    omega = HilbertPointFunctional(
-        n, nu, {m: c * mono_factorial(m) / nu_fact for m, c in form.terms.items()})
-    source = [_lift(g, n, 0) for g in gs1] + [_lift(g, n, a) for g in gs2]
-    return AssociatedForm(form, omega, GradedIdeal.of(source))
+    return AssociatedForm(form, ideal)
 
 
 def milnor_associated_form(F: Polynomial) -> AssociatedForm:

@@ -223,13 +223,7 @@ def solve_square(m: QMatrix, rhs) -> tuple[Fraction, ...] | None:
 
 def in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
     """Membership test against an RREF basis with known pivot columns."""
-    vec = [Fraction(x) for x in vector]
-    for r, pc in enumerate(pivots):
-        if vec[pc] != 0:
-            f = vec[pc]
-            row = basis.entries[r]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
+    return rank(from_rows([*basis.entries, vector], cols=basis.cols)) == len(pivots)
 
 
 def unit_columns(basis: QMatrix, pivots: tuple[int, ...]) -> set[int]:

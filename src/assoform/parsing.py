@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, Space
+from .poly import ZERO, Polynomial, Space
 
 
 class ParseError(ValueError):
@@ -175,12 +175,14 @@ class _ExprParser:
         return result
 
     def expr(self) -> Polynomial:
-        total = self.term()
+        first = self.term()
+        # one dict for the whole sum: each '+' would copy the partial sum
+        total = dict(first.terms)
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
-        return total
+            sign = 1 if self.advance().text == "+" else -1
+            for m, c in self.term().terms.items():
+                total[m] = total.get(m, ZERO) + sign * c
+        return Polynomial(first.nvars, first.space, total)
 
     def term(self) -> Polynomial:
         total = self.factor()

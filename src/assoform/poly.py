@@ -35,13 +35,7 @@ def grevlex_less(a: Mono, b: Mono) -> bool:
     """True iff a < b in grevlex order."""
     if len(a) != len(b):
         raise ValueError("monomials must have the same number of variables")
-    da, db = sum(a), sum(b)
-    if da != db:
-        return da < db
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return x > y
-    return False
+    return grevlex_key(a) < grevlex_key(b)
 
 
 def grevlex_key(a: Mono):
@@ -351,20 +345,12 @@ def substitute(f: Polynomial, m: QMatrix) -> Polynomial:
                          {tuple(1 if j == k else 0 for k in range(n)): m.entries[i][j]
                           for j in range(n) if m.entries[i][j] != 0})
               for i in range(n)]
-    power_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def image_power(i: int, e: int) -> Polynomial:
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = images[i] ** e
-        return power_cache[key]
-
     out = Polynomial.zero(n, f.space)
     for mono, coeff in f.terms.items():
         term = Polynomial.constant(n, f.space, coeff)
         for i, e in enumerate(mono):
             if e:
-                term = term * image_power(i, e)
+                term = term * images[i] ** e
         out = out + term
     return out
 

@@ -35,7 +35,7 @@ from .ideals import (GradedIdeal, intersect_with_coordinates,
                      vectors_to_polynomials)
 from .inverse_system import NotRegularSequence, associated_form
 from .linalg import from_rows, solve_square
-from .poly import Mono, Polynomial, Space, monomials_of_degree
+from .poly import Mono, Polynomial, Space, grevlex_key, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     n, d = ideal.nvars, ideal.d
     if not 1 <= b <= n - 1:
         raise ValueError("split index must satisfy 1 <= b <= n-1")
-    if not ideal.is_regular():
+    if not is_regular_sequence(ideal):
         raise NotRegularSequence("decomposability certificate needs a balanced "
                                  "complete intersection")
     basis = ideal.graded_piece(d)
@@ -441,9 +441,10 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
         lo, hi = support_weight_range(assoc.form, dual)
         samples.append(WeightSample(w, lo, hi, lo >= 0))
 
-    mono = min_nonideal_monomial(ideal, nu)
-    grevlex_ok = mono is not None and all(
-        sum(mono[:i]) <= i * (d - 1) for i in range(1, n + 1))
+    # I_nu is the kernel of omega, so the degree-nu monomials outside I are
+    # exactly the support of A
+    mono = min(assoc.form.terms, key=grevlex_key)
+    grevlex_ok = all(sum(mono[:i]) <= i * (d - 1) for i in range(1, n + 1))
 
     split = None
     for b in range(1, n):

@@ -86,6 +86,17 @@ def reference_rref_rows(rows: list[list[Fraction]], ncols: int):
     return rows, pivots
 
 
+def reference_in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
+    """Oracle for linalg.in_row_space: reduce vector against the RREF pivot rows."""
+    vec = [Fraction(x) for x in vector]
+    for r, pc in enumerate(pivots):
+        if vec[pc] != 0:
+            f = vec[pc]
+            row = basis.entries[r]
+            vec = [x - f * y for x, y in zip(vec, row)]
+    return all(x == 0 for x in vec)
+
+
 def inverse_transpose(m: QMatrix) -> QMatrix:
     """Matrix acting on dual variables when m acts on primal ones: (m^-1)^T."""
     n = m.rows

@@ -372,3 +372,18 @@ def test_degree_cap_never_raises_the_top_degree(write, argv, key, expected):
     proc = _cli_process("--json", argv[0], path, *argv[1:])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"][key] == expected
+
+
+def test_main_builds_no_parser_per_call(write, capsys, monkeypatch):
+    path = write("f.txt", SQUARES)
+    built = []
+    real = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    assert [run(capsys, *argv)[0] for argv in (["assoc", path], ["regseq", path],
+                                               ["--json", "hilbert", path])] == [0, 0, 0]
+    assert built == []

@@ -118,14 +118,17 @@ def test_regular_validation_errors():
 
 
 def test_graded_ideal_is_regular(monkeypatch):
-    assert GradedIdeal(2, 4, power_gens(2, [4, 4])).is_regular()
-    assert not GradedIdeal(2, 2, [P(2, {(2, 0): 1}), P(2, {(1, 1): 1})]).is_regular()
-    assert not GradedIdeal(2, 2, [P(2, {(2, 0): 1})]).is_regular()  # one generator
-    assert not GradedIdeal(2, 2, squares(2) + [P(2, {(1, 1): 1})]).is_regular()
+    assert is_regular_sequence(GradedIdeal(2, 4, power_gens(2, [4, 4])))
+    assert not is_regular_sequence(GradedIdeal(2, 2, [P(2, {(2, 0): 1}),
+                                                      P(2, {(1, 1): 1})]))
+    with pytest.raises(ValueError, match="exactly 2 forms"):  # one generator
+        is_regular_sequence(GradedIdeal(2, 2, [P(2, {(2, 0): 1})]))
+    with pytest.raises(ValueError, match="exactly 2 forms"):
+        is_regular_sequence(GradedIdeal(2, 2, squares(2) + [P(2, {(1, 1): 1})]))
     ideal = GradedIdeal(3, 2, squares(3))
-    assert ideal.is_regular()
+    assert is_regular_sequence(ideal)
     monkeypatch.setattr(ideals, "rank", None)  # a second rank would fail
-    assert ideal.is_regular()
+    assert is_regular_sequence(ideal)
 
 
 def test_degree_cap_enforced():

@@ -1,13 +1,20 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used, and every function has a user.
 
 Deleting a function must not leave its import behind.  The package
-``__init__`` is exempt: its imports are the public re-exports.
+``__init__`` is exempt: its imports are the public re-exports.  Deleting a
+caller must not leave an orphan: each module-level function is used
+elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
+the benchmark tracer.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_tracer_names import _traced
+
+import assoform
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "assoform"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -34,3 +41,29 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_caught():
     tree = ast.parse("import math\nfrom fractions import Fraction\nx = Fraction(1)\n")
     assert _unused_imports(tree) == ["line 1: math"]
+
+
+def _names(node: ast.AST) -> list[str]:
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _orphans(trees: dict[str, ast.Module], kept: set[str]) -> list[str]:
+    """Module-level functions named nowhere in the package outside their own body."""
+    uses = Counter(name for tree in trees.values() for name in _names(tree))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name not in kept
+            and uses[node.name] == _names(node).count(node.name)]
+
+
+def test_every_function_has_a_user():
+    kept = set(assoform.__all__) | {name.split(".")[0] for _, name in _traced()}
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    assert _orphans(trees, kept) == []
+
+
+def test_an_orphan_function_is_caught():
+    trees = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    pass\n"),
+             "b": ast.parse("from a import g\nx = g()\n\ndef h():\n    pass\n")}
+    assert _orphans(trees, {"h"}) == ["a.f"]

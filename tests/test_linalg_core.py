@@ -10,7 +10,8 @@ The subspaces read off one elimination (``null_space``, ``unit_columns``,
 from fractions import Fraction
 
 import pytest
-from helpers import reference_intersect_with_coordinates, reference_rref_rows
+from helpers import (reference_in_row_space, reference_intersect_with_coordinates,
+                     reference_rref_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,24 @@ def test_unit_columns_agree_with_in_row_space(m):
     for j in range(m.cols):
         e_j = [int(i == j) for i in range(m.cols)]
         assert (j in units) == in_row_space(basis, pivots, e_j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_in_row_space_matches_reference(m, data):
+    _, pivots = rref(m)
+    basis = row_space_basis(m)
+    weights = [data.draw(ENTRIES) for _ in range(basis.rows)]
+    member = [sum((w * row[j] for w, row in zip(weights, basis.entries)), Fraction(0))
+              for j in range(m.cols)]
+    other = [data.draw(ENTRIES) for _ in range(m.cols)]
+    assert in_row_space(basis, pivots, member)
+    free = [j for j in range(m.cols) if j not in pivots]
+    if free:  # member plus a free unit vector lies outside the row space
+        outside = [x + (j == free[0]) for j, x in enumerate(member)]
+        assert not in_row_space(basis, pivots, outside)
+    for vec in (member, other, [x + y for x, y in zip(member, other)]):
+        assert in_row_space(basis, pivots, vec) == reference_in_row_space(basis, pivots, vec)
 
 
 SYMPY_CASES = [

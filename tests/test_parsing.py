@@ -9,7 +9,7 @@ from helpers import random_form
 
 from assoform.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS,
                               ParseError, parse_polynomial, parse_system)
-from assoform.poly import Polynomial, Space
+from assoform.poly import Polynomial, Space, monomials_of_degree
 
 
 def test_parse_basic_system():
@@ -129,3 +129,22 @@ def test_size_bounds_name_the_operator(text, col, what):
         parse_polynomial(text, ("x1", "x2", "x3"), line=4)
     assert (err.value.line, err.value.col) == (4, col)
     assert what in str(err.value)
+
+
+def test_a_long_sum_is_built_once(monkeypatch):
+    # every degree-30 monomial in 3 variables: 496 terms on one line; adding
+    # term by term would copy the partial sum, about 270 entries per term
+    monos = monomials_of_degree(3, 30)
+    text = " + ".join("*".join(f"x{i + 1}^{e}" for i, e in enumerate(m) if e)
+                      for m in monos)
+    entries = []
+    real = Polynomial.__init__
+
+    def spy(self, nvars, space, terms=None):
+        entries.append(len(terms or {}))
+        real(self, nvars, space, terms)
+
+    monkeypatch.setattr(Polynomial, "__init__", spy)
+    f = parse_polynomial(text, ("x1", "x2", "x3"))
+    assert f.terms == dict.fromkeys(monos, 1)
+    assert sum(entries) < 40 * len(monos)

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 from helpers import power_gens, random_form, random_regular_sequence
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from assoform import ideals
-from assoform.ideals import GradedIdeal
+from assoform.ideals import (GradedIdeal, is_regular_sequence,
+                             min_nonideal_monomial)
 from assoform.inverse_system import NotRegularSequence, associated_form
-from assoform.linalg import from_rows, row_space_basis
+from assoform.linalg import from_rows, row_space_basis, unit_columns
 from assoform.poly import Polynomial, Space, monomials_of_degree, substitute
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness,
                                 Verdict, binary_stability, degeneration_limit,
@@ -332,6 +335,33 @@ def test_audit_deterministic():
     a = semistability_audit(power_gens(2, [3, 3]), trials=7, seed=123)
     b = semistability_audit(power_gens(2, [3, 3]), trials=7, seed=123)
     assert a == b
+
+
+@st.composite
+def sparse_regular_sequences(draw):
+    """x_i^d plus a few other degree-d terms: A often misses many monomials."""
+    n, d = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]))
+    monos = monomials_of_degree(n, d)
+    gs = []
+    for i in range(n):
+        terms = {m: draw(st.integers(-3, 3))
+                 for m in draw(st.lists(st.sampled_from(monos), max_size=3))}
+        terms[tuple(d * (j == i) for j in range(n))] = draw(st.sampled_from([1, 2, -1]))
+        gs.append(P(n, terms))
+    assume(all(not g.is_zero() for g in gs) and is_regular_sequence(gs))
+    return GradedIdeal.of(gs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_regular_sequences())
+def test_audit_reads_the_nonideal_monomials_off_the_form(ideal):
+    # the degree-nu monomials outside I_nu, read off the RREF of I_nu
+    target = monomials_of_degree(ideal.nvars, ideal.nu)
+    members = {target[j] for j in unit_columns(*ideal.piece_with_pivots(ideal.nu))}
+    outside = set(target) - members
+    assert set(associated_form(ideal).form.terms) == outside
+    report = semistability_audit(ideal, trials=0, seed=0)
+    assert report.min_monomial == min_nonideal_monomial(ideal, ideal.nu)
 
 
 def test_audit_requires_regular():
