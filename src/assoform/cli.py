@@ -194,7 +194,7 @@ def _decompose(system, args, out):
 
 
 def _degenerate(system, args, out):
-    limit = degeneration_limit(system.ideal.generators, args.split)
+    limit = degeneration_limit(system.ideal, args.split)
     renders = [g.render(list(system.names)) for g in limit]
     for text in renders:
         out.append(text)

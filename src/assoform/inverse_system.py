@@ -168,17 +168,17 @@ def direct_sum_assoc(gs1, gs2) -> AssociatedForm:
     For blocks of sizes a and n-a in disjoint variables, the associated form
     of the concatenation equals binom(n(d-1), a(d-1)) times the product of
     the block forms; this is returned without ever solving on the big ring.
+    Each block is a list of forms or a GradedIdeal.
     """
-    gs1, gs2 = list(gs1), list(gs2)
-    if not gs1 or not gs2:
-        raise ValueError("both blocks must be non-empty")
-    a, n = gs1[0].nvars, gs1[0].nvars + gs2[0].nvars
-    if gs2[0].degree() != gs1[0].degree():
+    block1, block2 = GradedIdeal.of(gs1), GradedIdeal.of(gs2)
+    a, n = block1.nvars, block1.nvars + block2.nvars
+    if block2.d != block1.d:
         raise ValueError("both blocks must have the same generator degree")
-    ideal = GradedIdeal.of([_lift(g, n, 0) for g in gs1] + [_lift(g, n, a) for g in gs2])
+    ideal = GradedIdeal.of([_lift(g, n, 0) for g in block1.generators]
+                           + [_lift(g, n, a) for g in block2.generators])
     try:
-        a1 = associated_form(gs1)
-        a2 = associated_form(gs2)
+        a1 = associated_form(block1)
+        a2 = associated_form(block2)
     except NotRegularSequence as exc:
         raise NotRegularSequence(f"block is not a regular sequence: {exc}") from exc
     scalar = math.comb(ideal.nu, a1.nu)

@@ -151,21 +151,16 @@ class _ExprParser:
         return a * b
 
     def power(self, base: Polynomial, e: int, tok: _Token) -> Polynomial:
+        # base^k has at most C(m+k-1, k) terms, each coefficient a sum of
+        # products of k coefficients of base, so the e - 1 multiplications by
+        # base in base ** e cost at most m * C(m+e-1, e-1) term products (a
+        # monomial or zero base is raised directly; e is bounded first)
         m = len(base.terms)
         degree, bits = _size(base)
-        if m <= 1:  # a monomial or zero: binary powering, log e tiny products
-            self.check(tok, e * degree, e * bits)
-            return base ** e
-        # base^k has at most C(m+k-1, k) terms, each coefficient a sum of
-        # products of k coefficients of base, so e multiplications by base
-        # cost at most m * C(m+e-1, e-1) term products (e is bounded first)
         self.check(tok, e * degree)
-        self.check(tok, 0, e * (bits + (m - 1).bit_length()),
-                   m * math.comb(m + e - 1, e - 1))
-        result = Polynomial.constant(base.nvars, base.space, 1)
-        for _ in range(e):
-            result = result * base
-        return result
+        self.check(tok, 0, e * (bits + max(m - 1, 0).bit_length()),
+                   m * math.comb(m + e - 1, e - 1) if e else 0)
+        return base ** e
 
     def parse(self) -> Polynomial:
         result = self.expr()

@@ -86,7 +86,7 @@ class Polynomial:
         for mono, coeff in (terms or {}).items():
             if len(mono) != nvars:
                 raise ValueError("monomial arity does not match nvars")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c != 0:
                 clean[tuple(mono)] = c
         self.terms = clean
@@ -136,9 +136,6 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]),
                       reverse=True)
 
-    def support(self) -> tuple[Mono, ...]:
-        return tuple(m for m, _ in self.sorted_terms())
-
     def retag(self, space: Space) -> Polynomial:
         return Polynomial(self.nvars, space, self.terms)
 
@@ -187,15 +184,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> Polynomial:
+        """Repeated multiplication: e - 1 products, the cost the parser bounds."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.nvars, self.space, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        if e == 0:
+            return Polynomial.constant(self.nvars, self.space, 1)
+        if len(self.terms) <= 1:  # a monomial or zero: one term, computed directly
+            return Polynomial(self.nvars, self.space,
+                              {tuple(e * x for x in m): c ** e for m, c in self.terms.items()})
+        out = self
+        for _ in range(e - 1):
+            out = out * self
         return out
 
     def __eq__(self, other) -> bool:

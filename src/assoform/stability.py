@@ -23,7 +23,6 @@ equivariant under simultaneous permutation of variables.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -203,61 +202,25 @@ def _uderiv(p: list[Fraction]) -> list[Fraction]:
     return _unorm([c * i for i, c in enumerate(p)][1:])
 
 
-def _udivmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
+def _urem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The remainder of a modulo a nonzero b."""
     rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     inv = 1 / b[-1]
-    while rem and len(rem) >= len(b):
+    while len(rem) >= len(b):
         c = rem[-1] * inv
         k = len(rem) - len(b)
-        quot[k] = c
         for i, bc in enumerate(b):
             rem[k + i] -= c * bc
         rem = _unorm(rem)
-    return _unorm(quot), rem
-
-
-def _udiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _udivmod(a, b)
-    if r:
-        raise ArithmeticError("expected exact univariate division")
-    return q
+    return rem
 
 
 def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
+    """The monic gcd of a nonzero a and b."""
     while b:
-        a, b = b, _udivmod(a, b)[1]
-    if not a:
-        return []
+        a, b = b, _urem(a, b)
     inv = 1 / a[-1]
     return [c * inv for c in a]  # monic for determinism
-
-
-def squarefree_decomposition(p: list[Fraction]) -> list[tuple[int, list[Fraction]]]:
-    """Yun's algorithm: p = lc * product of q_i^i with q_i monic squarefree."""
-    p = _unorm(list(p))
-    if _udeg(p) < 1:
-        return []
-    inv = 1 / p[-1]
-    p = [c * inv for c in p]
-    out = []
-    g = _ugcd(p, _uderiv(p))
-    b = _udiv_exact(p, g)
-    c = _udiv_exact(_uderiv(p), g)
-    i = 1
-    while _udeg(b) > 0:
-        d = _unorm([x - y for x, y in itertools.zip_longest(c, _uderiv(b),
-                                                            fillvalue=Fraction(0))])
-        q = _ugcd(b, d)
-        if _udeg(q) > 0:
-            out.append((i, q))
-        b = _udiv_exact(b, q)
-        c = _udiv_exact(d, q)
-        i += 1
-    return out
 
 
 def _dehomogenize(f: Polynomial) -> list[Fraction]:
@@ -268,16 +231,20 @@ def _dehomogenize(f: Polynomial) -> list[Fraction]:
     return _unorm(coeffs)
 
 
-def _homogenize(p: list[Fraction], degree: int, space: Space) -> Polynomial:
-    terms = {(i, degree - i): c for i, c in enumerate(p) if c != 0}
-    return Polynomial(2, space, terms)
+def _homogenize(p: list[Fraction], space: Space) -> Polynomial:
+    degree = _udeg(p)
+    return Polynomial(2, space, {(i, degree - i): c for i, c in enumerate(p) if c != 0})
 
 
 def binary_stability(f: Polynomial) -> StabilityReport:
     """Exact GIT classification of a nonzero binary form.
 
-    Root multiplicities over the algebraic closure come from a squarefree
-    decomposition of f(t, 1) plus the multiplicity of the root at infinity.
+    Root multiplicities over the algebraic closure come from a gcd chain of
+    derivatives: with g_0 the monic f(t, 1) and g_k = gcd(g_{k-1}, g_{k-1}'),
+    a root of multiplicity mu divides g_k exactly mu - k times, so
+    deg g_k - deg g_{k+1} roots have multiplicity above k, and for the
+    largest finite multiplicity M, g_{M-1} is the product of the roots of
+    multiplicity M.  The root at infinity has multiplicity deg f - deg g_0.
     Stable iff every multiplicity is below deg/2; unstable iff one exceeds
     it; on the boundary, polystable exactly for two distinct roots of
     multiplicity deg/2 each.
@@ -292,22 +259,26 @@ def binary_stability(f: Polynomial) -> StabilityReport:
     if m < 1:
         raise ValueError("constant forms have no stability type")
     p = _dehomogenize(f)
-    profile: dict[int, int] = {}
-    factors: list[tuple[int, Polynomial]] = []
-    for mult, q in squarefree_decomposition(p):
-        profile[mult] = profile.get(mult, 0) + _udeg(q)
-        factors.append((mult, _homogenize(q, _udeg(q), f.space)))
+    inv = 1 / p[-1]
+    chain = [[c * inv for c in p]]
+    while _udeg(chain[-1]) > 0:
+        chain.append(_ugcd(chain[-1], _uderiv(chain[-1])))
+    # above[k]: the number of finite roots of multiplicity above k
+    above = [_udeg(g) - _udeg(h) for g, h in zip(chain, chain[1:])] + [0]
+    profile = {k: above[k - 1] - above[k] for k in range(1, len(above))
+               if above[k - 1] > above[k]}
     inf_mult = m - _udeg(p)
     if inf_mult > 0:
         profile[inf_mult] = profile.get(inf_mult, 0) + 1
-        factors.append((inf_mult, Polynomial.variable(2, 1, f.space)))
     multiplicities = tuple(sorted(profile.items(), reverse=True))
     max_mult = multiplicities[0][0]
 
     if 2 * max_mult > m:
         witness: OnePS | RootWitness | None = torus_destabilizer(f)
         if witness is None:
-            heavy = next(fac for mult, fac in factors if mult == max_mult)
+            # chain ends at g_M: a finite heavy root wins a tie with infinity
+            heavy = (_homogenize(chain[max_mult - 1], f.space) if max_mult < len(chain)
+                     else Polynomial.variable(2, 1, f.space))
             witness = RootWitness(max_mult, heavy)
         return StabilityReport(Verdict.UNSTABLE, witness, multiplicities)
     if 2 * max_mult < m:
@@ -360,10 +331,11 @@ def degeneration_limit(gs, a: int) -> tuple[Polynomial, ...]:
 
     Requires the last n-a generators to involve only the last n-a
     variables; the limit keeps them and sets the last variables to zero in
-    the first block.  The result is checked to be a regular sequence.
+    the first block.  gs is a list of forms or a GradedIdeal; the result is
+    checked to be a regular sequence.
     """
-    gs = list(gs)
-    n = gs[0].nvars
+    ideal = GradedIdeal.of(gs)
+    gs, n = ideal.generators, ideal.nvars
     if not 1 <= a <= n - 1:
         raise ValueError("split index must satisfy 1 <= a <= n-1")
     for i, g in enumerate(gs[a:], start=a + 1):
@@ -371,11 +343,8 @@ def degeneration_limit(gs, a: int) -> tuple[Polynomial, ...]:
             raise ValueError(
                 f"generator {i} uses the first {a} variables; not of the "
                 "hypothesized shape")
-    limit = []
-    for g in gs[:a]:
-        truncated = Polynomial(n, Space.PRIMAL,
-                               {m: c for m, c in g.terms.items() if sum(m[a:]) == 0})
-        limit.append(truncated)
+    limit = [Polynomial(n, Space.PRIMAL, {m: c for m, c in g.terms.items() if sum(m[a:]) == 0})
+             for g in gs[:a]]
     limit.extend(gs[a:])
     if any(g.is_zero() for g in limit) or not is_regular_sequence(limit):
         raise NotRegularSequence("the degeneration limit is not a regular sequence; "

@@ -11,7 +11,7 @@ from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular
 from assoform.linalg import (QMatrix, from_rows, kernel_basis, null_space,
                              row_space_basis, solve_square)
 from assoform.poly import Mono, Polynomial, Space, apolar_apply, monomials_of_degree
-from assoform.stability import OnePS
+from assoform.stability import OnePS, RootWitness, Verdict, torus_destabilizer
 
 
 def identity(n: int) -> QMatrix:
@@ -350,3 +350,126 @@ def reference_intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
         return QMatrix(0, basis.cols, ())
     coeff = from_rows(combos, cols=basis.rows)
     return row_space_basis(mat_mul(coeff, basis))
+
+
+# Oracle for Polynomial.__pow__: its earlier binary-powering loop.
+def reference_pow(f: Polynomial, e: int) -> Polynomial:
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    out = Polynomial.constant(f.nvars, f.space, 1)
+    base = f
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return out
+
+
+# Oracle for stability.binary_stability: its earlier root multiplicities,
+# from Yun's squarefree decomposition with exact division (Yun, Proc.
+# SYMSAC 1976).  Univariate polynomials are coefficient lists, lowest
+# degree first.
+
+
+def _unorm(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _udeg(p: list[Fraction]) -> int:
+    return len(p) - 1
+
+
+def _uderiv(p: list[Fraction]) -> list[Fraction]:
+    return _unorm([c * i for i, c in enumerate(p)][1:])
+
+
+def _udivmod(a: list[Fraction], b: list[Fraction]):
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    inv = 1 / b[-1]
+    while rem and len(rem) >= len(b):
+        c = rem[-1] * inv
+        k = len(rem) - len(b)
+        quot[k] = c
+        for i, bc in enumerate(b):
+            rem[k + i] -= c * bc
+        rem = _unorm(rem)
+    return _unorm(quot), rem
+
+
+def _udiv_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    q, r = _udivmod(a, b)
+    if r:
+        raise ArithmeticError("expected exact univariate division")
+    return q
+
+
+def _ugcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _udivmod(a, b)[1]
+    if not a:
+        return []
+    inv = 1 / a[-1]
+    return [c * inv for c in a]  # monic for determinism
+
+
+def reference_squarefree_decomposition(p: list[Fraction]) -> list[tuple[int, list[Fraction]]]:
+    """Yun's algorithm: p = lc * product of q_i^i with q_i monic squarefree."""
+    p = _unorm(list(p))
+    if _udeg(p) < 1:
+        return []
+    inv = 1 / p[-1]
+    p = [c * inv for c in p]
+    out = []
+    g = _ugcd(p, _uderiv(p))
+    b = _udiv_exact(p, g)
+    c = _udiv_exact(_uderiv(p), g)
+    i = 1
+    while _udeg(b) > 0:
+        d = _unorm([x - y for x, y in itertools.zip_longest(c, _uderiv(b),
+                                                            fillvalue=Fraction(0))])
+        q = _ugcd(b, d)
+        if _udeg(q) > 0:
+            out.append((i, q))
+        b = _udiv_exact(b, q)
+        c = _udiv_exact(d, q)
+        i += 1
+    return out
+
+
+def reference_binary_stability(f: Polynomial):
+    """(verdict, witness, multiplicities) of a binary form from Yun's decomposition."""
+    m = f.degree()
+    p = [Fraction(0)] * (m + 1)
+    for (i, _j), c in f.terms.items():
+        p[i] = c
+    p = _unorm(p)
+    profile: dict[int, int] = {}
+    factors: list[tuple[int, Polynomial]] = []
+    for mult, q in reference_squarefree_decomposition(p):
+        profile[mult] = profile.get(mult, 0) + _udeg(q)
+        factors.append((mult, Polynomial(2, f.space, {(i, _udeg(q) - i): c
+                                                      for i, c in enumerate(q) if c != 0})))
+    inf_mult = m - _udeg(p)
+    if inf_mult > 0:
+        profile[inf_mult] = profile.get(inf_mult, 0) + 1
+        factors.append((inf_mult, Polynomial.variable(2, 1, f.space)))
+    multiplicities = tuple(sorted(profile.items(), reverse=True))
+    max_mult = multiplicities[0][0]
+    if 2 * max_mult > m:
+        witness = torus_destabilizer(f)
+        if witness is None:
+            heavy = next(fac for mult, fac in factors if mult == max_mult)
+            witness = RootWitness(max_mult, heavy)
+        return Verdict.UNSTABLE, witness, multiplicities
+    if 2 * max_mult < m:
+        return Verdict.STABLE, None, multiplicities
+    if multiplicities == ((max_mult, 2),):
+        return Verdict.POLYSTABLE_NOT_STABLE, None, multiplicities
+    return Verdict.SEMISTABLE_NOT_POLYSTABLE, None, multiplicities

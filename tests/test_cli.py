@@ -148,6 +148,13 @@ def test_degenerate(write, capsys):
     assert out.splitlines() == ["x1^2", "x2^2"]
 
 
+def test_a_zeroth_power_of_a_sum_is_one(write, capsys):
+    path = write("f.txt", "vars: x1 x2\nx1^2*(x1+x2)^0\nx2^2\n")
+    code, out, err = run(capsys, "assoc", path)
+    assert (code, err) == (0, "")
+    assert out.strip() == "(1/2)*z1*z2"
+
+
 def test_stability_command(write, capsys):
     path = write("f.txt", SQUARES)
     code, out, _ = run(capsys, "--json", "stability", path)

@@ -4,10 +4,13 @@ Deleting a function must not leave its import behind.  The package
 ``__init__`` is exempt: its imports are the public re-exports.  Deleting a
 caller must not leave an orphan: each module-level function is used
 elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
-the benchmark tracer.
+the benchmark tracer, and each method of a library class is named as an
+attribute in the package, the tests or the tracer, or overrides a method
+of a base class.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -67,3 +70,53 @@ def test_an_orphan_function_is_caught():
     trees = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    pass\n"),
              "b": ast.parse("from a import g\nx = g()\n\ndef h():\n    pass\n")}
     assert _orphans(trees, {"h"}) == ["a.f"]
+
+
+def _attrs(node: ast.AST) -> list[str]:
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+
+def _orphan_methods(classes: dict[str, tuple[ast.Module, dict]], uses: Counter) -> list[str]:
+    """Methods named in uses only inside their own body.
+
+    Special methods, which the language calls, and overrides of a base-class
+    method, which the base class calls, are exempt.
+    """
+    out = []
+    for module, (tree, namespace) in classes.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = namespace[node.name].__mro__[1:]
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if (isinstance(item, ast.FunctionDef)
+                        and not (name.startswith("__") and name.endswith("__"))
+                        and not any(hasattr(base, name) for base in bases)
+                        and uses[name] == _attrs(item).count(name)):
+                    out.append(f"{module}.{node.name}.{name}")
+    return out
+
+
+def test_every_method_has_a_user():
+    sources = list(PACKAGE.glob("*.py")) + list(Path(__file__).parent.glob("*.py"))
+    uses = Counter(name for p in sources
+                   for name in _attrs(ast.parse(p.read_text(encoding="utf-8"))))
+    uses.update(part for _, name in _traced() for part in name.split("."))
+    classes = {p.stem: (ast.parse(p.read_text(encoding="utf-8")),
+                        vars(importlib.import_module(f"assoform.{p.stem}")))
+               for p in MODULES}
+    assert _orphan_methods(classes, uses) == []
+
+
+def test_an_orphan_method_is_caught():
+    tree = ast.parse("import argparse\n"
+                     "class P(argparse.ArgumentParser):\n"
+                     "    def error(self, message):\n        pass\n"
+                     "    def __len__(self):\n        return 0\n"
+                     "    def used(self):\n        pass\n"
+                     "    def loop(self):\n        return self.loop()\n")
+    namespace: dict = {}
+    exec(compile(tree, "a", "exec"), namespace)
+    uses = Counter(_attrs(tree) + _attrs(ast.parse("a.P().used()")))
+    assert _orphan_methods({"a": (tree, namespace)}, uses) == ["a.P.loop"]

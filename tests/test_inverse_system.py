@@ -260,6 +260,13 @@ def test_direct_sum_random_blocks():
         assert product.omega.values == associated_form(combined).omega.values
 
 
+def test_direct_sum_reads_ideal_blocks():
+    block1 = power_gens(2, [2, 2])
+    block2 = [Polynomial(1, Space.PRIMAL, {(2,): 1})]
+    assoc = direct_sum_assoc(GradedIdeal.of(block1), GradedIdeal.of(block2))
+    assert assoc.form == direct_sum_assoc(block1, block2).form
+
+
 def test_direct_sum_rejects_empty_block():
     with pytest.raises(ValueError):
         direct_sum_assoc(power_gens(2, [2, 2]), [])

@@ -1,12 +1,17 @@
 """Tests for the input grammar and the render/parse round trip."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import random_form
 
+import assoform
 from assoform.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS,
                               ParseError, parse_polynomial, parse_system)
 from assoform.poly import Polynomial, Space, monomials_of_degree
@@ -148,3 +153,37 @@ def test_a_long_sum_is_built_once(monkeypatch):
     f = parse_polynomial(text, ("x1", "x2", "x3"))
     assert f.terms == dict.fromkeys(monos, 1)
     assert sum(entries) < 40 * len(monos)
+
+
+def test_zeroth_powers_are_one():
+    names = ("x1", "x2")
+    one = Polynomial.constant(2, Space.PRIMAL, 1)
+    for text in ("(x1+x2)^0", "x1^0", "(x1-x1)^0", "(1/2)^0"):
+        assert parse_polynomial(text, names) == one
+
+
+def test_a_power_of_a_monomial_multiplies_nothing(monkeypatch):
+    calls = []
+    real = Polynomial.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", spy)
+    f = parse_polynomial("x1^13*x2^7", ("x1", "x2"))
+    assert f == Polynomial.from_monomial(2, Space.PRIMAL, (13, 7))
+    assert len(calls) == 1  # the '*'
+
+
+def test_a_huge_power_of_zero_is_zero():
+    # a separate process, so that a power computed term by term fails the
+    # test instead of hanging the suite
+    src = str(Path(assoform.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("from assoform.parsing import parse_polynomial\n"
+            "print(parse_polynomial('(x1-x1)^1000000000', ('x1',)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

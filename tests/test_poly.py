@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import identity, inverse_transpose, mat_mul, random_form, random_invertible
+from helpers import (identity, inverse_transpose, mat_mul, random_form, random_invertible,
+                     reference_pow)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assoform.linalg import from_rows
 from assoform.poly import (Polynomial, Space, apolar_apply, grevlex_key,
@@ -222,6 +225,26 @@ def test_degree_preserved_by_substitution():
         m = random_invertible(rng, n)
         g = substitute(f, m)
         assert g.is_homogeneous(3) and not g.is_zero()
+
+
+# -- powers -------------------------------------------------------------------
+
+_COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                       _COEFF, max_size=4),
+       st.integers(0, 6), st.sampled_from(list(Space)))
+def test_power_matches_binary_powering(terms, e, space):
+    # zero, monomial and multi-term bases, homogeneous or not
+    f = Polynomial(3, space, terms)
+    assert f ** e == reference_pow(f, e)
+
+
+def test_power_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        P(2, {(1, 0): 1}) ** -1
 
 
 # -- rendering ----------------------------------------------------------------

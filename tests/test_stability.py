@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import power_gens, random_form, random_regular_sequence
+from helpers import (power_gens, random_form, random_regular_sequence,
+                     reference_binary_stability)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,8 @@ from assoform.poly import Polynomial, Space, monomials_of_degree, substitute
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness,
                                 Verdict, binary_stability, degeneration_limit,
                                 limit_exists, recognize_decomposable,
-                                semistability_audit, squarefree_decomposition,
-                                support_weight_range, torus_destabilizer)
+                                semistability_audit, support_weight_range,
+                                torus_destabilizer)
 
 
 def P(n, terms):
@@ -105,32 +106,40 @@ def test_torus_destabilizer_none_for_associated_forms():
         assert torus_destabilizer(associated_form(gs).form) is None
 
 
-# -- squarefree decomposition ------------------------------------------------------
+# -- root multiplicities ------------------------------------------------------------
 
 
-def test_squarefree_decomposition_structure():
-    # p = t^2 (t^2+1)^3: multiplicity 2 factor t, multiplicity 3 factor t^2+1
-    t = [Fraction(0), Fraction(1)]
-
-    def mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    quad = [Fraction(1), Fraction(0), Fraction(1)]
-    p = mul(mul(t, t), mul(quad, mul(quad, quad)))
-    decomp = squarefree_decomposition(p)
-    assert decomp == [(2, [Fraction(0), Fraction(1)]),
-                      (3, [Fraction(1), Fraction(0), Fraction(1)])]
+def test_multiplicities_structure():
+    # f(t, 1) = t^2 (t^2+1)^3: a double root at 0 and two triple roots
+    f = D(2, {(2, 0): 1}) * (D(2, {(2, 0): 1}) + D(2, {(0, 2): 1})) ** 3
+    assert binary_stability(f).multiplicities == ((3, 2), (2, 1))
 
 
-def test_squarefree_decomposition_squarefree_input():
-    p = [Fraction(-2), Fraction(1), Fraction(1)]  # (t+2)(t-1)
-    decomp = squarefree_decomposition(p)
-    assert len(decomp) == 1 and decomp[0][0] == 1
-    assert decomp[0][1] == [Fraction(-2), Fraction(1), Fraction(1)]
+def test_multiplicities_squarefree_input():
+    f = D(2, {(0, 2): -2, (1, 1): 1, (2, 0): 1})  # (t+2)(t-1)
+    assert binary_stability(f).multiplicities == ((1, 2),)
+
+
+_LINEAR = st.one_of(
+    st.just({(1, 0): 1}),  # a root at 0
+    st.just({(0, 1): 1}),  # the root at infinity
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 3))
+    .map(lambda ab: {(1, 0): ab[0], (0, 1): ab[1]}))
+_QUADRATIC = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda bc: {(2, 0): 1, (1, 1): bc[0], (0, 2): bc[1]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_LINEAR, _QUADRATIC), st.integers(1, 4)),
+                min_size=1, max_size=5),
+       st.sampled_from([1, -2, Fraction(1, 3)]))
+def test_binary_stability_matches_yun(factors, lead):
+    f = D(2, {(0, 0): lead})
+    for terms, e in factors:
+        f = f * D(2, terms) ** e
+    report = binary_stability(f)
+    assert (report.verdict, report.witness, report.multiplicities) == \
+        reference_binary_stability(f)
 
 
 # -- binary stability ----------------------------------------------------------------
@@ -273,6 +282,13 @@ def test_degeneration_already_split():
     gs = power_gens(3, [2, 2, 2])
     assert list(degeneration_limit(gs, 1)) == gs
     assert list(degeneration_limit(gs, 2)) == gs
+
+
+def test_degeneration_reads_an_ideal():
+    gs = [P(2, {(2, 0): 1, (1, 1): 1}), P(2, {(0, 2): 1})]
+    assert degeneration_limit(GradedIdeal.of(gs), 1) == degeneration_limit(gs, 1)
+    with pytest.raises(ValueError):
+        degeneration_limit([], 1)
 
 
 def test_degeneration_precondition():
