@@ -27,8 +27,9 @@ from typing import Callable, NamedTuple
 
 from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
                      koszul_exactness_check)
-from .inverse_system import associated_form, perp_piece
+from .inverse_system import associated_form, catalecticant
 from .invariants import mather_yau_point, points_equal
+from .linalg import rank
 from .parsing import InputSystem, ParseError, parse_system
 from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
@@ -91,7 +92,7 @@ def _read_system(args):
 
 
 def _read_form(args):
-    # degree() rejects the zero form; perp_piece and binary_stability reject
+    # degree() rejects the zero form; catalecticant and binary_stability reject
     # inhomogeneous ones
     f = _single_form(_load(args.file), args.command).retag(Space.DUAL)
     return f, {"nvars": f.nvars, "d": f.degree(), "nu": f.degree()}
@@ -138,14 +139,18 @@ def _assoc(system, args, out):
 
 
 def _perp(f, args, out):
+    # dim (f_perp)_k = dim S_k - rank Cat_k, and Cat_{nu-k} is the transpose
+    # of Cat_k, so one rank serves k and nu - k; Cat_k is 0 x dim S_k for k > nu
     nu = f.degree()
-    k_max = _top_degree(args, nu + 1)
+    ranks: dict[int, int] = {}
     dims, hilbert = [], []
-    for k in range(k_max + 1):
-        piece = perp_piece(f, k)
-        dims.append(piece.rows)
-        hilbert.append(dim_degree(f.nvars, k) - piece.rows)
-        out.append(f"degree {k}: dim (f_perp)_{k} = {piece.rows}, "
+    for k in range(_top_degree(args, nu + 1) + 1):
+        j = min(k, nu - k)
+        if j >= 0 and j not in ranks:
+            ranks[j] = rank(catalecticant(f, j))
+        hilbert.append(ranks.get(j, 0))
+        dims.append(dim_degree(f.nvars, k) - hilbert[-1])
+        out.append(f"degree {k}: dim (f_perp)_{k} = {dims[-1]}, "
                    f"dim quotient = {hilbert[-1]}")
     return {"dims": dims, "quotient_hilbert": hilbert}
 

@@ -1,10 +1,12 @@
 """Graded pieces of ideals generated in one degree, and the tests built on them.
 
 Everything is degree-by-degree exact linear algebra in the monomial basis
-(descending grevlex column order): ideal pieces are canonical RREF row
-spaces, Hilbert functions are codimensions, regular sequences are certified
-by vanishing of the quotient one degree past the socle, and Koszul
-differentials are assembled as explicit graded matrices.
+(descending grevlex column order) on integer product rows, built from each
+generator scaled once to a primitive integer form (the same ideal): ideal
+pieces are canonical RREF row spaces, Hilbert functions are codimensions,
+regular sequences are certified by vanishing of the quotient one degree
+past the socle, and Koszul differentials are assembled as explicit graded
+matrices.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .linalg import QMatrix, from_rows, in_row_space, rank, rref, unit_columns
+from .linalg import (QMatrix, corank_one_kernel, from_rows, in_row_space, kernel_of_rref,
+                     rank, rref, unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
-                   monomials_of_degree)
+                   integer_terms, monomials_of_degree)
 
 DEGREE_CAP = 24
 
@@ -57,8 +60,10 @@ class GradedIdeal:
         self.nvars = nvars
         self.d = d
         self.generators = gens
+        self._integer_forms = tuple(integer_terms(g.terms)[1] for g in gens)
         self._piece_cache: dict[int, tuple[QMatrix, tuple[int, ...]]] = {}
         self._rank_cache: dict[int, int] = {}
+        self._socle_kernel: list[tuple] | None = None
 
     @classmethod
     def of(cls, forms) -> GradedIdeal:
@@ -78,33 +83,41 @@ class GradedIdeal:
         """Canonical RREF basis of I_k and its pivot columns, reduced once."""
         cached = self._piece_cache.get(k)
         if cached is None:
-            reduced, pivots = rref(self._product_matrix(k))
+            reduced, pivots = rref(self.product_rows(k))
             basis = QMatrix(len(pivots), reduced.cols, reduced.entries[:len(pivots)])
             cached = (basis, pivots)
             self._piece_cache[k] = cached
             self._rank_cache[k] = len(pivots)
         return cached
 
-    def _product_matrix(self, k: int) -> QMatrix:
-        """Rows spanning I_k: every monomial multiple m*g landing in degree k."""
+    def product_rows(self, k: int) -> QMatrix:
+        """Integer rows spanning I_k: every monomial multiple m*g landing in degree k."""
         target = monomials_of_degree(self.nvars, k)
+        column = {m: j for j, m in enumerate(target)}
         rows = []
-        if k >= self.d:
-            for mono in monomials_of_degree(self.nvars, k - self.d):
-                for g in self.generators:
-                    product = {tuple(a + b for a, b in zip(mono, gm)): c
-                               for gm, c in g.terms.items()}
-                    rows.append([product.get(m, ZERO) for m in target])
-        return from_rows(rows, cols=len(target))
+        for mono in monomials_of_degree(self.nvars, k - self.d):  # none for k < d
+            for form in self._integer_forms:
+                row = [0] * len(target)
+                for gm, c in form.items():
+                    row[column[tuple(a + b for a, b in zip(mono, gm))]] = c
+                rows.append(tuple(row))
+        return QMatrix(len(rows), len(target), tuple(rows))
+
+    def socle_kernel(self) -> list[tuple]:
+        """Kernel basis of the product rows of I_nu, once: certified mod p, else exact."""
+        if self._socle_kernel is None:
+            w = corank_one_kernel(self.product_rows(self.nu))
+            self._socle_kernel = [w] if w else kernel_of_rref(*self.piece_with_pivots(self.nu))
+        return self._socle_kernel
 
     def graded_piece(self, k: int) -> QMatrix:
         """Canonical RREF basis of I_k inside S_k; empty for k < d."""
         return self.piece_with_pivots(k)[0]
 
     def dim_piece(self, k: int) -> int:
-        """dim I_k, via a fraction-free rank when no basis is cached yet."""
+        """dim I_k, the rank of the product rows when no basis is cached yet."""
         if k not in self._rank_cache:
-            self._rank_cache[k] = rank(self._product_matrix(k))
+            self._rank_cache[k] = rank(self.product_rows(k))
         return self._rank_cache[k]
 
     def contains(self, f: Polynomial) -> bool:

@@ -16,10 +16,15 @@ form equals nu!, asserted at construction time.  A and omega determine each
 other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
 read off it on demand.
 
+Once regularity is certified, omega spans the kernel of I_nu's integer
+product rows: GradedIdeal.socle_kernel lifts it p-adically and keeps it
+only if it kills every row over Z, else reads it off the exact RREF.
+
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
 nu! omega(x^b): nu! times the Hankel matrix of omega (Iarrobino and Kanev,
-Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).
+Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999), built as
+integer rows.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, is_regular_sequence
-from .linalg import QMatrix, from_rows, kernel_of_rref, null_space
-from .poly import (ZERO, Mono, Polynomial, Space, jacobian_det, mono_factorial,
-                   monomials_of_degree, pairing)
+from .linalg import QMatrix, null_space
+from .poly import (ZERO, Mono, Polynomial, Space, integer_terms, jacobian_det,
+                   mono_factorial, monomials_of_degree, pairing)
 
 
 class NotRegularSequence(ValueError):
@@ -99,8 +104,7 @@ def associated_form(gs) -> AssociatedForm:
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
     n, nu = ideal.nvars, ideal.nu
-    # the kernel is read off the cached RREF of I_nu: no second reduction
-    kernel = kernel_of_rref(*ideal.piece_with_pivots(nu))
+    kernel = ideal.socle_kernel()
     if len(kernel) != 1:
         raise RuntimeError(
             f"I_nu has codimension {len(kernel)}, expected 1 for a complete intersection")
@@ -125,11 +129,10 @@ def hilbert_point_functional(gs) -> HilbertPointFunctional:
     return associated_form(gs).omega
 
 
-def perp_piece(f: Polynomial, k: int) -> QMatrix:
-    """Canonical basis of the degree-k piece of the apolar ideal of f.
+def catalecticant(f: Polynomial, k: int) -> QMatrix:
+    """Integer matrix of the map S_k -> D_{nu-k}, g -> g acting on f; Cat_{nu-k} = Cat_k^T.
 
-    This is the kernel of the catalecticant map S_k -> D_{nu-k} sending g to
-    g acting on f: all of S_k for k > deg f.  Refused for deg f > DEGREE_CAP.
+    Refused for deg f > DEGREE_CAP.  See the module docstring for the rows.
     """
     if f.is_zero():
         raise ValueError("the zero form has no apolar ideal piece")
@@ -140,11 +143,16 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
     n, nu = f.nvars, f.degree()
     if nu > DEGREE_CAP:
         raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
-    weighted = {b: c * mono_factorial(b) for b, c in f.terms.items()}
+    weighted = integer_terms({b: c * mono_factorial(b) for b, c in f.terms.items()})[1]
     src = monomials_of_degree(n, k)
-    rows = [[weighted.get(tuple(x + y for x, y in zip(a, c)), ZERO) for c in src]
-            for a in monomials_of_degree(n, nu - k)]
-    return null_space(from_rows(rows, cols=len(src)))
+    rows = tuple(tuple(weighted.get(tuple(x + y for x, y in zip(a, c)), 0) for c in src)
+                 for a in monomials_of_degree(n, nu - k))
+    return QMatrix(len(rows), len(src), rows)
+
+
+def perp_piece(f: Polynomial, k: int) -> QMatrix:
+    """Canonical basis of the degree-k piece of the apolar ideal of f: ker Cat_k."""
+    return null_space(catalecticant(f, k))
 
 
 def macaulay_roundtrip(gs) -> bool:

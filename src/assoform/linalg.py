@@ -1,34 +1,37 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices store ``fractions.Fraction`` entries row-major and are immutable.
+Matrices store ``fractions.Fraction`` entries row-major and are immutable
+(integer matrices built in the library may hold ints, read as Fractions).
 Every result (RREF, kernel bases) is canonical: the RREF of a matrix is
 unique, whichever pivot rows the elimination picks.
 
-Every elimination runs on one integer Gauss-Jordan core: each row is
+Every exact elimination runs on one integer Gauss-Jordan core: each row is
 scaled to a primitive integer row, row operations stay in the integers, and
 the canonical Fraction RREF is formed once at the end, so the bases are
 those of elimination over Fractions.
 
-``rank`` first reduces the integer rows modulo the fixed prime ``_PRIME``.
+The one elimination modulo the prime ``_PRIME`` is the LU ``_lu_mod_p``.
 The rank mod p of an integer matrix never exceeds its rank over Q (a
-nonzero minor mod p is a nonzero integer minor), so when the rank mod p
-equals min(rows, cols) it is the exact rank.  Scaling rows to integers
-first means a denominator divisible by p needs no special case.  Only
-when the rank mod p comes out short does the exact integer core run.
+nonzero minor mod p is a nonzero integer minor), so ``rank`` trusts a rank
+mod p equal to min(rows, cols) and runs the exact core only on a short one.
+``corank_one_kernel`` reuses the LU to lift a kernel vector p-adically
+(Dixon, Numer. Math. 40, 1982), recovers it by rational reconstruction
+(von zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and returns
+it only if it kills every row exactly over Z.
 
 Each subspace is read off one elimination: ``kernel_of_rref`` reads a
 kernel off an RREF at hand, ``null_space`` reduces once for the canonical
 kernel basis, and ``unit_columns`` reads unit-vector membership off an RREF.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-# Modulus of the full-rank certificate in rank(): the largest prime below
-# 2^30, so every residue is a single-digit CPython int.
+# Modulus of the mod-p elimination: the largest prime below 2^30, so every
+# residue is a single-digit CPython int.
 _PRIME = (1 << 30) - 35
 
 
@@ -143,27 +146,38 @@ def row_space_basis(m: QMatrix) -> QMatrix:
     return QMatrix(len(pivots), m.cols, grid)
 
 
-def _rank_mod_p(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix over GF(_PRIME); never above its rank over Q."""
+def _lu_mod_p(int_rows: list[list[int]], ncols: int):
+    """LU factors of an integer matrix over GF(_PRIME), by partial pivoting.
+
+    Returns (ids, cols, factors): pivot row k is input row ids[k] and pivots
+    in column cols[k].  Factor row k holds its multipliers in columns cols[:k]
+    (the eliminated entries, left in place), its pivot's inverse in cols[k],
+    and its reduced entries divided by the pivot right of it.
+    """
     p = _PRIME
-    rows = [[x % p for x in row] for row in rows]
+    rows = [[x % p for x in row] for row in int_rows]
+    ids = list(range(len(rows)))
     nrows = len(rows)
-    r = 0
+    cols: list[int] = []
     for c in range(ncols):
+        r = len(cols)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        tail = [x * inv % p for x in rows[r][c:]]
+        ids[r], ids[pivot] = ids[pivot], ids[r]
+        row = rows[r]
+        inv = pow(row[c], -1, p)
+        tail = [x * inv % p for x in row[c + 1:]]
+        row[c], row[c + 1:] = inv, tail
         for i in range(r + 1, nrows):
             a = rows[i][c]
             if a:
-                rows[i][c:] = [(x - a * y) % p for x, y in zip(rows[i][c:], tail)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+                rows[i][c + 1:] = [(x - a * y) % p for x, y in zip(rows[i][c + 1:], tail)]
+        cols.append(c)
+    return ids[:len(cols)], cols, rows[:len(cols)]
 
 
 def rank(m: QMatrix) -> int:
@@ -171,9 +185,76 @@ def rank(m: QMatrix) -> int:
         return 0
     ints = [_integer_row(row) for row in m.entries]
     full = min(m.rows, m.cols)
-    if _rank_mod_p(ints, m.cols) == full:
+    if len(_lu_mod_p(ints, m.cols)[1]) == full:
         return full
     return len(_gauss_jordan(ints, m.cols))
+
+
+def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
+    """den * x as integers, for the rational vector x = residues mod modulus; or None.
+
+    Each entry, scaled by the denominator found so far, is reconstructed by
+    the half extended Euclid with numerator and denominator at most
+    sqrt(modulus / 2); past the first few entries it is an integer.
+    """
+    bound = math.isqrt(modulus // 2)
+    den = 1
+    for u in residues:
+        r0, r1, s0, s1 = modulus, den * u % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        den *= abs(s1)
+        if not den or den > bound:
+            return None
+    return [v - modulus if 2 * v > modulus else v for v in (den * u % modulus for u in residues)]
+
+
+def corank_one_kernel(m: QMatrix) -> tuple[int, ...] | None:
+    """A primitive integer vector spanning the kernel of m, certified; or None.
+
+    Runs only when the rank of m mod p is cols - 1.  With B the pivot rows R
+    at the pivot columns and f the free column, x = B^{-1}(-m[R, f]) is
+    lifted p-adically, one LU solve per step, and reconstructed every 4
+    steps.  w (x with x_f = 1, times the common denominator) is returned
+    only when w_f != 0 and m w = 0 over Z on every row: then the rank over Q
+    is cols - 1 and ker m = <w>.  By Cramer's rule the Hadamard bound H of
+    the rows R bounds x's numerators and denominator, so reconstruction
+    succeeds once p^k > 2 H^2; past that step the answer is None.
+    """
+    p, ints = _PRIME, [_integer_row(row) for row in m.entries]
+    ids, cols, factors = _lu_mod_p(ints, m.cols)
+    if len(cols) != m.cols - 1:
+        return None
+    free = min(set(range(m.cols)).difference(cols))
+    lower = [[row[c] for c in cols[:k]] for k, row in enumerate(factors)]
+    upper = [[row[c] for c in reversed(cols[k + 1:])] for k, row in enumerate(factors)]
+    inverses = [row[c] for c, row in zip(cols, factors)]
+    block = [[(j, a) for j, a in enumerate(ints[i][c] for c in cols) if a] for i in ids]
+    residual = [-ints[i][free] for i in ids]
+    bound = 2 * math.prod(sum(a * a for a in ints[i]) for i in ids)  # 2 H^2
+    steps = bound.bit_length() // 29 + 1  # p > 2^29, so p^steps > bound
+    lifted, modulus = [0] * len(cols), 1
+    for step in range(1, steps + 1):
+        y: list[int] = []  # B x = residual mod p: forward, then back substitution
+        for low, inv, b in zip(lower, inverses, residual):
+            y.append((b - sum(map(mul, low, y))) * inv % p)
+        x: list[int] = []  # from the last unknown back
+        for up, yk in zip(reversed(upper), reversed(y)):
+            x.append((yk - sum(map(mul, up, x))) % p)
+        x.reverse()
+        lifted = [t + modulus * xk for t, xk in zip(lifted, x)]
+        modulus *= p
+        residual = [(b - sum(a * x[j] for j, a in row)) // p
+                    for b, row in zip(residual, block)]
+        if step % 4 and step < steps:
+            continue
+        at = dict(zip(cols, lifted))
+        w = _reconstruct([at.get(c, 1) for c in range(m.cols)], modulus)
+        if w is not None and w[free] and not any(sum(map(mul, row, w)) for row in ints):
+            g = math.gcd(*w)
+            return tuple(v // g for v in w)
+    return None
 
 
 def kernel_of_rref(reduced: QMatrix,

@@ -298,8 +298,20 @@ def pairing(g: Polynomial, f: Polynomial) -> Fraction:
     return total
 
 
+def integer_terms(terms: dict[Mono, Fraction]) -> tuple[Fraction, dict[Mono, int]]:
+    """(s, t): t = s * terms with coprime integer coefficients ({} for no terms)."""
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    ints = [c.numerator * (lcm // c.denominator) for c in terms.values()]
+    g = math.gcd(*ints) or 1
+    return Fraction(lcm, g), dict(zip(terms, (x // g for x in ints)))
+
+
 def jacobian_det(gs: list[Polynomial]) -> Polynomial:
-    """Determinant of the Jacobian matrix (dg_i/dx_j), expanded exactly."""
+    """Determinant of the Jacobian matrix (dg_i/dx_j), expanded exactly.
+
+    The Laplace minors are int dicts of the integer forms s_i g_i (see
+    integer_terms); the determinant is divided once by prod s_i.
+    """
     if not gs:
         raise ValueError("empty polynomial list")
     n = gs[0].nvars
@@ -308,28 +320,26 @@ def jacobian_det(gs: list[Polynomial]) -> Polynomial:
     for g in gs:
         if g.nvars != n or g.space is not Space.PRIMAL:
             raise ValueError("jacobian_det expects primal polynomials in n variables")
-    jac = [[partial(g, j) for j in range(n)] for g in gs]
-    memo: dict[tuple[int, ...], Polynomial] = {}
+    scales, forms = zip(*(integer_terms(g.terms) for g in gs))
+    jac = [[{m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j] for m, c in form.items() if m[j]}
+            for j in range(n)] for form in forms]
+    memo: dict[tuple[int, ...], dict[Mono, int]] = {(): {(0,) * n: 1}}
 
-    def minor(rows: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return Polynomial.constant(n, Space.PRIMAL, 1)
-        cached = memo.get(rows)
-        if cached is not None:
-            return cached
-        col = n - len(rows)
-        acc = Polynomial.zero(n, Space.PRIMAL)
-        for pos, r in enumerate(rows):
-            entry = jac[r][col]
-            if entry.is_zero():
-                continue
-            sub = minor(rows[:pos] + rows[pos + 1:])
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[rows] = acc
-        return acc
+    def minor(rows: tuple[int, ...]) -> dict[Mono, int]:
+        if rows not in memo:
+            col, acc = n - len(rows), {}
+            for pos, r in enumerate(rows):
+                entry = jac[r][col]
+                sub = minor(rows[:pos] + rows[pos + 1:]) if entry else {}
+                for ma, ca in entry.items():
+                    for mb, cb in sub.items():
+                        key = tuple(x + y for x, y in zip(ma, mb))
+                        acc[key] = acc.get(key, 0) + (-ca if pos % 2 else ca) * cb
+            memo[rows] = {m: c for m, c in acc.items() if c}
+        return memo[rows]
 
-    return minor(tuple(range(n)))
+    scale = math.prod(scales)
+    return Polynomial(n, Space.PRIMAL, {m: c / scale for m, c in minor(tuple(range(n))).items()})
 
 
 def substitute(f: Polynomial, m: QMatrix) -> Polynomial:

@@ -8,9 +8,10 @@ import random
 from fractions import Fraction
 
 from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular_sequence
-from assoform.linalg import (QMatrix, from_rows, kernel_basis, null_space,
-                             row_space_basis, solve_square)
-from assoform.poly import Mono, Polynomial, Space, apolar_apply, monomials_of_degree
+from assoform.linalg import (QMatrix, from_rows, kernel_basis, kernel_of_rref, null_space,
+                             rref, row_space_basis, solve_square)
+from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
+                           monomials_of_degree, pairing, partial)
 from assoform.stability import OnePS, RootWitness, Verdict, torus_destabilizer
 
 
@@ -128,6 +129,55 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
            for mono in monomials_of_degree(n, k)]
     return null_space(transpose(from_rows(cat, cols=len(tgt))))
+
+
+# Oracle for poly.jacobian_det: its earlier Laplace expansion over Fractions.
+def reference_jacobian_det(gs: list[Polynomial]) -> Polynomial:
+    n = gs[0].nvars
+    jac = [[partial(g, j) for j in range(n)] for g in gs]
+    memo: dict[tuple[int, ...], Polynomial] = {}
+
+    def minor(rows: tuple[int, ...]) -> Polynomial:
+        if not rows:
+            return Polynomial.constant(n, Space.PRIMAL, 1)
+        cached = memo.get(rows)
+        if cached is not None:
+            return cached
+        col = n - len(rows)
+        acc = Polynomial.zero(n, Space.PRIMAL)
+        for pos, r in enumerate(rows):
+            entry = jac[r][col]
+            if entry.is_zero():
+                continue
+            sub = minor(rows[:pos] + rows[pos + 1:])
+            term = entry * sub
+            acc = acc + term if pos % 2 == 0 else acc - term
+        memo[rows] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+# Oracle for inverse_system.associated_form: its earlier exact path, omega
+# read off the RREF of the Fraction product matrix of I_nu.
+def reference_associated_form(gs: list[Polynomial]) -> Polynomial:
+    """A(gs) for a regular sequence gs of degree-d forms in n variables."""
+    n, d = gs[0].nvars, gs[0].degree()
+    nu = n * (d - 1)
+    target = monomials_of_degree(n, nu)
+    rows = []
+    for mono in monomials_of_degree(n, nu - d):
+        for g in gs:
+            product = {tuple(a + b for a, b in zip(mono, gm)): c for gm, c in g.terms.items()}
+            rows.append([product.get(m, Fraction(0)) for m in target])
+    (omega,) = kernel_of_rref(*rref(from_rows(rows, cols=len(target))))
+    raw = {m: x for m, x in zip(target, omega) if x}
+    jac = reference_jacobian_det(gs)
+    scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), Fraction(0))
+    form = Polynomial(n, Space.DUAL, {m: math.factorial(nu) * x / (scale * mono_factorial(m))
+                                      for m, x in raw.items()})
+    assert pairing(jac, form) == math.factorial(nu)
+    return form
 
 
 def _centroid_in_hull(points: list[Mono], centroid: list[Fraction]) -> bool:

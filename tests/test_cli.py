@@ -1,17 +1,27 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from helpers import random_form, random_regular_sequence
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import assoform
 from assoform import cli
 from assoform.cli import main
+from assoform.inverse_system import associated_form, perp_piece
 from assoform.parsing import MAX_NESTING
+from assoform.poly import Polynomial, Space
 
 
 @pytest.fixture
@@ -116,6 +126,49 @@ def test_perp(write, capsys):
     report = json.loads(out)
     assert report["result"]["dims"] == [0, 0, 2, 4]
     assert report["result"]["quotient_hilbert"] == [1, 2, 1, 0]
+
+
+def _perp_report(f, *options):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_text(f"vars: {' '.join(f.default_names())}\n{f.render()}\n",
+                        encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--json", "perp", str(path), *options])
+    assert code == 0
+    return json.loads(out.getvalue())["result"]
+
+
+@st.composite
+def perp_inputs(draw):
+    """Associated (Gorenstein) forms, or random dual forms; rational coefficients."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    n, d = draw(st.sampled_from([(1, 4), (2, 2), (2, 3), (2, 4), (3, 2)]))
+    if draw(st.booleans()):
+        f = associated_form(random_regular_sequence(rng, n, d)).form
+    else:
+        f = random_form(rng, n, n * (d - 1) + draw(st.integers(-1, 1)), Space.DUAL)
+        if draw(st.booleans()):  # sparse: keep a few terms
+            f = Polynomial(n, Space.DUAL, dict(list(f.terms.items())[:draw(st.integers(1, 3))]))
+    scale = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    cap = draw(st.none() | st.integers(0, f.degree() + 2))
+    return f * scale, cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(perp_inputs())
+def test_perp_dims_are_the_perp_pieces(case):
+    f, cap = case
+    report = _perp_report(f, *(() if cap is None else ("--degree-cap", str(cap))))
+    top = f.degree() + 1 if cap is None else min(cap, f.degree() + 1)
+    assert report["dims"] == [perp_piece(f, k).rows for k in range(top + 1)]
+
+
+def test_perp_rank_short_mod_p():
+    # only z2^4 survives mod p, but the catalecticants have full rank over Q
+    f = Polynomial(2, Space.DUAL, {(4, 0): 1073741789, (0, 4): 1, (2, 2): 1073741789})
+    assert _perp_report(f)["dims"] == [0, 0, 0, 2, 4, 6]
 
 
 def test_koszul_check(write, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from helpers import (det, identity, inverse_transpose, mat_mul, power_gens, random_form,
                      random_invertible, random_regular_sequence, random_unimodular,
-                     reference_perp_piece, series_hilbert)
+                     reference_associated_form, reference_perp_piece, series_hilbert)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,8 @@ from assoform.inverse_system import (NotRegularSequence, SingularHypersurface,
                                      hilbert_point_functional,
                                      macaulay_roundtrip, milnor_associated_form,
                                      perp_piece)
-from assoform.linalg import from_rows
+from assoform.linalg import _PRIME, from_rows
+from assoform.parsing import parse_system
 from assoform.poly import (Polynomial, Space, jacobian_det, monomials_of_degree, pairing,
                            partial, substitute)
 
@@ -207,6 +208,40 @@ def test_perp_hilbert_matches_quotient():
         dims = [dim_degree(n, k) - perp_piece(assoc.form, k).rows
                 for k in range(nu + 2)]
         assert dims == series_hilbert(n, d, nu + 1)
+
+
+# -- omega from the certified modular kernel -------------------------------------
+
+
+@st.composite
+def rational_regular_sequences(draw):
+    """Seeded dense regular sequences, each coefficient divided by a drawn integer."""
+    n, d = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    dens = st.integers(1, 40) | st.sampled_from([_PRIME, 3 * _PRIME])
+    return [P(n, {m: Fraction(c, draw(dens)) for m, c in g.terms.items()})
+            for g in random_regular_sequence(rng, n, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_regular_sequences())
+def test_associated_form_matches_the_exact_rref(gs):
+    assert associated_form(gs).form == reference_associated_form(gs)
+
+
+@pytest.mark.parametrize("text", [
+    # a denominator equal to the prime
+    "vars: x1 x2\nx1^2 + (1/1073741789)*x2^2\nx2^2 - x1*x2",
+    # the prime as a coefficient: regularity's rank is short mod p and is
+    # settled by the exact fallback
+    "vars: x1 x2\n1073741789*x1^2 + x2^2\nx1*x2",
+    # linear forms: nu = 0, and I_0 has no rows
+    "vars: x1 x2\nx1 + x2\nx1 - 2*x2",
+    "vars: x1\n3*x1",
+])
+def test_associated_form_at_the_prime(text):
+    gs = list(parse_system(text).polynomials)
+    assert associated_form(gs).form == reference_associated_form(gs)
 
 
 # -- the Macaulay round trip -------------------------------------------------------

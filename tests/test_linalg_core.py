@@ -3,10 +3,13 @@
 Every public elimination in ``linalg`` must return exactly what the plain
 Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``rank`` must be exact whether or not its mod-p certificate settles it.
+``corank_one_kernel`` must return a vector spanning the kernel exactly when
+the rank mod p and the rank over Q are both cols - 1, and None otherwise.
 The subspaces read off one elimination (``null_space``, ``unit_columns``,
 ``ideals.intersect_with_coordinates``) must equal what two eliminations give.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, _integer_row, _rank_mod_p, from_rows,
-                             in_row_space, kernel_basis,
+from assoform.linalg import (_PRIME, _integer_row, _lu_mod_p, corank_one_kernel,
+                             from_rows, in_row_space, kernel_basis,
                              null_space, rank, row_space_basis, rref,
                              solve_square, unit_columns)
 
@@ -170,7 +173,7 @@ def test_against_sympy(rows):
 
 
 def _mod_p_rank(m):
-    return _rank_mod_p([_integer_row(row) for row in m.entries], m.cols)
+    return len(_lu_mod_p([_integer_row(row) for row in m.entries], m.cols)[1])
 
 
 def test_certificate_settles_full_rank():
@@ -197,3 +200,80 @@ def test_denominator_divisible_by_prime():
     assert rank(deficient) == 1
     mixed = from_rows([[Fraction(1, 2 * _PRIME), Fraction(1, 3)], [1, 2 * _PRIME]])
     assert rank(mixed) == len(_reference(mixed)[1]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_lu_factors_reproduce_the_pivot_block(m):
+    ints = [_integer_row(row) for row in m.entries]
+    ids, cols, factors = _lu_mod_p(ints, m.cols)
+    assert len(cols) <= rank(m)
+    # L has the multipliers below the diagonal and the pivots on it; U is unit
+    # upper triangular; L U is the pivot rows at the pivot columns, mod p
+    n = len(cols)
+    lower = [[row[cols[j]] if j < k else pow(row[cols[k]], -1, _PRIME) if j == k else 0
+              for j in range(n)] for k, row in enumerate(factors)]
+    upper = [[1 if j == k else factors[k][cols[j]] if j > k else 0 for j in range(n)]
+             for k in range(n)]
+    for k in range(n):
+        for j in range(n):
+            product = sum(lower[k][t] * upper[t][j] for t in range(n)) % _PRIME
+            assert product == ints[ids[k]][cols[j]] % _PRIME
+
+
+@st.composite
+def corank_one_matrices(draw):
+    """Matrices killing a drawn vector v: corank one unless rows are missing or dependent."""
+    ncols = draw(st.integers(1, 6))
+    v = [draw(ENTRIES) for _ in range(ncols - 1)] + [draw(ENTRIES.filter(bool))]
+    nrows = draw(st.integers(0, ncols + 1))
+    rows = []
+    for _ in range(nrows):
+        row = [draw(ENTRIES) for _ in range(ncols - 1)]
+        rows.append(row + [-sum(x * y for x, y in zip(row, v)) / v[-1]])
+    return from_rows(rows, cols=ncols)
+
+
+def _spans(w, vector):
+    """Whether the nonzero integer vector w spans the line of vector."""
+    j = next(i for i, x in enumerate(vector) if x)
+    return w[j] != 0 and all(w[j] * x == vector[j] * y for x, y in zip(vector, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corank_one_matrices(), matrices()))
+def test_corank_one_kernel_is_certified(m):
+    kernel = _reference_kernel(m)
+    w = corank_one_kernel(m)
+    if len(kernel) == 1 and _mod_p_rank(m) == m.cols - 1:
+        assert w is not None and _spans(w, kernel[0])
+        assert math.gcd(*w) == 1
+    else:
+        assert w is None
+
+
+def test_corank_one_kernel_checks_every_row():
+    # rank 1 mod p on the pivot row [1, 1]; over Q the second row kills (-1, 1)
+    assert corank_one_kernel(from_rows([[1, 1], [1, 1 + _PRIME]])) is None
+
+
+def test_corank_one_kernel_refuses_a_short_rank():
+    # a two-dimensional kernel: (-1, 1, 0) kills the row, but does not span
+    assert corank_one_kernel(from_rows([[1, 1, 0]])) is None
+    assert corank_one_kernel(from_rows([[1, 1, 1], [2, 2, 2]])) is None
+    # rank 1 mod p, 2 over Q: the kernel is a line, but the certificate is off
+    assert corank_one_kernel(from_rows([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]])) is None
+
+
+def test_corank_one_kernel_lifts_past_a_wrong_first_reconstruction():
+    # after 4 steps the reconstruction of -b/a succeeds with a wrong fraction
+    # of 60 bits; the row check rejects it and the lift goes on to step 8
+    a, b = 2 ** 100 + 277, 3 ** 70 + 5
+    assert corank_one_kernel(from_rows([[a, b]])) == (-b, a)
+    assert corank_one_kernel(from_rows([[Fraction(a, 7), Fraction(b, 7)], [a, b]])) == (-b, a)
+
+
+def test_corank_one_kernel_of_no_rows():
+    assert corank_one_kernel(from_rows([], cols=1)) == (1,)
+    assert corank_one_kernel(from_rows([], cols=2)) is None
+    assert corank_one_kernel(from_rows([], cols=0)) is None

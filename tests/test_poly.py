@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (identity, inverse_transpose, mat_mul, random_form, random_invertible,
-                     reference_pow)
+                     reference_jacobian_det, reference_pow)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,6 +174,27 @@ def test_jacobian_matches_permutation_expansion():
         gs = [random_form(rng, n, 2) for _ in range(n)]
         mat = [[partial(g, j) for j in range(n)] for g in gs]
         assert jacobian_det(gs) == _det_by_permanent_expansion(mat, n)
+
+
+RATIONALS = st.one_of(st.integers(-5, 5),
+                      st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12)),
+                      st.builds(Fraction, st.integers(-(1 << 40), 1 << 40),
+                                st.integers(1, 1 << 40)))
+
+
+@st.composite
+def polynomial_lists(draw):
+    """n polynomials in n variables with rational coefficients, zero and mixed degrees too."""
+    n = draw(st.integers(1, 3))
+    monos = [m for k in range(4) for m in monomials_of_degree(n, k)]
+    return [P(n, draw(st.dictionaries(st.sampled_from(monos), RATIONALS, max_size=6)))
+            for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomial_lists())
+def test_jacobian_matches_the_fraction_expansion(gs):
+    assert jacobian_det(gs) == reference_jacobian_det(gs)
 
 
 # -- substitution -------------------------------------------------------------

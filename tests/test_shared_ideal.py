@@ -1,9 +1,9 @@
 """One validated ideal per operation: each elimination of an intersection runs once.
 
-The spies record the shape of every matrix passed to ``rank`` and ``rref``
-at both places they are called from (``ideals`` binds its own names), so a
-second ideal built for the same forms shows up as a repeated shape, and a
-subspace reduced twice shows up as a second ``rref``.
+The spies record the shape of every matrix passed to ``rank``, ``rref`` and
+``corank_one_kernel`` at both places they are called from (``ideals`` binds
+its own names), so a second ideal built for the same forms shows up as a
+repeated shape, and a subspace reduced twice shows up as a second ``rref``.
 """
 
 import random
@@ -24,7 +24,7 @@ from assoform.stability import semistability_audit
 @pytest.fixture
 def eliminations(monkeypatch):
     calls = []
-    for name in ("rank", "rref"):
+    for name in ("rank", "rref", "corank_one_kernel"):
         real = getattr(linalg, name)
 
         def spy(m, _name=name, _real=real):
@@ -40,10 +40,12 @@ def test_audit_certifies_and_reduces_once(eliminations):
     gs = random_regular_sequence(random.Random(3), 3, 3)
     eliminations.clear()
     semistability_audit(gs, trials=4, seed=0)
-    # regularity: the 45x36 product matrix of I_7; omega and the grevlex
-    # monomial: the 30x28 product matrix of I_6
+    # regularity: the 45x36 product matrix of I_7; omega (whose support gives
+    # the grevlex monomial): the certified kernel of the 30x28 rows of I_6,
+    # which are never reduced exactly
     assert eliminations.count(("rank", 45, 36)) == 1
-    assert eliminations.count(("rref", 30, 28)) == 1
+    assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
+    assert ("rref", 30, 28) not in eliminations
 
 
 def test_mather_yau_certifies_the_gradient_once(eliminations):
@@ -70,9 +72,10 @@ def test_associated_form_keeps_its_ideal(eliminations):
     assert assoc.ideal is ideal and assoc.source == tuple(gs)
     assert is_regular_sequence(ideal)
     assert hilbert_point_functional(ideal) == assoc.omega
-    # the 45x36 regularity matrix of I_7 and the 30x28 product matrix of I_6
+    # the 45x36 regularity matrix of I_7 and the 30x28 product rows of I_6
     assert eliminations.count(("rank", 45, 36)) == 1
-    assert eliminations.count(("rref", 30, 28)) == 1
+    assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
+    assert ("rref", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
 
 
@@ -89,15 +92,31 @@ def test_of_reads_n_and_d_from_the_forms():
         GradedIdeal.of([Polynomial.zero(2, Space.PRIMAL)])
 
 
-def test_associated_form_reads_omega_off_the_cached_piece(eliminations):
+def test_associated_form_reads_omega_off_the_cached_piece(eliminations, monkeypatch):
     gs = random_regular_sequence(random.Random(3), 3, 3)
+    expected = associated_form(gs).form
+    # without a kernel certificate, omega is read off the exact RREF of I_6
+    monkeypatch.setattr(ideals, "corank_one_kernel", lambda m: None)
     eliminations.clear()
     assoc = associated_form(gs)
     # the 30x28 product matrix of I_6 is reduced once; its 27x28 RREF basis
     # is not reduced again to find the kernel
     assert eliminations.count(("rref", 30, 28)) == 1
     assert ("rref", 27, 28) not in eliminations
+    assert assoc.form == expected
     assert assoc.omega(assoc.ideal.generators[0] * assoc.ideal.generators[1]) == 0
+
+
+@pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (3, 3, 3), (2, 9, 5), (3, 4, 1)])
+def test_associated_form_makes_no_rref_call(eliminations, n, d, seed):
+    gs = random_regular_sequence(random.Random(seed), n, d)
+    eliminations.clear()
+    associated_form(gs)
+    # one rank certifies regularity at nu + 1; omega is the certified kernel
+    # at nu; nothing is reduced exactly
+    nu = n * (d - 1)
+    assert [name for name, _, _ in eliminations] == ["rank", "corank_one_kernel"]
+    assert eliminations[1][2] == len(monomials_of_degree(n, nu))
 
 
 def test_perp_piece_reduces_once_per_degree(eliminations):
