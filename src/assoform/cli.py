@@ -134,8 +134,9 @@ def _top_degree(args, default: int) -> int:
 
 def _assoc(system, args, out):
     form = associated_form(system.ideal).form
-    out.append(form.render())
-    return {"form": form.render(), "normalized_form": form.normalized().render()}
+    text = form.render()
+    out.append(text)
+    return {"form": text, "normalized_form": form.normalized().render()}
 
 
 def _perp(f, args, out):

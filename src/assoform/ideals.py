@@ -1,12 +1,36 @@
 """Graded pieces of ideals generated in one degree, and the tests built on them.
 
-Everything is degree-by-degree exact linear algebra in the monomial basis
+Everything is degree-by-degree linear algebra in the monomial basis
 (descending grevlex column order) on integer product rows, built from each
 generator scaled once to a primitive integer form (the same ideal): ideal
 pieces are canonical RREF row spaces, Hilbert functions are codimensions,
 regular sequences are certified by vanishing of the quotient one degree
-past the socle, and Koszul differentials are assembled as explicit graded
-matrices.
+past the socle, and Koszul differentials are assembled as graded matrices.
+
+Ranks are settled mod p (see ``linalg``) wherever an upper bound of the
+rank over Q is known, on rows taken Macaulay-first: for each monomial x^a
+of degree k, the row x^(a - d e_i) g_i with i the first index such that
+a_i >= d comes first (Macaulay's square matrix; F. S. Macaulay, Some
+formulae in elimination, 1902), then the other rows.  For dense forms
+these rows are nearly triangular, so the echelon has little fill-in and
+stops after few of the others.  The square alone does not suffice: for
+x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
+
+- dim I_k with n generators.  Specialising coefficients can only lower a
+  rank, and n generic forms of degree d are a regular sequence, whose
+  Hilbert function h_CI(k) is the coefficient of t^k in
+  ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms,
+  and a rank mod p equal to it is exact.  This settles regularity (at
+  nu + 1, where h_CI = 0), the echelon of omega (at nu, corank one) and
+  Hilbert functions.  With m != n generators only a full rank is trusted:
+  the generic Hilbert function of m > n forms is Froberg's open conjecture
+  (Math. Scand. 56, 1985).
+- Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <=
+  dim K_j over Q, so ranks mod p that add up to dim K_j prove exactness
+  there (Eisenbud, Commutative Algebra, 17).  The source basis of d_j is
+  taken in the same Macaulay-first order.
+
+Wherever a rank mod p falls short, the exact integer core decides.
 """
 
 from __future__ import annotations
@@ -14,9 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
-from .linalg import (QMatrix, corank_one_kernel, from_rows, in_row_space, kernel_of_rref,
-                     rank, rref, unit_columns)
+from .linalg import (QMatrix, corank_one_kernel, echelon_mod_p, from_rows, in_row_space,
+                     kernel_of_rref, rank, rref, unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
 
@@ -92,21 +118,27 @@ class GradedIdeal:
 
     def product_rows(self, k: int) -> QMatrix:
         """Integer rows spanning I_k: every monomial multiple m*g landing in degree k."""
-        target = monomials_of_degree(self.nvars, k)
-        column = {m: j for j, m in enumerate(target)}
+        ncols, nmult = dim_degree(self.nvars, k), dim_degree(self.nvars, k - self.d)
+        m = len(self.generators)
+        order = [i * nmult + b for b in range(nmult) for i in range(m)]  # x^b g_i
         rows = []
-        for mono in monomials_of_degree(self.nvars, k - self.d):  # none for k < d
-            for form in self._integer_forms:
-                row = [0] * len(target)
-                for gm, c in form.items():
-                    row[column[tuple(a + b for a, b in zip(mono, gm))]] = c
-                rows.append(tuple(row))
-        return QMatrix(len(rows), len(target), tuple(rows))
+        for image in _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order):
+            row = [0] * ncols
+            for j, c in image.items():
+                row[j] = c
+            rows.append(tuple(row))
+        return QMatrix(len(rows), ncols, tuple(rows))
+
+    def _macaulay_rows(self, k: int):
+        """The product rows of I_k as {column: coefficient}, Macaulay's first, made as read."""
+        order = _macaulay_order(self.nvars, self.d, len(self.generators), 1, k)
+        return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
     def socle_kernel(self) -> list[tuple]:
         """Kernel basis of the product rows of I_nu, once: certified mod p, else exact."""
         if self._socle_kernel is None:
-            w = corank_one_kernel(self.product_rows(self.nu))
+            w = corank_one_kernel(list(self._macaulay_rows(self.nu)),
+                                  dim_degree(self.nvars, self.nu))
             self._socle_kernel = [w] if w else kernel_of_rref(*self.piece_with_pivots(self.nu))
         return self._socle_kernel
 
@@ -115,8 +147,19 @@ class GradedIdeal:
         return self.piece_with_pivots(k)[0]
 
     def dim_piece(self, k: int) -> int:
-        """dim I_k, the rank of the product rows when no basis is cached yet."""
+        """dim I_k, the rank of the product rows when no basis is cached yet.
+
+        With n generators, a rank mod p equal to the generic rank
+        dim S_k - h_CI(k) settles it; otherwise the rank is exact.
+        """
         if k not in self._rank_cache:
+            n, d = self.nvars, self.d
+            if len(self.generators) == n:
+                generic = sum((-1) ** (j + 1) * math.comb(n, j) * dim_degree(n, k - j * d)
+                              for j in range(1, n + 1))  # dim S_k - h_CI(k)
+                if len(echelon_mod_p(self._macaulay_rows(k), generic)[1]) == generic:
+                    self._rank_cache[k] = generic
+                    return generic
             self._rank_cache[k] = rank(self.product_rows(k))
         return self._rank_cache[k]
 
@@ -170,42 +213,77 @@ def min_nonideal_monomial(ideal: GradedIdeal, k: int,
                key=grevlex_key, default=None)
 
 
-def _wedges(m: int, j: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(m), j))
+@lru_cache(maxsize=32)
+def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
+    """The source basis of d_j in degree k (see _koszul_images), Macaulay's elements first.
+
+    For each target basis element x^a e_J in order, with i the first index
+    outside J such that a_i >= d: the source element x^(a - d e_i) e_(J+i),
+    whose image holds the x_i^d coefficient of g_i at x^a e_J; then every
+    other source element, monomial by monomial.  For j = 1 the first ones
+    are Macaulay's square matrix, the row x^(a - d e_i) g_i for each
+    monomial x^a of degree k, and the others follow in product_rows order.
+    """
+    src_monos = monomials_of_degree(n, k - j * d)
+    src_index = {(w, mono): len(src_monos) * wi + mi
+                 for wi, w in enumerate(itertools.combinations(range(m), j))
+                 for mi, mono in enumerate(src_monos)}
+    first = {}  # an ordered set
+    for rest in itertools.combinations(range(m), j - 1):
+        for a in monomials_of_degree(n, k - (j - 1) * d):
+            i = next((i for i in range(min(m, n)) if a[i] >= d and i not in rest), None)
+            if i is not None:
+                wedge = tuple(sorted(rest + (i,)))
+                first[src_index[(wedge, a[:i] + (a[i] - d,) + a[i + 1:])]] = None
+    nmono = len(src_monos)
+    others = (w * nmono + b for b in range(nmono) for w in range(math.comb(m, j)))
+    return tuple(first) + tuple(s for s in others if s not in first)
+
+
+def _koszul_images(forms, n: int, d: int, j: int, k: int, order):
+    """The image of each source basis element s in order under d_j in degree k.
+
+    forms are the generators' term dicts; each image is {target row:
+    coefficient}.  Source basis: e_{i_1} ^ ... ^ e_{i_j} times a monomial of
+    degree k - j*d, wedge-major, s = wedge index * dim S_{k-jd} + monomial
+    index; target basis: the same with j-1 wedge factors.  d_j sends e_I to
+    the signed sum of g_{i_r} times e_{I minus i_r}.  For j = 1 the images
+    are the product rows x^b g_i of I_k, with the monomials of S_k as columns.
+    """
+    src_wedges = tuple(itertools.combinations(range(len(forms)), j))
+    src_monos = monomials_of_degree(n, k - j * d)
+    tgt_monos = monomials_of_degree(n, k - (j - 1) * d)
+    tgt_index = {(w, mono): len(tgt_monos) * wi + mi
+                 for wi, w in enumerate(itertools.combinations(range(len(forms)), j - 1))
+                 for mi, mono in enumerate(tgt_monos)}
+    for s in order:
+        wedge, mono = src_wedges[s // len(src_monos)], src_monos[s % len(src_monos)]
+        image = {}
+        for r, gen_index in enumerate(wedge):
+            sign = -1 if r % 2 else 1
+            rest = wedge[:r] + wedge[r + 1:]
+            for gm, c in forms[gen_index].items():
+                image[tgt_index[(rest, tuple(map(add, mono, gm)))]] = sign * c
+        yield image
 
 
 def koszul_matrices(gs, j: int, k: int) -> QMatrix:
     """Matrix of the Koszul differential d_j restricted to graded degree k.
 
-    Source basis: (monomial of degree k - j*d) x (e_{i_1} ^ ... ^ e_{i_j});
-    target basis: the same with j-1 wedge factors.  Columns index the
-    source.  d_j sends e_I to the signed sum of g_{i_r} times e_{I minus i_r}.
+    Columns index the source basis, rows the target basis (see
+    _koszul_images).
     """
     ideal = GradedIdeal.of(gs)
-    n, d, gs = ideal.nvars, ideal.d, ideal.generators
-    m = len(gs)
+    n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
     if not 1 <= j <= m:
         raise ValueError(f"homological index {j} out of range 1..{m}")
-    src_monos = monomials_of_degree(n, k - j * d)
-    tgt_monos = monomials_of_degree(n, k - (j - 1) * d)
-    src_wedges = _wedges(m, j)
-    tgt_wedges = _wedges(m, j - 1)
-    tgt_index = {(w, mono): len(tgt_monos) * wi + mi
-                 for wi, w in enumerate(tgt_wedges)
-                 for mi, mono in enumerate(tgt_monos)}
-    ncols = len(src_wedges) * len(src_monos)
-    nrows = len(tgt_wedges) * len(tgt_monos)
+    ncols = math.comb(m, j) * dim_degree(n, k - j * d)
+    nrows = math.comb(m, j - 1) * dim_degree(n, k - (j - 1) * d)
     grid = [[ZERO] * ncols for _ in range(nrows)]
-    col = 0
-    for wedge in src_wedges:
-        for mono in src_monos:
-            for r, gen_index in enumerate(wedge):
-                sign = 1 if r % 2 == 0 else -1
-                rest = wedge[:r] + wedge[r + 1:]
-                for gm, c in gs[gen_index].terms.items():
-                    prod = tuple(a + b for a, b in zip(mono, gm))
-                    grid[tgt_index[(rest, prod)]][col] += sign * c
-            col += 1
+    images = _koszul_images([g.terms for g in ideal.generators], n, d, j, k, range(ncols))
+    for col, image in enumerate(images):
+        for row, c in image.items():
+            grid[row][col] = c
     return QMatrix(nrows, ncols, tuple(tuple(row) for row in grid))
 
 
@@ -215,24 +293,35 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
     Checks rank d_j + rank d_{j+1} = dim K_j in every graded degree k <= k_max
     and every 1 <= j <= m; true for regular sequences, where the complex is
     a minimal free resolution.  No d_j is built below degree j*d, where K_j = 0.
+
+    d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <= dim K_j over Q, and a
+    rank mod p is at most the rank over Q.  So each degree k is first
+    checked mod p, from j = min(m, k // d) down, on d_j of the primitive
+    generators (the same ranks): the echelon of d_j's source images stops
+    at dim K_j - rank d_{j+1}, and if every such rank is reached the degree
+    is exact.  Otherwise its ranks are taken exactly.
     """
     ideal = GradedIdeal.of(gs)
     n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
-    ranks: dict[tuple[int, int], int] = {}
 
-    def rank_dj(j: int, k: int) -> int:
-        if j > m or j * d > k:
-            return 0
-        key = (j, k)
-        if key not in ranks:
-            ranks[key] = rank(koszul_matrices(ideal, j, k))
-        return ranks[key]
+    def dim_koszul(j: int, k: int) -> int:
+        return math.comb(m, j) * dim_degree(n, k - j * d)
 
     for k in range(k_max + 1):
-        for j in range(1, min(m, k // d) + 1):
-            dim_kj = math.comb(m, j) * dim_degree(n, k - j * d)
-            if rank_dj(j, k) + rank_dj(j + 1, k) != dim_kj:
-                return False
+        top = min(m, k // d)
+        above = 0  # rank of d_{j+1} in degree k
+        for j in range(top, 0, -1):
+            bound = dim_koszul(j, k) - above
+            images = _koszul_images(ideal._integer_forms, n, d, j, k,
+                                    _macaulay_order(n, d, m, j, k))
+            if len(echelon_mod_p(images, bound)[1]) < bound:
+                break
+            above = bound
+        else:
+            continue
+        ranks = [rank(koszul_matrices(ideal, j, k)) for j in range(1, top + 1)] + [0]
+        if any(ranks[j - 1] + ranks[j] != dim_koszul(j, k) for j in range(1, top + 1)):
+            return False
     return True
 
 

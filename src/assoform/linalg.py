@@ -10,14 +10,20 @@ scaled to a primitive integer row, row operations stay in the integers, and
 the canonical Fraction RREF is formed once at the end, so the bases are
 those of elimination over Fractions.
 
-The one elimination modulo the prime ``_PRIME`` is the LU ``_lu_mod_p``.
-The rank mod p of an integer matrix never exceeds its rank over Q (a
-nonzero minor mod p is a nonzero integer minor), so ``rank`` trusts a rank
-mod p equal to min(rows, cols) and runs the exact core only on a short one.
-``corank_one_kernel`` reuses the LU to lift a kernel vector p-adically
-(Dixon, Numer. Math. 40, 1982), recovers it by rational reconstruction
-(von zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and returns
-it only if it kills every row exactly over Z.
+The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
+takes sparse integer rows in the caller's order, reduces each against the
+pivot rows kept so far, records its multipliers (the LU factors of the kept
+rows), and stops at a target rank, so rows past it are never read.  The
+rank mod p of an integer matrix never exceeds its rank over Q (a nonzero
+minor mod p is a nonzero integer minor), so a rank mod p equal to any upper
+bound of the rank over Q is exact: ``rank`` trusts min(rows, cols), the
+callers in ``ideals`` a generic rank, and a short rank runs the exact core.
+Integer matrices go to the echelon as they are; rational rows are scaled to
+primitive integer rows first.  ``corank_one_kernel`` stops the echelon at
+cols - 1, lifts a kernel vector p-adically on the kept rows' factors
+(Dixon, Numer. Math. 40, 1982), recovers it by rational reconstruction (von
+zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and returns it only
+if it kills every row exactly over Z.
 
 Each subspace is read off one elimination: ``kernel_of_rref`` reads a
 kernel off an RREF at hand, ``null_space`` reduces once for the canonical
@@ -26,9 +32,9 @@ kernel basis, and ``unit_columns`` reads unit-vector membership off an RREF.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 # Modulus of the mod-p elimination: the largest prime below 2^30, so every
 # residue is a single-digit CPython int.
@@ -146,48 +152,79 @@ def row_space_basis(m: QMatrix) -> QMatrix:
     return QMatrix(len(pivots), m.cols, grid)
 
 
-def _lu_mod_p(int_rows: list[list[int]], ncols: int):
-    """LU factors of an integer matrix over GF(_PRIME), by partial pivoting.
+def echelon_mod_p(rows, target: int):
+    """Row echelon form over GF(_PRIME) of integer rows taken in the given order.
 
-    Returns (ids, cols, factors): pivot row k is input row ids[k] and pivots
-    in column cols[k].  Factor row k holds its multipliers in columns cols[:k]
-    (the eliminated entries, left in place), its pivot's inverse in cols[k],
-    and its reduced entries divided by the pivot right of it.
+    rows is an iterable of sparse integer rows {column: entry}.  Each row is
+    reduced against the pivot rows kept so far, in the order they were kept;
+    a row with an entry left is kept, pivoting in its first nonzero column.
+    The echelon stops once target rows are kept, so later rows are not read.
+
+    Returns (ids, cols, lower, upper): kept row k is input row ids[k] and
+    pivots in column cols[k]; lower[k] holds row k of L as (j, L[k][j])
+    pairs, the pivot (k, L[k][k]) last; upper[k] holds row k of U off its
+    pivot as {column: entry}.  U[k] is 1 at cols[k] and 0 at cols[:k], and
+    kept row k is sum_j L[k][j] U[j] mod p: on the pivot columns the kept
+    rows factor as L U with U unit upper triangular.
     """
     p = _PRIME
-    rows = [[x % p for x in row] for row in int_rows]
-    ids = list(range(len(rows)))
-    nrows = len(rows)
+    where: dict[int, int] = {}  # pivot column -> its pivot row
+    ids: list[int] = []
     cols: list[int] = []
-    for c in range(ncols):
-        r = len(cols)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+    lower: list[list[tuple[int, int]]] = []
+    upper: list[dict[int, int]] = []
+    if target <= 0:
+        return ids, cols, lower, upper
+    for i, row in enumerate(rows):
+        v = {c: x % p for c, x in row.items() if x % p}
+        # U[k] has zeros at cols[:k], so pivot rows are subtracted in order:
+        # pending holds -k for each pivot row k left to subtract, largest last
+        pending = sorted(-where[c] for c in v if c in where)
+        low = []
+        while pending:
+            k = -pending.pop()
+            a = v.pop(cols[k], 0)
+            if not a:
+                continue
+            low.append((k, a))
+            for c, u in upper[k].items():
+                if c in v:
+                    x = (v[c] - a * u) % p
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
+                else:
+                    v[c] = -a * u % p
+                    if c in where:
+                        insort(pending, -where[c])
+        if not v:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        ids[r], ids[pivot] = ids[pivot], ids[r]
-        row = rows[r]
-        inv = pow(row[c], -1, p)
-        tail = [x * inv % p for x in row[c + 1:]]
-        row[c], row[c + 1:] = inv, tail
-        for i in range(r + 1, nrows):
-            a = rows[i][c]
-            if a:
-                rows[i][c + 1:] = [(x - a * y) % p for x, y in zip(rows[i][c + 1:], tail)]
+        c = min(v)
+        pivot = v.pop(c)
+        inv = pow(pivot, -1, p)
+        where[c] = len(cols)
+        low.append((len(cols), pivot))
+        ids.append(i)
         cols.append(c)
-    return ids[:len(cols)], cols, rows[:len(cols)]
+        lower.append(low)
+        upper.append({c: x * inv % p for c, x in v.items()})
+        if len(cols) == target:
+            break
+    return ids, cols, lower, upper
 
 
 def rank(m: QMatrix) -> int:
+    """Rank over Q: settled by a full rank mod p, else by the exact core."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    ints = [_integer_row(row) for row in m.entries]
+    ints = [row if all(type(x) is int for x in row) else _integer_row(row)
+            for row in m.entries]
     full = min(m.rows, m.cols)
-    if len(_lu_mod_p(ints, m.cols)[1]) == full:
+    if len(echelon_mod_p(({c: x for c, x in enumerate(row) if x} for row in ints),
+                         full)[1]) == full:
         return full
-    return len(_gauss_jordan(ints, m.cols))
+    return len(_gauss_jordan(list(map(list, ints)), m.cols))
 
 
 def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
@@ -210,39 +247,42 @@ def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
     return [v - modulus if 2 * v > modulus else v for v in (den * u % modulus for u in residues)]
 
 
-def corank_one_kernel(m: QMatrix) -> tuple[int, ...] | None:
-    """A primitive integer vector spanning the kernel of m, certified; or None.
+def corank_one_kernel(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...] | None:
+    """A primitive integer vector spanning the kernel of the rows, certified; or None.
 
-    Runs only when the rank of m mod p is cols - 1.  With B the pivot rows R
-    at the pivot columns and f the free column, x = B^{-1}(-m[R, f]) is
-    lifted p-adically, one LU solve per step, and reconstructed every 4
-    steps.  w (x with x_f = 1, times the common denominator) is returned
-    only when w_f != 0 and m w = 0 over Z on every row: then the rank over Q
-    is cols - 1 and ker m = <w>.  By Cramer's rule the Hadamard bound H of
-    the rows R bounds x's numerators and denominator, so reconstruction
-    succeeds once p^k > 2 H^2; past that step the answer is None.
+    rows are sparse integer rows {column: entry} with ncols columns, in the
+    order the echelon takes them; it stops at rank ncols - 1, and the kernel
+    is lifted on the rows it kept.  With B those rows R at the pivot columns
+    and f the free column, x = B^{-1}(-M[R, f]) is lifted p-adically, one LU
+    solve per step, and reconstructed every 4 steps.  w (x with x_f = 1,
+    times the common denominator) is returned only when w_f != 0 and
+    M w = 0 over Z on every row: then the rank over Q is ncols - 1 and
+    ker M = <w>.  By Cramer's rule the Hadamard bound H of the rows R bounds
+    x's numerators and denominator, so reconstruction succeeds once
+    p^k > 2 H^2; past that step the answer is None.
     """
-    p, ints = _PRIME, [_integer_row(row) for row in m.entries]
-    ids, cols, factors = _lu_mod_p(ints, m.cols)
-    if len(cols) != m.cols - 1:
+    p = _PRIME
+    ids, cols, lower, upper = echelon_mod_p(rows, ncols - 1)
+    if len(cols) != ncols - 1:
         return None
-    free = min(set(range(m.cols)).difference(cols))
-    lower = [[row[c] for c in cols[:k]] for k, row in enumerate(factors)]
-    upper = [[row[c] for c in reversed(cols[k + 1:])] for k, row in enumerate(factors)]
-    inverses = [row[c] for c, row in zip(cols, factors)]
-    block = [[(j, a) for j, a in enumerate(ints[i][c] for c in cols) if a] for i in ids]
-    residual = [-ints[i][free] for i in ids]
-    bound = 2 * math.prod(sum(a * a for a in ints[i]) for i in ids)  # 2 H^2
+    free = min(set(range(ncols)).difference(cols))
+    where = {c: k for k, c in enumerate(cols)}
+    inverses = [pow(low[-1][1], -1, p) for low in lower]
+    forward = [low[:-1] for low in lower]  # L off its diagonal
+    back = [[(where[c], u) for c, u in up.items() if c != free] for up in upper]
+    kept = [rows[i] for i in ids]
+    block = [[(where[c], a) for c, a in row.items() if c != free] for row in kept]
+    residual = [-row.get(free, 0) for row in kept]
+    bound = 2 * math.prod(sum(a * a for a in row.values()) for row in kept)  # 2 H^2
     steps = bound.bit_length() // 29 + 1  # p > 2^29, so p^steps > bound
     lifted, modulus = [0] * len(cols), 1
     for step in range(1, steps + 1):
         y: list[int] = []  # B x = residual mod p: forward, then back substitution
-        for low, inv, b in zip(lower, inverses, residual):
-            y.append((b - sum(map(mul, low, y))) * inv % p)
-        x: list[int] = []  # from the last unknown back
-        for up, yk in zip(reversed(upper), reversed(y)):
-            x.append((yk - sum(map(mul, up, x))) % p)
-        x.reverse()
+        for low, inv, b in zip(forward, inverses, residual):
+            y.append((b - sum(a * y[j] for j, a in low)) * inv % p)
+        x = [0] * len(cols)
+        for k in reversed(range(len(cols))):
+            x[k] = (y[k] - sum(u * x[j] for j, u in back[k])) % p
         lifted = [t + modulus * xk for t, xk in zip(lifted, x)]
         modulus *= p
         residual = [(b - sum(a * x[j] for j, a in row)) // p
@@ -250,8 +290,9 @@ def corank_one_kernel(m: QMatrix) -> tuple[int, ...] | None:
         if step % 4 and step < steps:
             continue
         at = dict(zip(cols, lifted))
-        w = _reconstruct([at.get(c, 1) for c in range(m.cols)], modulus)
-        if w is not None and w[free] and not any(sum(map(mul, row, w)) for row in ints):
+        w = _reconstruct([at.get(c, 1) for c in range(ncols)], modulus)
+        if w is not None and w[free] and not any(
+                sum(a * w[c] for c, a in row.items()) for row in rows):
             g = math.gcd(*w)
             return tuple(v // g for v in w)
     return None

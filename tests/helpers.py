@@ -87,6 +87,11 @@ def reference_rref_rows(rows: list[list[Fraction]], ncols: int):
     return rows, pivots
 
 
+def reference_rank(rows, ncols: int) -> int:
+    """The rank over Q of a matrix given by rows, by plain Fraction elimination."""
+    return len(reference_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)[1])
+
+
 def reference_in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
     """Oracle for linalg.in_row_space: reduce vector against the RREF pivot rows."""
     vec = [Fraction(x) for x in vector]

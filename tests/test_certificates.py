@@ -1,0 +1,135 @@
+"""The mod-p certificates of regularity, omega, Hilbert functions and Koszul exactness.
+
+On a seeded dense regular sequence, ``assoc``, ``regseq``, ``hilbert`` and
+``koszul-check`` are settled mod p, so the exact integer Gauss-Jordan never
+runs.  Fixed inputs pin down what no certificate may trust: Macaulay's
+square matrix alone (short on the permuted squares, whose I_{nu+1} is
+full), the generic rank with m != n generators, and a Koszul degree whose
+ranks mod p fall short.  Inputs whose ranks are short mod p take the exact
+fallback and give the exact answers.
+"""
+
+import itertools
+import random
+
+import pytest
+from helpers import (random_regular_sequence, reference_associated_form, reference_rank,
+                     series_hilbert)
+
+from assoform import linalg
+from assoform.cli import main
+from assoform.ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
+                             koszul_exactness_check)
+from assoform.inverse_system import associated_form
+from assoform.linalg import echelon_mod_p
+from assoform.parsing import parse_system
+from assoform.poly import dim_degree
+
+
+@pytest.fixture
+def exact_core(monkeypatch):
+    """The shapes of the matrices the exact integer Gauss-Jordan reduces."""
+    calls = []
+    real = linalg._gauss_jordan
+
+    def spy(rows, ncols):
+        calls.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    return calls
+
+
+def _ideal(text: str) -> GradedIdeal:
+    return GradedIdeal.of(parse_system(text).polynomials)
+
+
+def _exact_hilbert(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
+    return tuple(dim_degree(ideal.nvars, k)
+                 - reference_rank(ideal.product_rows(k).entries, dim_degree(ideal.nvars, k))
+                 for k in range(bound + 1))
+
+
+@pytest.mark.parametrize("n, d, seed", [(2, 5, 0), (3, 3, 1), (4, 2, 2), (3, 4, 3)])
+def test_dense_regular_sequence_needs_no_exact_core(n, d, seed, exact_core, tmp_path, capsys):
+    gs = random_regular_sequence(random.Random(seed), n, d)
+    names = [f"x{i + 1}" for i in range(n)]
+    path = tmp_path / "f.txt"
+    path.write_text(f"vars: {' '.join(names)}\n"
+                    + "".join(g.render(names) + "\n" for g in gs), encoding="utf-8")
+    exact_core.clear()
+    for command in ("assoc", "regseq", "hilbert", "koszul-check"):
+        assert main([command, str(path)]) == 0, command
+        assert exact_core == [], command
+    out = capsys.readouterr().out.splitlines()
+    nu = n * (d - 1)
+    assert out[1:] == ["REGULAR SEQUENCE",
+                       " ".join(map(str, series_hilbert(n, d, nu + 1))),
+                       "Koszul complex exact away from degree 0 up to graded degree "
+                       f"{nu + d}: yes"]
+    assert associated_form(gs).form.render() == out[0]
+    assert out[0] == reference_associated_form(gs).render()
+
+
+@pytest.mark.parametrize("text, d", [
+    ("vars: x1 x2 x3\nx2^2\nx1^2\nx3^2", 2),
+    ("vars: x1 x2 x3\nx2^3\nx3^3\nx1^3", 3),
+])
+def test_permuted_squares_need_the_other_rows(text, d, exact_core):
+    ideal = _ideal(text)
+    k = ideal.nu + 1
+    dim = dim_degree(3, k)
+    # Macaulay's square (one row per monomial of degree nu + 1) is short mod p
+    square = list(itertools.islice(ideal._macaulay_rows(k), dim))
+    assert len(square) == dim and len(echelon_mod_p(square, dim)[1]) < dim
+    # the other product rows complete the rank, and nothing falls back
+    assert is_regular_sequence(ideal)
+    assert hilbert_function(ideal, k) == tuple(series_hilbert(3, d, k))
+    assert koszul_exactness_check(ideal, ideal.nu + d)
+    form = associated_form(ideal).form
+    assert exact_core == []
+    assert form == reference_associated_form(list(ideal.generators))
+
+
+@pytest.mark.parametrize("text", [
+    # a denominator equal to the prime: mod p the forms are x2^2, x2^2 - x1*x2
+    "vars: x1 x2\nx1^2 + (1/1073741789)*x2^2\nx2^2 - x1*x2",
+    # the prime as a coefficient: mod p the forms are x2^2, x1*x2
+    "vars: x1 x2\n1073741789*x1^2 + x2^2\nx1*x2",
+])
+def test_short_rank_mod_p_falls_back(text, exact_core):
+    ideal = _ideal(text)
+    assert is_regular_sequence(ideal)
+    assert exact_core  # regularity was settled by the exact core
+    assert hilbert_function(ideal, 3) == tuple(series_hilbert(2, 2, 3))
+    assert koszul_exactness_check(ideal, 4)
+    assert associated_form(ideal).form == reference_associated_form(list(ideal.generators))
+
+
+@pytest.mark.parametrize("text", [
+    "vars: x1 x2\nx1^2\nx1*x2",
+    "vars: x1 x2 x3\nx1^2\nx2^2\nx1*x2",
+    "vars: x1 x2 x3\nx1*x3 + x2^2\nx2*x3\nx3^2",
+])
+def test_non_regular_sequence_is_short_at_nu_plus_one(text):
+    ideal = _ideal(text)
+    k = ideal.nu + 1
+    assert not is_regular_sequence(ideal)
+    assert ideal.dim_piece(k) < dim_degree(ideal.nvars, k)
+    assert hilbert_function(ideal, k) == _exact_hilbert(ideal, k)
+    # the Koszul ranks fall short, mod p and over Q
+    assert not koszul_exactness_check(ideal, ideal.nu + ideal.d)
+
+
+@pytest.mark.parametrize("text, values, koszul", [
+    # more generators than variables: the generic rank of n forms is below dim I_2
+    ("vars: x1 x2\nx1^2\nx2^2\nx1*x2", (1, 2, 0, 0), False),
+    ("vars: x1 x2\nx1^2 + x2^2\nx1^2 - x2^2\nx1*x2 + x2^2", (1, 2, 0, 0), False),
+    # fewer generators than variables, a regular sequence
+    ("vars: x1 x2 x3\nx1^2\nx2^2", (1, 3, 4, 4, 4), True),
+])
+def test_hilbert_with_m_not_n_is_exact(text, values, koszul):
+    ideal = _ideal(text)
+    bound = len(values) - 1
+    assert hilbert_function(ideal, bound) == values == _exact_hilbert(ideal, bound)
+    assert koszul_exactness_check(ideal, 4) is koszul

@@ -127,7 +127,7 @@ def test_graded_ideal_is_regular(monkeypatch):
         is_regular_sequence(GradedIdeal(2, 2, squares(2) + [P(2, {(1, 1): 1})]))
     ideal = GradedIdeal(3, 2, squares(3))
     assert is_regular_sequence(ideal)
-    monkeypatch.setattr(ideals, "rank", None)  # a second rank would fail
+    monkeypatch.setattr(ideals, "echelon_mod_p", None)  # a second echelon would fail
     assert is_regular_sequence(ideal)
 
 

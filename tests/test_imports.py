@@ -6,7 +6,8 @@ caller must not leave an orphan: each module-level function is used
 elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
 the benchmark tracer, and each method of a library class is named as an
 attribute in the package, the tests or the tracer, or overrides a method
-of a base class.
+of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
+echelon, and the lift that reuses its factors.
 """
 
 import ast
@@ -120,3 +121,23 @@ def test_an_orphan_method_is_caught():
     exec(compile(tree, "a", "exec"), namespace)
     uses = Counter(_attrs(tree) + _attrs(ast.parse("a.P().used()")))
     assert _orphan_methods({"a": (tree, namespace)}, uses) == ["a.P.loop"]
+
+
+def _mod_p_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """Functions (at any depth) whose body names _PRIME, the modulus of the mod-p eliminations."""
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and "_PRIME" in _names(node))
+
+
+def test_one_mod_p_elimination():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert _mod_p_functions(trees) == ["linalg.corank_one_kernel", "linalg.echelon_mod_p"]
+
+
+def test_a_second_mod_p_elimination_is_caught():
+    tree = ast.parse("_PRIME = 7\n"
+                     "def echelon_mod_p(rows):\n    p = _PRIME\n"
+                     "def rank(m):\n    return [x % _PRIME for x in m]\n"
+                     "def solve(m):\n    return m\n")
+    assert _mod_p_functions({"linalg": tree}) == ["linalg.echelon_mod_p", "linalg.rank"]

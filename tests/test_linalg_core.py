@@ -3,6 +3,8 @@
 Every public elimination in ``linalg`` must return exactly what the plain
 Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``rank`` must be exact whether or not its mod-p certificate settles it.
+``echelon_mod_p`` must find the rank of any row order, stop as soon as it
+reaches its target and never before, and factor the rows it keeps.
 ``corank_one_kernel`` must return a vector spanning the kernel exactly when
 the rank mod p and the rank over Q are both cols - 1, and None otherwise.
 The subspaces read off one elimination (``null_space``, ``unit_columns``,
@@ -14,12 +16,12 @@ from fractions import Fraction
 
 import pytest
 from helpers import (reference_in_row_space, reference_intersect_with_coordinates,
-                     reference_rref_rows)
+                     reference_rank, reference_rref_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, _integer_row, _lu_mod_p, corank_one_kernel,
+from assoform.linalg import (_PRIME, _integer_row, corank_one_kernel, echelon_mod_p,
                              from_rows, in_row_space, kernel_basis,
                              null_space, rank, row_space_basis, rref,
                              solve_square, unit_columns)
@@ -172,8 +174,13 @@ def test_against_sympy(rows):
     assert kernel_basis(m) == [tuple(frac(x) for x in v) for v in sm.nullspace()]
 
 
+def _sparse_rows(m):
+    """The primitive integer rows of m as {column: entry}."""
+    return [{c: x for c, x in enumerate(_integer_row(row)) if x} for row in m.entries]
+
+
 def _mod_p_rank(m):
-    return len(_lu_mod_p([_integer_row(row) for row in m.entries], m.cols)[1])
+    return len(echelon_mod_p(_sparse_rows(m), m.rows + 1)[1])
 
 
 def test_certificate_settles_full_rank():
@@ -202,23 +209,68 @@ def test_denominator_divisible_by_prime():
     assert rank(mixed) == len(_reference(mixed)[1]) == 2
 
 
+def _check_factors(rows, ncols, ids, cols, lower, upper):
+    """Kept row k is sum_j L[k][j] U[j] mod p, with U[j] 1 at cols[j] and 0 at cols[:j]."""
+    units = [{**up, c: 1} for c, up in zip(cols, upper)]
+    for k, (i, low) in enumerate(zip(ids, lower)):
+        assert [j for j, _ in low][-1] == k and all(j < k for j, _ in low[:-1])
+        assert all(units[k].get(c, 0) == 0 for c in cols[:k])
+        for c in range(ncols):
+            combined = sum(a * units[j].get(c, 0) for j, a in low)
+            assert (combined - rows[i].get(c, 0)) % _PRIME == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_lu_factors_reproduce_the_pivot_block(m):
-    ints = [_integer_row(row) for row in m.entries]
-    ids, cols, factors = _lu_mod_p(ints, m.cols)
+    rows = _sparse_rows(m)
+    ids, cols, lower, upper = echelon_mod_p(rows, m.rows + 1)
     assert len(cols) <= rank(m)
-    # L has the multipliers below the diagonal and the pivots on it; U is unit
-    # upper triangular; L U is the pivot rows at the pivot columns, mod p
-    n = len(cols)
-    lower = [[row[cols[j]] if j < k else pow(row[cols[k]], -1, _PRIME) if j == k else 0
-              for j in range(n)] for k, row in enumerate(factors)]
-    upper = [[1 if j == k else factors[k][cols[j]] if j > k else 0 for j in range(n)]
-             for k in range(n)]
-    for k in range(n):
-        for j in range(n):
-            product = sum(lower[k][t] * upper[t][j] for t in range(n)) % _PRIME
-            assert product == ints[ids[k]][cols[j]] % _PRIME
+    assert len(set(cols)) == len(cols)
+    _check_factors(rows, m.cols, ids, cols, lower, upper)
+
+
+@st.composite
+def ranked_matrices(draw):
+    """A B with A rows x r in [-2, 2] and B r x cols in [-1, 1], rows and cols <= 6.
+
+    Entries are at most 12 in size, so by Hadamard's bound every minor is
+    below (12 sqrt 6)^6 < p: a minor vanishes mod p only if it is 0, and the
+    rank mod p is the rank over Q.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    a = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(nrows)]
+    b = [[draw(st.integers(-1, 1)) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b else [0] * ncols
+            for row in a], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_matrices(), st.data())
+def test_echelon_rank_in_any_row_order(matrix, data):
+    grid, ncols = matrix
+    true_rank = reference_rank(grid, ncols)
+    order = data.draw(st.permutations(range(len(grid))))
+    rows = [{c: x for c, x in enumerate(grid[i]) if x} for i in order]
+    read = []
+
+    def reader():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    # a target above the rank reads every row and finds the whole rank
+    above = true_rank + data.draw(st.integers(1, 3))
+    ids, cols, lower, upper = echelon_mod_p(reader(), above)
+    assert len(cols) == true_rank and len(read) == len(rows)
+    _check_factors(rows, ncols, ids, cols, lower, upper)
+    # a target within the rank stops at the row that reaches it
+    target = data.draw(st.integers(0, true_rank))
+    read.clear()
+    ids, cols, _, _ = echelon_mod_p(reader(), target)
+    assert len(cols) == target
+    assert len(read) == (ids[-1] + 1 if target else 0)
 
 
 @st.composite
@@ -244,7 +296,7 @@ def _spans(w, vector):
 @given(st.one_of(corank_one_matrices(), matrices()))
 def test_corank_one_kernel_is_certified(m):
     kernel = _reference_kernel(m)
-    w = corank_one_kernel(m)
+    w = corank_one_kernel(_sparse_rows(m), m.cols)
     if len(kernel) == 1 and _mod_p_rank(m) == m.cols - 1:
         assert w is not None and _spans(w, kernel[0])
         assert math.gcd(*w) == 1
@@ -252,28 +304,33 @@ def test_corank_one_kernel_is_certified(m):
         assert w is None
 
 
+def _kernel(rows, cols=None):
+    m = from_rows(rows, cols=cols)
+    return corank_one_kernel(_sparse_rows(m), m.cols)
+
+
 def test_corank_one_kernel_checks_every_row():
     # rank 1 mod p on the pivot row [1, 1]; over Q the second row kills (-1, 1)
-    assert corank_one_kernel(from_rows([[1, 1], [1, 1 + _PRIME]])) is None
+    assert _kernel([[1, 1], [1, 1 + _PRIME]]) is None
 
 
 def test_corank_one_kernel_refuses_a_short_rank():
     # a two-dimensional kernel: (-1, 1, 0) kills the row, but does not span
-    assert corank_one_kernel(from_rows([[1, 1, 0]])) is None
-    assert corank_one_kernel(from_rows([[1, 1, 1], [2, 2, 2]])) is None
+    assert _kernel([[1, 1, 0]]) is None
+    assert _kernel([[1, 1, 1], [2, 2, 2]]) is None
     # rank 1 mod p, 2 over Q: the kernel is a line, but the certificate is off
-    assert corank_one_kernel(from_rows([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]])) is None
+    assert _kernel([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]]) is None
 
 
 def test_corank_one_kernel_lifts_past_a_wrong_first_reconstruction():
     # after 4 steps the reconstruction of -b/a succeeds with a wrong fraction
     # of 60 bits; the row check rejects it and the lift goes on to step 8
     a, b = 2 ** 100 + 277, 3 ** 70 + 5
-    assert corank_one_kernel(from_rows([[a, b]])) == (-b, a)
-    assert corank_one_kernel(from_rows([[Fraction(a, 7), Fraction(b, 7)], [a, b]])) == (-b, a)
+    assert _kernel([[a, b]]) == (-b, a)
+    assert _kernel([[Fraction(a, 7), Fraction(b, 7)], [a, b]]) == (-b, a)
 
 
 def test_corank_one_kernel_of_no_rows():
-    assert corank_one_kernel(from_rows([], cols=1)) == (1,)
-    assert corank_one_kernel(from_rows([], cols=2)) is None
-    assert corank_one_kernel(from_rows([], cols=0)) is None
+    assert _kernel([], cols=1) == (1,)
+    assert _kernel([], cols=2) is None
+    assert _kernel([], cols=0) is None

@@ -1,9 +1,10 @@
 """One validated ideal per operation: each elimination of an intersection runs once.
 
 The spies record the shape of every matrix passed to ``rank``, ``rref`` and
-``corank_one_kernel`` at both places they are called from (``ideals`` binds
-its own names), so a second ideal built for the same forms shows up as a
-repeated shape, and a subspace reduced twice shows up as a second ``rref``.
+``corank_one_kernel``, and the target rank of every ``echelon_mod_p``, at
+both places they are called from (``ideals`` binds its own names), so a
+second ideal built for the same forms shows up as a repeated call, and a
+subspace reduced twice shows up as a second ``rref``.
 """
 
 import random
@@ -21,18 +22,26 @@ from assoform.poly import Polynomial, Space, monomials_of_degree
 from assoform.stability import semistability_audit
 
 
+SHAPES = {
+    "rank": lambda m: (m.rows, m.cols),
+    "rref": lambda m: (m.rows, m.cols),
+    "corank_one_kernel": lambda rows, ncols: (len(rows), ncols),
+    "echelon_mod_p": lambda rows, target: (target,),
+}
+
+
 @pytest.fixture
 def eliminations(monkeypatch):
     calls = []
-    for name in ("rank", "rref", "corank_one_kernel"):
+    for name, shape in SHAPES.items():
         real = getattr(linalg, name)
 
-        def spy(m, _name=name, _real=real):
-            calls.append((_name, m.rows, m.cols))
-            return _real(m)
+        def spy(*args, _name=name, _shape=shape, _real=real):
+            calls.append((_name, *_shape(*args)))
+            return _real(*args)
 
         for module in (linalg, ideals):
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, name, spy, raising=False)
     return calls
 
 
@@ -40,10 +49,11 @@ def test_audit_certifies_and_reduces_once(eliminations):
     gs = random_regular_sequence(random.Random(3), 3, 3)
     eliminations.clear()
     semistability_audit(gs, trials=4, seed=0)
-    # regularity: the 45x36 product matrix of I_7; omega (whose support gives
-    # the grevlex monomial): the certified kernel of the 30x28 rows of I_6,
-    # which are never reduced exactly
-    assert eliminations.count(("rank", 45, 36)) == 1
+    # regularity: one echelon of the 45 product rows of I_7 up to rank 36;
+    # omega (whose support gives the grevlex monomial): the certified kernel
+    # of the 30x28 rows of I_6, which are never reduced exactly
+    assert eliminations.count(("echelon_mod_p", 36)) == 1
+    assert not [call for call in eliminations if call[0] == "rank"]
     assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
     assert ("rref", 30, 28) not in eliminations
 
@@ -61,8 +71,8 @@ def test_mather_yau_certifies_the_gradient_once(eliminations):
     eliminations.clear()
     for F in quartics:
         mather_yau_point(F)
-    # the gradient's regularity matrix: dim S_2 * 2 = 6 rows, dim S_5 = 6 columns
-    assert eliminations.count(("rank", 6, 6)) == len(quartics)
+    # the gradient's regularity: dim S_2 * 2 = 6 rows up to rank dim S_5 = 6
+    assert eliminations.count(("echelon_mod_p", 6)) == len(quartics)
 
 
 def test_associated_form_keeps_its_ideal(eliminations):
@@ -72,8 +82,8 @@ def test_associated_form_keeps_its_ideal(eliminations):
     assert assoc.ideal is ideal and assoc.source == tuple(gs)
     assert is_regular_sequence(ideal)
     assert hilbert_point_functional(ideal) == assoc.omega
-    # the 45x36 regularity matrix of I_7 and the 30x28 product rows of I_6
-    assert eliminations.count(("rank", 45, 36)) == 1
+    # the regularity echelon of I_7 (rank 36) and the 30x28 product rows of I_6
+    assert eliminations.count(("echelon_mod_p", 36)) == 1
     assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
     assert ("rref", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
@@ -96,7 +106,7 @@ def test_associated_form_reads_omega_off_the_cached_piece(eliminations, monkeypa
     gs = random_regular_sequence(random.Random(3), 3, 3)
     expected = associated_form(gs).form
     # without a kernel certificate, omega is read off the exact RREF of I_6
-    monkeypatch.setattr(ideals, "corank_one_kernel", lambda m: None)
+    monkeypatch.setattr(ideals, "corank_one_kernel", lambda rows, ncols: None)
     eliminations.clear()
     assoc = associated_form(gs)
     # the 30x28 product matrix of I_6 is reduced once; its 27x28 RREF basis
@@ -112,11 +122,14 @@ def test_associated_form_makes_no_rref_call(eliminations, n, d, seed):
     gs = random_regular_sequence(random.Random(seed), n, d)
     eliminations.clear()
     associated_form(gs)
-    # one rank certifies regularity at nu + 1; omega is the certified kernel
-    # at nu; nothing is reduced exactly
+    # one echelon certifies regularity at nu + 1; omega is the certified
+    # kernel at nu, whose echelon stops at corank one; nothing is reduced exactly
     nu = n * (d - 1)
-    assert [name for name, _, _ in eliminations] == ["rank", "corank_one_kernel"]
-    assert eliminations[1][2] == len(monomials_of_degree(n, nu))
+    cols = len(monomials_of_degree(n, nu))
+    assert eliminations == [("echelon_mod_p", len(monomials_of_degree(n, nu + 1))),
+                            ("corank_one_kernel", n * len(monomials_of_degree(n, nu - d)),
+                             cols),
+                            ("echelon_mod_p", cols - 1)]
 
 
 def test_perp_piece_reduces_once_per_degree(eliminations):
@@ -124,7 +137,7 @@ def test_perp_piece_reduces_once_per_degree(eliminations):
     for k in range(form.degree() + 2):
         eliminations.clear()
         perp_piece(form, k)
-        assert [name for name, _, _ in eliminations] == ["rref"], k
+        assert [call[0] for call in eliminations] == ["rref"], k
 
 
 def test_intersect_with_coordinates_reduces_once(eliminations):
@@ -133,4 +146,4 @@ def test_intersect_with_coordinates_reduces_once(eliminations):
     touches_tail = [sum(m[1:]) > 0 for m in monomials_of_degree(3, 3)]
     eliminations.clear()
     assert intersect_with_coordinates(basis, touches_tail).rows == 2
-    assert [name for name, _, _ in eliminations] == ["rref"]
+    assert [call[0] for call in eliminations] == ["rref"]

@@ -15,7 +15,7 @@ from assoform.ideals import (GradedIdeal, is_regular_sequence,
                              min_nonideal_monomial)
 from assoform.inverse_system import NotRegularSequence, associated_form
 from assoform.linalg import from_rows, row_space_basis, unit_columns
-from assoform.poly import Polynomial, Space, monomials_of_degree, substitute
+from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree, substitute
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness,
                                 Verdict, binary_stability, degeneration_limit,
                                 limit_exists, recognize_decomposable,
@@ -235,12 +235,13 @@ def test_recognize_requires_complete_intersection():
 
 def test_recognize_certifies_regularity_once_per_ideal(monkeypatch):
     ideal = GradedIdeal(3, 2, power_gens(3, [2, 2, 2]))
-    ranks = []
-    real = ideals.rank
-    monkeypatch.setattr(ideals, "rank", lambda m: ranks.append(m.rows) or real(m))
+    targets = []
+    real = ideals.echelon_mod_p
+    monkeypatch.setattr(ideals, "echelon_mod_p",
+                        lambda rows, target: targets.append(target) or real(rows, target))
     assert recognize_decomposable(ideal, 1) is not None
     assert recognize_decomposable(ideal, 2) is not None
-    assert len(ranks) == 1
+    assert targets == [dim_degree(3, 4)]  # regularity at nu + 1 = 4, once
 
 
 def test_recognize_split_index_range():
