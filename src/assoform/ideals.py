@@ -21,8 +21,9 @@ x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
   Hilbert function h_CI(k) is the coefficient of t^k in
   ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms,
   and a rank mod p equal to it is exact.  This settles regularity (at
-  nu + 1, where h_CI = 0), the echelon of omega (at nu, corank one) and
-  Hilbert functions.  With m != n generators only a full rank is trusted:
+  nu + 1, where h_CI = 0) and Hilbert functions; omega's echelon stops at
+  the same bound at nu (h_CI = 1), and its lifted kernel is checked over Z.
+  With m != n generators only a full rank is trusted:
   the generic Hilbert function of m > n forms is Froberg's open conjecture
   (Math. Scand. 56, 1985).
 - Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <=
