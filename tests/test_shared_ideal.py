@@ -2,9 +2,9 @@
 
 The spies record the shape of every matrix passed to ``rank``, ``rref`` and
 ``corank_one_kernel``, and the target rank of every ``echelon_mod_p``, at
-both places they are called from (``ideals`` binds its own names), so a
-second ideal built for the same forms shows up as a repeated call, and a
-subspace reduced twice shows up as a second ``rref``.
+every module that binds them (``ideals`` binds its own names, all but
+``rank``), so a second ideal built for the same forms shows up as a
+repeated call, and a subspace reduced twice shows up as a second ``rref``.
 """
 
 import random
@@ -22,26 +22,26 @@ from assoform.poly import Polynomial, Space, monomials_of_degree
 from assoform.stability import semistability_audit
 
 
-SHAPES = {
-    "rank": lambda m: (m.rows, m.cols),
-    "rref": lambda m: (m.rows, m.cols),
-    "corank_one_kernel": lambda rows, ncols: (len(rows), ncols),
-    "echelon_mod_p": lambda rows, target: (target,),
+SHAPES = {  # name: (the call's shape, the modules binding the name)
+    "rank": (lambda m: (m.rows, m.cols), (linalg,)),
+    "rref": (lambda m: (m.rows, m.cols), (linalg, ideals)),
+    "corank_one_kernel": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
+    "echelon_mod_p": (lambda rows, target: (target,), (linalg, ideals)),
 }
 
 
 @pytest.fixture
 def eliminations(monkeypatch):
     calls = []
-    for name, shape in SHAPES.items():
+    for name, (shape, modules) in SHAPES.items():
         real = getattr(linalg, name)
 
         def spy(*args, _name=name, _shape=shape, _real=real):
             calls.append((_name, *_shape(*args)))
             return _real(*args)
 
-        for module in (linalg, ideals):
-            monkeypatch.setattr(module, name, spy, raising=False)
+        for module in modules:
+            monkeypatch.setattr(module, name, spy)
     return calls
 
 
