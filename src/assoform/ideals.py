@@ -7,11 +7,11 @@ pieces are canonical RREF row spaces, Hilbert functions are codimensions,
 regular sequences are certified by vanishing of the quotient one degree
 past the socle, and Koszul differentials are assembled as graded matrices.
 
-Ranks are settled mod p (see ``linalg``) wherever an upper bound of the
-rank over Q is known, on rows taken Macaulay-first: for each monomial x^a
-of degree k, the row x^(a - d e_i) g_i with i the first index such that
-a_i >= d comes first (Macaulay's square matrix; F. S. Macaulay, Some
-formulae in elimination, 1902), then the other rows.  For dense forms
+Every rank is a ``linalg.certified_rank`` of integer rows, given a proven
+upper bound of the rank over Q, with the rows taken Macaulay-first: for
+each monomial x^a of degree k, the row x^(a - d e_i) g_i with i the first
+index such that a_i >= d comes first (Macaulay's square matrix; F. S.
+Macaulay, Some formulae in elimination, 1902), then the other rows.  For dense forms
 these rows are nearly triangular, so the echelon has little fill-in and
 stops after few of the others.  The square alone does not suffice: for
 x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
@@ -19,19 +19,16 @@ x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
 - dim I_k with n generators.  Specialising coefficients can only lower a
   rank, and n generic forms of degree d are a regular sequence, whose
   Hilbert function h_CI(k) is the coefficient of t^k in
-  ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms,
-  and a rank mod p equal to it is exact.  This settles regularity (at
-  nu + 1, where h_CI = 0) and Hilbert functions; omega's echelon stops at
-  the same bound at nu (h_CI = 1), and its lifted kernel is checked over Z.
-  With m != n generators only a full rank is trusted:
-  the generic Hilbert function of m > n forms is Froberg's open conjecture
-  (Math. Scand. 56, 1985).
-- Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <=
-  dim K_j over Q, so ranks mod p that add up to dim K_j prove exactness
-  there (Eisenbud, Commutative Algebra, 17).  The source basis of d_j is
-  taken in the same Macaulay-first order.
-
-Wherever a rank mod p falls short, the exact integer core decides.
+  ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms.
+  This bounds regularity (at nu + 1, where h_CI = 0) and Hilbert
+  functions; omega's echelon stops at the same bound at nu (h_CI = 1), and
+  its lifted kernel is checked over Z.  With m != n generators the bound
+  is the full rank: the generic Hilbert function of m > n forms is
+  Froberg's open conjecture (Math. Scand. 56, 1985).
+- Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j <= dim K_j - rank
+  d_{j+1} over Q, with equality exactly where the complex is exact (Eisenbud,
+  Commutative Algebra, 17).  The source basis of d_j is taken in the same
+  Macaulay-first order.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import (QMatrix, corank_one_kernel, echelon_mod_p, from_rows, in_row_space,
+from .linalg import (QMatrix, certified_rank, corank_one_kernel, from_rows, in_row_space,
                      kernel_of_rref, rref, unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
@@ -110,25 +107,15 @@ class GradedIdeal:
         """Canonical RREF basis of I_k and its pivot columns, reduced once."""
         cached = self._piece_cache.get(k)
         if cached is None:
-            reduced, pivots = rref(self.product_rows(k))
+            ncols = dim_degree(self.nvars, k)
+            rows = tuple(tuple(row.get(c, 0) for c in range(ncols))
+                         for row in self._macaulay_rows(k))
+            reduced, pivots = rref(QMatrix(len(rows), ncols, rows))
             basis = QMatrix(len(pivots), reduced.cols, reduced.entries[:len(pivots)])
             cached = (basis, pivots)
             self._piece_cache[k] = cached
             self._rank_cache[k] = len(pivots)
         return cached
-
-    def product_rows(self, k: int) -> QMatrix:
-        """Integer rows spanning I_k: every monomial multiple m*g landing in degree k."""
-        ncols, nmult = dim_degree(self.nvars, k), dim_degree(self.nvars, k - self.d)
-        m = len(self.generators)
-        order = [i * nmult + b for b in range(nmult) for i in range(m)]  # x^b g_i
-        rows = []
-        for image in _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order):
-            row = [0] * ncols
-            for j, c in image.items():
-                row[j] = c
-            rows.append(tuple(row))
-        return QMatrix(len(rows), ncols, tuple(rows))
 
     def _macaulay_rows(self, k: int):
         """The product rows of I_k as {column: coefficient}, Macaulay's first, made as read."""
@@ -150,9 +137,8 @@ class GradedIdeal:
     def dim_piece(self, k: int) -> int:
         """dim I_k, the rank of the product rows when no basis is cached yet.
 
-        A rank mod p equal to an upper bound of dim I_k settles it: the
-        generic rank dim S_k - h_CI(k) with n generators, the full rank
-        otherwise.  A shorter rank is read off the exact piece.
+        Its certified bound is the generic rank dim S_k - h_CI(k) with n
+        generators, the full rank otherwise.
         """
         if k not in self._rank_cache:
             n, d, m = self.nvars, self.d, len(self.generators)
@@ -161,10 +147,7 @@ class GradedIdeal:
                             for j in range(1, n + 1))  # dim S_k - h_CI(k)
             else:
                 bound = min(m * dim_degree(n, k - d), dim_degree(n, k))
-            if len(echelon_mod_p(self._macaulay_rows(k), bound)[1]) == bound:
-                self._rank_cache[k] = bound
-            else:
-                self.piece_with_pivots(k)  # caches the exact rank
+            self._rank_cache[k] = certified_rank(self._macaulay_rows(k), dim_degree(n, k), bound)
         return self._rank_cache[k]
 
     def contains(self, f: Polynomial) -> bool:
@@ -225,7 +208,8 @@ def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
     whose image holds the x_i^d coefficient of g_i at x^a e_J; then every
     other source element, monomial by monomial.  For j = 1 the first ones
     are Macaulay's square matrix, the row x^(a - d e_i) g_i for each
-    monomial x^a of degree k, and the others follow in product_rows order.
+    monomial x^a of degree k, and the others follow, x^b g_1 .. x^b g_m for
+    each monomial x^b in turn.
     """
     src_monos = monomials_of_degree(n, k - j * d)
     src_index = {(w, mono): len(src_monos) * wi + mi
@@ -303,12 +287,11 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
     and every 1 <= j <= m; true for regular sequences, where the complex is
     a minimal free resolution.  No d_j is built below degree j*d, where K_j = 0.
 
-    d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <= dim K_j over Q, and a
-    rank mod p is at most the rank over Q.  So each degree k is checked
-    from j = min(m, k // d) down, on d_j of the primitive generators (the
-    same ranks), with rank d_{j+1} already proven equal to its bound: the
-    echelon of d_j's source images stops at dim K_j - rank d_{j+1}, and
-    only when it falls short is the rank of d_j taken exactly.
+    d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <= dim K_j over Q.  So
+    each degree k is checked from j = min(m, k // d) down, on d_j of
+    the primitive generators (the same ranks), with rank d_{j+1} already
+    proven equal to its bound: dim K_j - rank d_{j+1} bounds the certified
+    rank of d_j's source images.
     """
     ideal = GradedIdeal.of(gs)
     n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
@@ -318,8 +301,8 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
             bound = math.comb(m, j) * dim_degree(n, k - j * d) - above
             images = _koszul_images(ideal._integer_forms, n, d, j, k,
                                     _macaulay_order(n, d, m, j, k))
-            if (len(echelon_mod_p(images, bound)[1]) < bound
-                    and len(rref(koszul_matrices(ideal, j, k))[1]) < bound):
+            ncols = math.comb(m, j - 1) * dim_degree(n, k - (j - 1) * d)  # dim K_{j-1}
+            if certified_rank(images, ncols, bound) < bound:
                 return False
             above = bound
     return True

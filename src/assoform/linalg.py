@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and the ranks certified mod p.
 
 Matrices store ``fractions.Fraction`` entries row-major and are immutable
 (integer matrices built in the library may hold ints, read as Fractions).
@@ -13,13 +13,10 @@ those of elimination over Fractions.
 The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
 takes sparse integer rows in the caller's order, reduces each against the
 pivot rows kept so far, records its multipliers (the LU factors of the kept
-rows), and stops at a target rank, so rows past it are never read.  The
-rank mod p of an integer matrix never exceeds its rank over Q (a nonzero
-minor mod p is a nonzero integer minor), so a rank mod p equal to any upper
-bound of the rank over Q is exact: ``rank`` trusts min(rows, cols), the
-callers in ``ideals`` a generic rank, and a short rank runs the exact core.
-Integer matrices go to the echelon as they are; rational rows are scaled to
-primitive integer rows first.  ``corank_one_kernel`` stops the echelon at
+rows), and stops at a target rank, so rows past it are never read.  Two
+functions use it.  ``certified_rank`` is the only place where a rank
+chooses between the echelon and the exact core; its docstring states when
+a rank mod p is trusted.  ``corank_one_kernel`` stops the echelon at
 cols - 1, lifts a kernel vector p-adically on the kept rows' factors
 (Dixon, Numer. Math. 40, 1982), recovers it by rational reconstruction (von
 zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and returns it only
@@ -214,17 +211,34 @@ def echelon_mod_p(rows, target: int):
     return ids, cols, lower, upper
 
 
+def certified_rank(rows, ncols: int, bound: int) -> int:
+    """Rank over Q of integer rows {column: entry}, given a proven upper bound.
+
+    This is the one place where a rank mod p is trusted.  The rank mod p of
+    an integer matrix never exceeds its rank over Q (a nonzero minor mod p
+    is a nonzero integer minor), so a rank mod p equal to bound is exact:
+    the echelon stops there, and rows past the one that reaches it are
+    never read.  A shorter rank runs the exact core on the same rows: an
+    echelon that stops short has read them all.  The caller proves bound.
+    """
+    read = []
+
+    def reader():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    if len(echelon_mod_p(reader(), bound)[1]) == bound:
+        return bound
+    return len(_gauss_jordan([[row.get(c, 0) for c in range(ncols)] for row in read], ncols))
+
+
 def rank(m: QMatrix) -> int:
-    """Rank over Q: settled by a full rank mod p, else by the exact core."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    ints = [row if all(type(x) is int for x in row) else _integer_row(row)
-            for row in m.entries]
-    full = min(m.rows, m.cols)
-    if len(echelon_mod_p(({c: x for c, x in enumerate(row) if x} for row in ints),
-                         full)[1]) == full:
-        return full
-    return len(_gauss_jordan(list(map(list, ints)), m.cols))
+    """Rank over Q, certified against the full rank min(rows, cols)."""
+    ints = (row if all(type(x) is int for x in row) else _integer_row(row)
+            for row in m.entries)
+    return certified_rank(({c: x for c, x in enumerate(row) if x} for row in ints),
+                          m.cols, min(m.rows, m.cols))
 
 
 def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:

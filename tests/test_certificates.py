@@ -18,12 +18,12 @@ from helpers import (random_regular_sequence, reference_associated_form, referen
 
 from assoform import linalg
 from assoform.cli import main
-from assoform.ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
-                             koszul_exactness_check)
+from assoform.ideals import (GradedIdeal, coeff_vector, hilbert_function,
+                             is_regular_sequence, koszul_exactness_check)
 from assoform.inverse_system import associated_form
 from assoform.linalg import echelon_mod_p
 from assoform.parsing import parse_system
-from assoform.poly import dim_degree
+from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
 
 
 @pytest.fixture
@@ -45,9 +45,14 @@ def _ideal(text: str) -> GradedIdeal:
 
 
 def _exact_hilbert(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
-    return tuple(dim_degree(ideal.nvars, k)
-                 - reference_rank(ideal.product_rows(k).entries, dim_degree(ideal.nvars, k))
-                 for k in range(bound + 1))
+    """dim (S/I)_k from the exact rank of the products x^b g, multiplied out as polynomials."""
+    n, values = ideal.nvars, []
+    for k in range(bound + 1):
+        basis = monomials_of_degree(n, k)
+        rows = [coeff_vector(Polynomial(n, Space.PRIMAL, {b: 1}) * g, basis)
+                for b in monomials_of_degree(n, k - ideal.d) for g in ideal.generators]
+        values.append(len(basis) - reference_rank(rows, len(basis)))
+    return tuple(values)
 
 
 @pytest.mark.parametrize("n, d, seed", [(2, 5, 0), (3, 3, 1), (4, 2, 2), (3, 4, 3)])

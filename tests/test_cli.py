@@ -389,6 +389,20 @@ def test_koszul_check_on_many_linear_forms_finishes(write):
     assert "up to graded degree 1: NO" in proc.stdout
 
 
+@pytest.mark.parametrize("command, line", [
+    ("regseq", "REGULAR SEQUENCE"),
+    ("assoc", "(315/2)*z1*z2*z3*z4*z5*z6*z7*z8"),
+])
+def test_eight_squares_finish(write, command, line):
+    # in a separate process with a timeout: the dense 27,456 x 11,440 product
+    # matrix of I_9 once ran out of a 1 GB address space; each takes under 1 s
+    names = [f"x{i}" for i in range(1, 9)]
+    text = f"vars: {' '.join(names)}\n" + "".join(f"{x}^2\n" for x in names)
+    proc = _cli_process(command, write("f.txt", text), timeout=15)
+    assert proc.returncode == 0
+    assert proc.stdout == line + "\n"
+
+
 def test_memory_error_is_a_precondition_failure(write, capsys, monkeypatch):
     def exhausted(_ideal):
         raise MemoryError

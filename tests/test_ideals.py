@@ -127,7 +127,7 @@ def test_graded_ideal_is_regular(monkeypatch):
         is_regular_sequence(GradedIdeal(2, 2, squares(2) + [P(2, {(1, 1): 1})]))
     ideal = GradedIdeal(3, 2, squares(3))
     assert is_regular_sequence(ideal)
-    monkeypatch.setattr(ideals, "echelon_mod_p", None)  # a second echelon would fail
+    monkeypatch.setattr(ideals, "certified_rank", None)  # a second rank would fail
     assert is_regular_sequence(ideal)
 
 
@@ -249,17 +249,17 @@ def test_koszul_index_range():
 
 def test_koszul_check_builds_no_matrix_of_a_zero_module(monkeypatch):
     built = []
-    original = ideals.koszul_matrices
+    original = ideals._koszul_images
 
-    def spy(gs, j, k):
-        built.append((j, k))
-        return original(gs, j, k)
+    def spy(forms, n, d, j, k, order):
+        built.append((j, d, k))
+        return original(forms, n, d, j, k, order)
 
-    monkeypatch.setattr(ideals, "koszul_matrices", spy)
+    monkeypatch.setattr(ideals, "_koszul_images", spy)
     gs = [P(2, {(1, 0): 1, (0, 1): c}) for c in range(1, 7)]
     # K_j vanishes below degree j*d = j, so no d_j is built there
     assert not koszul_exactness_check(gs, 3)
-    assert built and all(j <= k for j, k in built)
+    assert built and all(j * d <= k for j, d, k in built)
 
 
 def test_koszul_exactness_examples():

@@ -7,7 +7,9 @@ elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
 the benchmark tracer, and each method of a library class is named as an
 attribute in the package, the tests or the tracer, or overrides a method
 of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
-echelon, and the lift that reuses its factors.
+echelon, and the lift that reuses its factors.  One function,
+``certified_rank``, chooses between the echelon and the exact core for a
+rank, so no caller hand-rolls its own fallback.
 """
 
 import ast
@@ -123,16 +125,21 @@ def test_an_orphan_method_is_caught():
     assert _orphan_methods({"a": (tree, namespace)}, uses) == ["a.P.loop"]
 
 
-def _mod_p_functions(trees: dict[str, ast.Module]) -> list[str]:
-    """Functions (at any depth) whose body names _PRIME, the modulus of the mod-p eliminations."""
+def _functions_naming(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Functions (at any depth) whose body names name."""
     return sorted(f"{module}.{node.name}" for module, tree in trees.items()
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and "_PRIME" in _names(node))
+                  if isinstance(node, ast.FunctionDef) and name in _names(node))
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
 
 
 def test_one_mod_p_elimination():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
-    assert _mod_p_functions(trees) == ["linalg.corank_one_kernel", "linalg.echelon_mod_p"]
+    # _PRIME is the modulus of the mod-p eliminations
+    assert _functions_naming(_package_trees(), "_PRIME") == ["linalg.corank_one_kernel",
+                                                             "linalg.echelon_mod_p"]
 
 
 def test_a_second_mod_p_elimination_is_caught():
@@ -140,4 +147,43 @@ def test_a_second_mod_p_elimination_is_caught():
                      "def echelon_mod_p(rows):\n    p = _PRIME\n"
                      "def rank(m):\n    return [x % _PRIME for x in m]\n"
                      "def solve(m):\n    return m\n")
-    assert _mod_p_functions({"linalg": tree}) == ["linalg.echelon_mod_p", "linalg.rank"]
+    assert _functions_naming({"linalg": tree}, "_PRIME") == ["linalg.echelon_mod_p",
+                                                             "linalg.rank"]
+
+
+def _rank_deciders(trees: dict[str, ast.Module]) -> tuple[list[str], ...]:
+    """The callers of the echelon, of the exact core, and of the dense Koszul matrices."""
+    return tuple(_functions_naming(trees, name)
+                 for name in ("echelon_mod_p", "_gauss_jordan", "koszul_matrices"))
+
+
+def test_one_rank_decision():
+    assert _rank_deciders(_package_trees()) == (
+        ["linalg.certified_rank", "linalg.corank_one_kernel"],
+        ["linalg._rref_rows", "linalg.certified_rank"],
+        [])
+
+
+def test_a_hand_rolled_fallback_is_caught():
+    linalg_tree = ast.parse("def certified_rank(rows, ncols, bound):\n"
+                            "    if len(echelon_mod_p(rows, bound)[1]) < bound:\n"
+                            "        return len(_gauss_jordan(rows, ncols))\n"
+                            "    return bound\n"
+                            "def _rref_rows(rows, ncols):\n"
+                            "    return _gauss_jordan(rows, ncols)\n")
+    # dim_piece and the Koszul check go through certified_rank; a fourth
+    # rank hand-rolls its fallback, and a fifth builds the Fraction matrices
+    ideals_tree = ast.parse("def dim_piece(self, k):\n"
+                            "    return certified_rank(self.rows(k), self.ncols(k), self.bound)\n"
+                            "def koszul_check(gs, k):\n"
+                            "    return certified_rank(images(gs, k), ncols(k), bound) == bound\n"
+                            "def hilbert_rank(rows, ncols, bound):\n"
+                            "    if len(echelon_mod_p(iter(rows), bound)[1]) < bound:\n"
+                            "        return len(_gauss_jordan(rows, ncols))\n"
+                            "    return bound\n"
+                            "def koszul_rank(gs, j, k):\n"
+                            "    return len(rref(koszul_matrices(gs, j, k))[1])\n")
+    assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree}) == (
+        ["ideals.hilbert_rank", "linalg.certified_rank"],
+        ["ideals.hilbert_rank", "linalg._rref_rows", "linalg.certified_rank"],
+        ["ideals.koszul_rank"])

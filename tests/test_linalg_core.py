@@ -5,6 +5,9 @@ Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``rank`` must be exact whether or not its mod-p certificate settles it.
 ``echelon_mod_p`` must find the rank of any row order, stop as soon as it
 reaches its target and never before, and factor the rows it keeps.
+``certified_rank`` must return the exact rank for every valid bound, read no
+row past the one that reaches the bound, and take the exact core when the
+rank mod p is short.
 ``corank_one_kernel`` must return a vector spanning the kernel exactly when
 the rank mod p and the rank over Q are both cols - 1, and None otherwise.
 The subspaces read off one elimination (``null_space``, ``unit_columns``,
@@ -21,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, _integer_row, corank_one_kernel, echelon_mod_p,
-                             from_rows, in_row_space, kernel_basis,
+from assoform.linalg import (_PRIME, _integer_row, certified_rank, corank_one_kernel,
+                             echelon_mod_p, from_rows, in_row_space, kernel_basis,
                              null_space, rank, row_space_basis, rref,
                              solve_square, unit_columns)
 
@@ -271,6 +274,41 @@ def test_echelon_rank_in_any_row_order(matrix, data):
     ids, cols, _, _ = echelon_mod_p(reader(), target)
     assert len(cols) == target
     assert len(read) == (ids[-1] + 1 if target else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_matrices(), st.data())
+def test_certified_rank_is_exact_for_every_bound(matrix, data):
+    grid, ncols = matrix
+    if data.draw(st.booleans()):  # multiples of p: the rank mod p stays that of A B
+        grid = [[x + _PRIME * data.draw(st.integers(-1, 1)) for x in row] for row in grid]
+    true_rank = reference_rank(grid, ncols)
+    order = data.draw(st.permutations(range(len(grid))))
+    rows = [{c: x for c, x in enumerate(grid[i]) if x} for i in order]
+    short = len(echelon_mod_p(rows, len(rows) + 1)[1]) < true_rank
+    for bound in range(true_rank, min(len(rows), ncols) + 1):
+        read = []
+
+        def reader():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        assert certified_rank(reader(), ncols, bound) == true_rank
+        if bound == true_rank and not short:
+            # the echelon stops at the row that reaches the bound
+            ids = echelon_mod_p(rows, bound)[0]
+            assert len(read) == (ids[-1] + 1 if bound else 0)
+        else:
+            assert len(read) == len(rows)
+
+
+def test_certified_rank_of_a_short_rank_mod_p_is_exact():
+    # rank 1 mod p, 2 over Q: a bound of 2 takes the exact core
+    rows = [{0: _PRIME, 1: 1}, {1: 1}]
+    assert len(echelon_mod_p(rows, 2)[1]) == 1
+    assert certified_rank(iter(rows), 2, 2) == 2
+    assert certified_rank(iter([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]), 2, 2) == 2
 
 
 @st.composite

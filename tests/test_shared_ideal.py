@@ -2,8 +2,8 @@
 
 The spies record the shape of every matrix passed to ``rank``, ``rref`` and
 ``corank_one_kernel``, and the target rank of every ``echelon_mod_p``, at
-every module that binds them (``ideals`` binds its own names, all but
-``rank``), so a second ideal built for the same forms shows up as a
+every module that binds them (``ideals`` binds its own ``rref`` and
+``corank_one_kernel``; the echelon is called only inside ``linalg``), so a second ideal built for the same forms shows up as a
 repeated call, and a subspace reduced twice shows up as a second ``rref``.
 """
 
@@ -26,7 +26,7 @@ SHAPES = {  # name: (the call's shape, the modules binding the name)
     "rank": (lambda m: (m.rows, m.cols), (linalg,)),
     "rref": (lambda m: (m.rows, m.cols), (linalg, ideals)),
     "corank_one_kernel": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
-    "echelon_mod_p": (lambda rows, target: (target,), (linalg, ideals)),
+    "echelon_mod_p": (lambda rows, target: (target,), (linalg,)),
 }
 
 

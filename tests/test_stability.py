@@ -235,13 +235,14 @@ def test_recognize_requires_complete_intersection():
 
 def test_recognize_certifies_regularity_once_per_ideal(monkeypatch):
     ideal = GradedIdeal(3, 2, power_gens(3, [2, 2, 2]))
-    targets = []
-    real = ideals.echelon_mod_p
-    monkeypatch.setattr(ideals, "echelon_mod_p",
-                        lambda rows, target: targets.append(target) or real(rows, target))
+    bounds = []
+    real = ideals.certified_rank
+    monkeypatch.setattr(ideals, "certified_rank",
+                        lambda rows, ncols, bound: bounds.append(bound)
+                        or real(rows, ncols, bound))
     assert recognize_decomposable(ideal, 1) is not None
     assert recognize_decomposable(ideal, 2) is not None
-    assert targets == [dim_degree(3, 4)]  # regularity at nu + 1 = 4, once
+    assert bounds == [dim_degree(3, 4)]  # regularity at nu + 1 = 4, once
 
 
 def test_recognize_split_index_range():
