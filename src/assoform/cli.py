@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
                      koszul_exactness_check)
-from .inverse_system import associated_form, catalecticant
+from .inverse_system import associated_form, catalecticants
 from .invariants import mather_yau_point, points_equal
 from .linalg import rank
 from .parsing import InputSystem, ParseError, parse_system
@@ -65,8 +65,7 @@ def _load(path: str) -> InputSystem:
         line = data.count(b"\n", 0, exc.start) + 1
         col = exc.start - data.rfind(b"\n", 0, exc.start)
         raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})", line, col) from exc
-    # the newline translation of text-mode reading
-    return parse_system(text.replace("\r\n", "\n").replace("\r", "\n"))
+    return parse_system(text)
 
 
 def _single_form(system: InputSystem, what: str) -> Polynomial:
@@ -92,7 +91,7 @@ def _read_system(args):
 
 
 def _read_form(args):
-    # degree() rejects the zero form; catalecticant and binary_stability reject
+    # degree() rejects the zero form; catalecticants and binary_stability reject
     # inhomogeneous ones
     f = _single_form(_load(args.file), args.command).retag(Space.DUAL)
     return f, {"nvars": f.nvars, "d": f.degree(), "nu": f.degree()}
@@ -143,16 +142,12 @@ def _perp(f, args, out):
     # dim (f_perp)_k = dim S_k - rank Cat_k, and Cat_{nu-k} is the transpose
     # of Cat_k, so one rank serves k and nu - k; Cat_k is 0 x dim S_k for k > nu
     nu = f.degree()
-    ranks: dict[int, int] = {}
-    dims, hilbert = [], []
-    for k in range(_top_degree(args, nu + 1) + 1):
-        j = min(k, nu - k)
-        if j >= 0 and j not in ranks:
-            ranks[j] = rank(catalecticant(f, j))
-        hilbert.append(ranks.get(j, 0))
-        dims.append(dim_degree(f.nvars, k) - hilbert[-1])
-        out.append(f"degree {k}: dim (f_perp)_{k} = {dims[-1]}, "
-                   f"dim quotient = {hilbert[-1]}")
+    top = _top_degree(args, nu + 1)
+    ranks = [rank(cat) for cat in catalecticants(f, range(min(top, nu // 2) + 1))]
+    hilbert = [ranks[min(k, nu - k)] if k <= nu else 0 for k in range(top + 1)]
+    dims = [dim_degree(f.nvars, k) - h for k, h in enumerate(hilbert)]
+    for k, (dim, h) in enumerate(zip(dims, hilbert)):
+        out.append(f"degree {k}: dim (f_perp)_{k} = {dim}, dim quotient = {h}")
     return {"dims": dims, "quotient_hilbert": hilbert}
 
 

@@ -129,37 +129,42 @@ def hilbert_point_functional(gs) -> HilbertPointFunctional:
     return associated_form(gs).omega
 
 
-def catalecticant(f: Polynomial, k: int) -> QMatrix:
-    """Integer matrix of the map S_k -> D_{nu-k}, g -> g acting on f; Cat_{nu-k} = Cat_k^T.
+def catalecticants(f: Polynomial, degrees) -> list[QMatrix]:
+    """Integer matrices Cat_k of the maps S_k -> D_{nu-k}, g -> g acting on f, k in degrees.
 
-    Refused for deg f > DEGREE_CAP.  See the module docstring for the rows.
+    Cat_{nu-k} = Cat_k^T.  f is checked and its integer weights computed
+    once for all degrees.  Refused for deg f > DEGREE_CAP.  See the module
+    docstring for the rows.
     """
     if f.is_zero():
         raise ValueError("the zero form has no apolar ideal piece")
     if f.space is not Space.DUAL or not f.is_homogeneous():
         raise ValueError("perp_piece expects a homogeneous dual form")
-    if k < 0:
-        raise ValueError("degree must be non-negative")
     n, nu = f.nvars, f.degree()
     if nu > DEGREE_CAP:
         raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
     weighted = integer_terms({b: c * mono_factorial(b) for b, c in f.terms.items()})[1]
-    src = monomials_of_degree(n, k)
-    rows = tuple(tuple(weighted.get(tuple(x + y for x, y in zip(a, c)), 0) for c in src)
-                 for a in monomials_of_degree(n, nu - k))
-    return QMatrix(len(rows), len(src), rows)
+    matrices = []
+    for k in degrees:
+        if k < 0:
+            raise ValueError("degree must be non-negative")
+        src = monomials_of_degree(n, k)
+        rows = tuple(tuple(weighted.get(tuple(x + y for x, y in zip(a, c)), 0) for c in src)
+                     for a in monomials_of_degree(n, nu - k))
+        matrices.append(QMatrix(len(rows), len(src), rows))
+    return matrices
 
 
 def perp_piece(f: Polynomial, k: int) -> QMatrix:
     """Canonical basis of the degree-k piece of the apolar ideal of f: ker Cat_k."""
-    return null_space(catalecticant(f, k))
+    return null_space(catalecticants(f, (k,))[0])
 
 
 def macaulay_roundtrip(gs) -> bool:
     """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1."""
     assoc = associated_form(gs)
-    return all(perp_piece(assoc.form, k) == assoc.ideal.graded_piece(k)
-               for k in range(assoc.nu + 2))
+    return all(null_space(cat) == assoc.ideal.graded_piece(k)
+               for k, cat in enumerate(catalecticants(assoc.form, range(assoc.nu + 2))))
 
 
 def _lift(f: Polynomial, nvars: int, offset: int) -> Polynomial:

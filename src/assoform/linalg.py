@@ -76,10 +76,17 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def integer_vector(values) -> tuple[Fraction, list[int]]:
+    """(s, v): v = s * values with coprime integer entries and s > 0 (s = 1 for zero)."""
+    den = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = math.gcd(*ints) or 1
+    return Fraction(den, g), [x // g for x in ints] if g > 1 else ints
+
+
 def _integer_row(row) -> list[int]:
-    """A primitive integer multiple of a rational row."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (scale // x.denominator) for x in row])
+    """An integer row as it is, else the primitive integer multiple of a rational row."""
+    return list(row) if all(type(x) is int for x in row) else integer_vector(row)[1]
 
 
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
@@ -235,10 +242,8 @@ def certified_rank(rows, ncols: int, bound: int) -> int:
 
 def rank(m: QMatrix) -> int:
     """Rank over Q, certified against the full rank min(rows, cols)."""
-    ints = (row if all(type(x) is int for x in row) else _integer_row(row)
-            for row in m.entries)
-    return certified_rank(({c: x for c, x in enumerate(row) if x} for row in ints),
-                          m.cols, min(m.rows, m.cols))
+    return certified_rank(({c: x for c, x in enumerate(_integer_row(row)) if x}
+                           for row in m.entries), m.cols, min(m.rows, m.cols))
 
 
 def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
@@ -307,8 +312,7 @@ def corank_one_kernel(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...]
         w = _reconstruct([at.get(c, 1) for c in range(ncols)], modulus)
         if w is not None and w[free] and not any(
                 sum(a * w[c] for c, a in row.items()) for row in rows):
-            g = math.gcd(*w)
-            return tuple(v // g for v in w)
+            return tuple(_primitive(w))
     return None
 
 

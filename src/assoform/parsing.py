@@ -4,7 +4,9 @@ A system file is a header line ``vars: x1 x2 ... xn`` followed by one
 polynomial per non-blank line.  Expressions use integer and rational
 literals, declared variable names, ``+ - * ^`` and parentheses; implicit
 multiplication is not allowed and whitespace is insignificant within a
-line.  All errors carry a line and column.
+line.  Lines end at \\n, \\r\\n or \\r, as in text-mode reading; other line
+breaks (\\f, \\v, \\u2028, ...) are whitespace.  All errors carry a line and
+column.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import ZERO, Polynomial, Space
 
@@ -31,8 +34,9 @@ class InputSystem:
     polynomials: tuple[Polynomial, ...]
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-                       r"|(?P<op>[-+*/^()]))")
+# finditer skips whitespace, which no alternative matches; 'bad' is any other character
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+                       r"|(?P<bad>\S)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Deepest nesting of '(' and unary '-' in one expression; the recursive
@@ -49,8 +53,7 @@ MAX_COEFF_BITS = 10_000
 MAX_TERM_PRODUCTS = 100_000
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'ident' | 'op' | 'end'
     text: str
     col: int
@@ -58,18 +61,12 @@ class _Token:
 
 def _tokenize(text: str, line: int) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        tokens.append(_Token(kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", line,
+                             match.start() + 1)
+        tokens.append(_Token(kind, match.group(), match.start() + 1))
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
@@ -242,7 +239,9 @@ def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1,
 
 def parse_system(text: str) -> InputSystem:
     """Parse a full input file: header plus one polynomial per line."""
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # a final newline ends the last line, it starts none
+        lines.pop()
     header_no = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if header_no is None:
         raise ParseError("empty input; expected a 'vars:' header", 1, 1)

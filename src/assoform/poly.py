@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import QMatrix
+from .linalg import QMatrix, integer_vector
 
 Mono = tuple[int, ...]
 
@@ -300,10 +300,8 @@ def pairing(g: Polynomial, f: Polynomial) -> Fraction:
 
 def integer_terms(terms: dict[Mono, Fraction]) -> tuple[Fraction, dict[Mono, int]]:
     """(s, t): t = s * terms with coprime integer coefficients ({} for no terms)."""
-    lcm = math.lcm(*(c.denominator for c in terms.values()))
-    ints = [c.numerator * (lcm // c.denominator) for c in terms.values()]
-    g = math.gcd(*ints) or 1
-    return Fraction(lcm, g), dict(zip(terms, (x // g for x in ints)))
+    scale, ints = integer_vector(terms.values())
+    return scale, dict(zip(terms, ints))
 
 
 def jacobian_det(gs: list[Polynomial]) -> Polynomial:

@@ -23,7 +23,6 @@ equivariant under simultaneous permutation of variables.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +32,7 @@ from .ideals import (GradedIdeal, intersect_with_coordinates,
                      is_regular_sequence, min_nonideal_monomial,
                      vectors_to_polynomials)
 from .inverse_system import NotRegularSequence, associated_form
-from .linalg import from_rows, solve_square
+from .linalg import from_rows, integer_vector, solve_square
 from .poly import Mono, Polynomial, Space, grevlex_key, monomials_of_degree
 
 
@@ -174,10 +173,7 @@ def torus_destabilizer(f: Polynomial) -> OnePS | None:
         raise ArithmeticError("min-norm point does not separate the support")
     if not any(x):
         return None
-    scale = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * scale) for v in x]
-    g = math.gcd(*ints)
-    result = OnePS(tuple(v // g for v in ints))
+    result = OnePS(tuple(integer_vector(x)[1]))
     if any(_dot(result.weights, mono) <= 0 for mono in f.terms):
         raise ArithmeticError("destabilizer certificate failed verification")
     return result

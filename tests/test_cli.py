@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import assoform
-from assoform import cli
+from assoform import cli, inverse_system
 from assoform.cli import main
 from assoform.inverse_system import associated_form, perp_piece
 from assoform.parsing import MAX_NESTING
@@ -169,6 +169,24 @@ def test_perp_rank_short_mod_p():
     # only z2^4 survives mod p, but the catalecticants have full rank over Q
     f = Polynomial(2, Space.DUAL, {(4, 0): 1073741789, (0, 4): 1, (2, 2): 1073741789})
     assert _perp_report(f)["dims"] == [0, 0, 0, 2, 4, 6]
+
+
+def test_perp_scales_its_form_once(write, capsys, monkeypatch):
+    # one integer form serves all seven catalecticant ranks of a degree-12 form
+    path = write("f.txt", "vars: x1 x2\n(1/2)*x1^12 + (2/3)*x1^5*x2^7 + x2^12\n")
+    scaled = []
+    real = inverse_system.integer_terms
+
+    def spy(terms):
+        scaled.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(inverse_system, "integer_terms", spy)
+    code, out, _ = run(capsys, "--json", "perp", path)
+    assert code == 0
+    assert json.loads(out)["result"]["quotient_hilbert"] == [1, 2, 3, 4, 5, 6, 7, 6,
+                                                             5, 4, 3, 2, 1, 0]
+    assert scaled == [3]
 
 
 def test_koszul_check(write, capsys):

@@ -9,7 +9,8 @@ attribute in the package, the tests or the tracer, or overrides a method
 of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
 echelon, and the lift that reuses its factors.  One function,
 ``certified_rank``, chooses between the echelon and the exact core for a
-rank, so no caller hand-rolls its own fallback.
+rank, so no caller hand-rolls its own fallback.  One function,
+``integer_vector``, scales a rational vector to integers.
 """
 
 import ast
@@ -187,3 +188,23 @@ def test_a_hand_rolled_fallback_is_caught():
         ["ideals.hilbert_rank", "linalg.certified_rank"],
         ["ideals.hilbert_rank", "linalg._rref_rows", "linalg.certified_rank"],
         ["ideals.koszul_rank"])
+
+
+def test_one_rational_to_integer_scaling():
+    # the lcm of the denominators scales a rational vector to integers;
+    # parsing._size takes it only to estimate a coefficient size in bits
+    assert _functions_naming(_package_trees(), "lcm") == ["linalg.integer_vector",
+                                                          "parsing._size"]
+
+
+def test_a_second_scaling_is_caught():
+    linalg_tree = ast.parse("import math\n"
+                            "def integer_vector(values):\n"
+                            "    return math.lcm(*(x.denominator for x in values))\n")
+    stability_tree = ast.parse("from math import lcm\n"
+                               "def torus_destabilizer(f):\n"
+                               "    scale = lcm(*(v.denominator for v in f))\n"
+                               "    return [int(v * scale) for v in f]\n")
+    assert _functions_naming({"linalg": linalg_tree, "stability": stability_tree},
+                             "lcm") == ["linalg.integer_vector",
+                                        "stability.torus_destabilizer"]

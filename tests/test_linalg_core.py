@@ -8,6 +8,8 @@ reaches its target and never before, and factor the rows it keeps.
 ``certified_rank`` must return the exact rank for every valid bound, read no
 row past the one that reaches the bound, and take the exact core when the
 rank mod p is short.
+``integer_vector`` must scale a rational vector to its primitive integer
+multiple by a positive scale, as ``poly.integer_terms`` does for a dict.
 ``corank_one_kernel`` must return a vector spanning the kernel exactly when
 the rank mod p and the rank over Q are both cols - 1, and None otherwise.
 The subspaces read off one elimination (``null_space``, ``unit_columns``,
@@ -25,9 +27,10 @@ from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
 from assoform.linalg import (_PRIME, _integer_row, certified_rank, corank_one_kernel,
-                             echelon_mod_p, from_rows, in_row_space, kernel_basis,
-                             null_space, rank, row_space_basis, rref,
+                             echelon_mod_p, from_rows, in_row_space, integer_vector,
+                             kernel_basis, null_space, rank, row_space_basis, rref,
                              solve_square, unit_columns)
+from assoform.poly import integer_terms
 
 ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -210,6 +213,34 @@ def test_denominator_divisible_by_prime():
     assert rank(deficient) == 1
     mixed = from_rows([[Fraction(1, 2 * _PRIME), Fraction(1, 3)], [1, 2 * _PRIME]])
     assert rank(mixed) == len(_reference(mixed)[1]) == 2
+
+
+SCALED = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(1 << 40), 1 << 40),
+    st.builds(Fraction, st.integers(-(1 << 40), 1 << 40), st.integers(1, 1 << 40)),
+    st.builds(Fraction, st.sampled_from([_PRIME, -_PRIME, 2 * _PRIME]),
+              st.integers(1, 1 << 40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCALED, max_size=6))
+@example([])
+@example([Fraction(0), 0])
+@example([6, Fraction(-4)])
+@example([Fraction(_PRIME, 3), Fraction(-2 * _PRIME, 9)])
+def test_integer_vector_is_the_primitive_multiple(values):
+    scale, ints = integer_vector(values)
+    assert all(type(x) is int for x in ints)
+    assert [scale * x for x in values] == ints
+    assert scale > 0
+    if any(values):
+        assert math.gcd(*ints) == 1
+    else:
+        assert scale == 1
+    terms = {(i,): Fraction(x) for i, x in enumerate(values)}
+    assert integer_terms(terms) == (scale, dict(zip(terms, ints)))
 
 
 def _check_factors(rows, ncols, ids, cols, lower, upper):

@@ -84,6 +84,24 @@ def test_parse_header_validation():
         parse_system("vars: x1\n\n")  # no polynomials
 
 
+@pytest.mark.parametrize("text", ["vars: x1\x0bx2\nx1 + x2",           # \v in the header
+                                  "vars: x1 x2\nx1 +\x0c x2",           # \f in a polynomial
+                                  "vars: x1\u2028x2\r\nx1 +\x85 x2\r"])
+def test_lines_end_only_at_newlines(text):
+    # str.splitlines would break these lines at \v, \f, \u2028 and \x85
+    system = parse_system(text)
+    assert system.names == ("x1", "x2")
+    assert system.polynomials == (Polynomial(2, Space.PRIMAL, {(1, 0): 1, (0, 1): 1}),)
+
+
+@pytest.mark.parametrize("text, line", [("vars: x1\n", 2), ("vars: x1", 2),
+                                        ("vars: x1\n\n", 3), ("vars: x1\r\n\r\n", 3)])
+def test_a_final_newline_starts_no_line(text, line):
+    with pytest.raises(ParseError, match="no polynomials given") as err:
+        parse_system(text)
+    assert err.value.line == line
+
+
 def test_parse_whitespace_insignificant():
     a = parse_polynomial("x1^2+2*x1*x2", ("x1", "x2"))
     b = parse_polynomial("  x1 ^ 2 + 2 * x1 * x2 ", ("x1", "x2"))
