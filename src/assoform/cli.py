@@ -30,7 +30,7 @@ from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
 from .inverse_system import associated_form, catalecticants
 from .invariants import mather_yau_point, points_equal
 from .linalg import rank
-from .parsing import InputSystem, ParseError, parse_system
+from .parsing import InputSystem, ParseError, parse_system, split_lines
 from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
                         recognize_decomposable, degeneration_limit,
@@ -60,12 +60,11 @@ def _load(path: str) -> InputSystem:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - data.rfind(b"\n", 0, exc.start)
-        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})", line, col) from exc
-    return parse_system(text)
+        return parse_system(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # the bad byte's place, as parse_system counts lines
+        lines = split_lines(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})", len(lines),
+                         len(lines[-1]) + 1) from exc
 
 
 def _single_form(system: InputSystem, what: str) -> Polynomial:

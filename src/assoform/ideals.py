@@ -119,7 +119,7 @@ class GradedIdeal:
 
     def _macaulay_rows(self, k: int):
         """The product rows of I_k as {column: coefficient}, Macaulay's first, made as read."""
-        order = _product_order(self.nvars, self.d, len(self.generators), k)
+        order = _macaulay_order(self.nvars, self.d, len(self.generators), 1, k)
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
     def socle_kernel(self) -> list[tuple]:
@@ -200,6 +200,18 @@ def min_nonideal_monomial(ideal: GradedIdeal, k: int,
                key=grevlex_key, default=None)
 
 
+@lru_cache(maxsize=None)
+def _koszul_basis(n: int, m: int, j: int, e: int):
+    """The basis e_W x^b of K_j with deg x^b = e, for m generators in n variables.
+
+    Wedge-major: e_W x^b is at wedge index * dim S_e + monomial index.
+    Returns the wedges W, the monomials x^b and the index (W, x^b) -> position.
+    """
+    wedges, monos = tuple(itertools.combinations(range(m), j)), monomials_of_degree(n, e)
+    return wedges, monos, {(w, b): len(monos) * wi + bi for wi, w in enumerate(wedges)
+                           for bi, b in enumerate(monos)}
+
+
 def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
     """The source basis of d_j in degree k (see _koszul_images), Macaulay's elements first.
 
@@ -211,44 +223,28 @@ def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
     monomial x^a of degree k, and the others follow, x^b g_1 .. x^b g_m for
     each monomial x^b in turn.
     """
-    src_monos = monomials_of_degree(n, k - j * d)
-    src_index = {(w, mono): len(src_monos) * wi + mi
-                 for wi, w in enumerate(itertools.combinations(range(m), j))
-                 for mi, mono in enumerate(src_monos)}
+    src_wedges, src_monos, src_index = _koszul_basis(n, m, j, k - j * d)
     first = {}  # an ordered set
-    for rest in itertools.combinations(range(m), j - 1):
-        for a in monomials_of_degree(n, k - (j - 1) * d):
-            i = next((i for i in range(min(m, n)) if a[i] >= d and i not in rest), None)
-            if i is not None:
-                wedge = tuple(sorted(rest + (i,)))
-                first[src_index[(wedge, a[:i] + (a[i] - d,) + a[i + 1:])]] = None
-    nmono = len(src_monos)
-    others = (w * nmono + b for b in range(nmono) for w in range(math.comb(m, j)))
+    for rest, a in _koszul_basis(n, m, j - 1, k - (j - 1) * d)[2]:
+        i = next((i for i in range(min(m, n)) if a[i] >= d and i not in rest), None)
+        if i is not None:
+            wedge = tuple(sorted(rest + (i,)))
+            first[src_index[(wedge, a[:i] + (a[i] - d,) + a[i + 1:])]] = None
+    others = (src_index[(w, b)] for b in src_monos for w in src_wedges)
     return tuple(first) + tuple(s for s in others if s not in first)
-
-
-@lru_cache(maxsize=32)
-def _product_order(n: int, d: int, m: int, k: int) -> tuple[int, ...]:
-    """The Macaulay-first order of the product rows of I_k, kept for the next ideal."""
-    return _macaulay_order(n, d, m, 1, k)
 
 
 def _koszul_images(forms, n: int, d: int, j: int, k: int, order):
     """The image of each source basis element s in order under d_j in degree k.
 
     forms are the generators' term dicts; each image is {target row:
-    coefficient}.  Source basis: e_{i_1} ^ ... ^ e_{i_j} times a monomial of
-    degree k - j*d, wedge-major, s = wedge index * dim S_{k-jd} + monomial
-    index; target basis: the same with j-1 wedge factors.  d_j sends e_I to
-    the signed sum of g_{i_r} times e_{I minus i_r}.  For j = 1 the images
-    are the product rows x^b g_i of I_k, with the monomials of S_k as columns.
+    coefficient}.  The source basis is that of K_j in degree k, the target
+    basis that of K_{j-1} (see _koszul_basis).  d_j sends e_I to the signed
+    sum of g_{i_r} times e_{I minus i_r}.  For j = 1 the images are the
+    product rows x^b g_i of I_k, with the monomials of S_k as columns.
     """
-    src_wedges = tuple(itertools.combinations(range(len(forms)), j))
-    src_monos = monomials_of_degree(n, k - j * d)
-    tgt_monos = monomials_of_degree(n, k - (j - 1) * d)
-    tgt_index = {(w, mono): len(tgt_monos) * wi + mi
-                 for wi, w in enumerate(itertools.combinations(range(len(forms)), j - 1))
-                 for mi, mono in enumerate(tgt_monos)}
+    src_wedges, src_monos, _ = _koszul_basis(n, len(forms), j, k - j * d)
+    tgt_index = _koszul_basis(n, len(forms), j - 1, k - (j - 1) * d)[2]
     for s in order:
         wedge, mono = src_wedges[s // len(src_monos)], src_monos[s % len(src_monos)]
         image = {}

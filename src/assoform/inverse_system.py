@@ -137,17 +137,18 @@ def catalecticants(f: Polynomial, degrees) -> list[QMatrix]:
     docstring for the rows.
     """
     if f.is_zero():
-        raise ValueError("the zero form has no apolar ideal piece")
+        raise ValueError("catalecticants: the zero form has no apolar ideal piece")
     if f.space is not Space.DUAL or not f.is_homogeneous():
-        raise ValueError("perp_piece expects a homogeneous dual form")
+        raise ValueError("catalecticants expects a homogeneous dual form")
     n, nu = f.nvars, f.degree()
     if nu > DEGREE_CAP:
-        raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
+        raise DegreeCapError(f"catalecticants: form degree {nu} exceeds the supported "
+                             f"bound {DEGREE_CAP}")
     weighted = integer_terms({b: c * mono_factorial(b) for b, c in f.terms.items()})[1]
     matrices = []
     for k in degrees:
         if k < 0:
-            raise ValueError("degree must be non-negative")
+            raise ValueError("catalecticants: degree must be non-negative")
         src = monomials_of_degree(n, k)
         rows = tuple(tuple(weighted.get(tuple(x + y for x, y in zip(a, c)), 0) for c in src)
                      for a in monomials_of_degree(n, nu - k))

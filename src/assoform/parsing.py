@@ -237,9 +237,14 @@ def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1,
     return _ExprParser(_tokenize(text, line), names, line, space).parse()
 
 
+def split_lines(text: str) -> list[str]:
+    """text cut where its lines end; the last piece is what follows the last line end."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_system(text: str) -> InputSystem:
     """Parse a full input file: header plus one polynomial per line."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = split_lines(text)
     if not lines[-1]:  # a final newline ends the last line, it starts none
         lines.pop()
     header_no = next((i for i, raw in enumerate(lines) if raw.strip()), None)
@@ -258,10 +263,8 @@ def parse_system(text: str) -> InputSystem:
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names", header_no + 1, 1)
 
-    polys = []
-    for i in range(header_no + 1, len(lines)):
-        if lines[i].strip():
-            polys.append(parse_polynomial(lines[i], names, line=i + 1))
+    polys = tuple(parse_polynomial(lines[i], names, line=i + 1)
+                  for i in range(header_no + 1, len(lines)) if lines[i].strip())
     if not polys:
         raise ParseError("no polynomials given", len(lines) + 1, 1)
-    return InputSystem(len(names), names, tuple(polys))
+    return InputSystem(len(names), names, polys)

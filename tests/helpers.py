@@ -136,6 +136,34 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     return null_space(transpose(from_rows(cat, cols=len(tgt))))
 
 
+# Oracle for the Koszul complex of forms g_1..g_m of degree d in n variables:
+# its own basis and matrices, built from Polynomial products and the sign rule.
+def reference_koszul_basis(n: int, m: int, j: int, e: int) -> list[tuple]:
+    """The basis e_W x^b of K_j with deg x^b = e, in the documented wedge-major order.
+
+    W runs over the increasing j-tuples of generator indices in lexicographic
+    order, and for each W, x^b over monomials_of_degree(n, e).
+    """
+    wedges = [w for w in itertools.product(range(m), repeat=j)
+              if all(a < b for a, b in zip(w, w[1:]))]
+    return [(w, b) for w in wedges for b in monomials_of_degree(n, e)]
+
+
+def reference_koszul_matrix(gs: list[Polynomial], j: int, k: int) -> QMatrix:
+    """d_j in graded degree k: column e_W x^b holds sum_r (-1)^r (x^b g_(W_r)) e_(W - W_r)."""
+    n, d, m = gs[0].nvars, gs[0].degree(), len(gs)
+    sources = reference_koszul_basis(n, m, j, k - j * d)
+    targets = reference_koszul_basis(n, m, j - 1, k - (j - 1) * d)
+    grid = [[Fraction(0)] * len(sources) for _ in targets]
+    for col, (wedge, b) in enumerate(sources):
+        for r, i in enumerate(wedge):
+            product = Polynomial.from_monomial(n, Space.PRIMAL, b) * gs[i]
+            rest = wedge[:r] + wedge[r + 1:]
+            for mono, c in product.terms.items():
+                grid[targets.index((rest, mono))][col] += (-1) ** r * c
+    return QMatrix(len(targets), len(sources), tuple(tuple(row) for row in grid))
+
+
 # Oracle for poly.jacobian_det: its earlier Laplace expansion over Fractions.
 def reference_jacobian_det(gs: list[Polynomial]) -> Polynomial:
     n = gs[0].nvars

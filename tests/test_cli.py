@@ -90,6 +90,20 @@ def test_non_utf8_input_is_parse_error(tmp_path, capsys):
     assert "parse error" in err and "UTF-8" in err and "line 3, column 6" in err
 
 
+@pytest.mark.parametrize("data, where", [
+    # lines end at \r too: a '$' there is reported at line 3, column 6
+    (b"vars: x1 x2\rx1^2\rx2^2 \xff\r", "line 3, column 6"),
+    # columns count characters, not bytes
+    ("vars: x1 x2\nx1^2 + \u00e9".encode() + b"\xff\nx2^2\n", "line 2, column 9"),
+])
+def test_non_utf8_input_is_placed_as_the_parser_places_text(tmp_path, capsys, data, where):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "--json", "regseq", str(path))
+    assert (code, out) == (1, "")
+    assert "UTF-8" in err and where in err
+
+
 def test_crlf_input_reads_like_lf(tmp_path, write, capsys):
     path = tmp_path / "crlf.txt"
     path.write_bytes(SQUARES.replace("\n", "\r\n").encode())
@@ -187,6 +201,12 @@ def test_perp_scales_its_form_once(write, capsys, monkeypatch):
     assert json.loads(out)["result"]["quotient_hilbert"] == [1, 2, 3, 4, 5, 6, 7, 6,
                                                              5, 4, 3, 2, 1, 0]
     assert scaled == [3]
+
+
+def test_perp_errors_name_the_catalecticants(write, capsys):
+    code, out, err = run(capsys, "perp", write("f.txt", "vars: x1 x2\nx1^2 + x1\n"))
+    assert (code, out) == (2, "")
+    assert "catalecticants expects a homogeneous dual form" in err
 
 
 def test_koszul_check(write, capsys):

@@ -1,10 +1,14 @@
 """Tests for graded ideal pieces, Hilbert functions, regularity, and Koszul data."""
 
+import math
 import random
 
 import pytest
 from helpers import (mat_mul, power_gens, random_form, random_regular_sequence,
+                     reference_koszul_basis, reference_koszul_matrix, reference_rank,
                      series_hilbert, zero_matrix)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assoform import ideals
 from assoform.ideals import (DegreeCapError, GradedIdeal, hilbert_function,
@@ -260,6 +264,56 @@ def test_koszul_check_builds_no_matrix_of_a_zero_module(monkeypatch):
     # K_j vanishes below degree j*d = j, so no d_j is built there
     assert not koszul_exactness_check(gs, 3)
     assert built and all(j * d <= k for j, d, k in built)
+
+
+# every n <= 4, d <= 3, m <= 5, 1 <= j <= m and 0 <= k <= n(d-1) + d
+GRID = [(n, d, m, j, k) for n in range(1, 5) for d in range(1, 4) for m in range(1, 6)
+        for j in range(1, m + 1) for k in range(n * (d - 1) + d + 1)]
+
+
+def test_koszul_basis_is_indexed_wedge_major():
+    for n, d, m, j, k in GRID:
+        for i in (j - 1, j):
+            e = k - i * d
+            wedges, monos, index = ideals._koszul_basis(n, m, i, e)
+            assert list(index) == reference_koszul_basis(n, m, i, e)
+            assert list(index.values()) == list(range(math.comb(m, i) * dim_degree(n, e)))
+            assert [(w, b) for w in wedges for b in monos] == list(index)
+
+
+def test_macaulay_order_permutes_the_source_basis():
+    # a dropped or repeated source would make certified_rank read the wrong rows
+    for n, d, m, j, k in GRID:
+        order = ideals._macaulay_order(n, d, m, j, k)
+        assert sorted(order) == list(range(math.comb(m, j) * dim_degree(n, k - j * d)))
+
+
+@st.composite
+def koszul_systems(draw):
+    """m in {n-1, n, n+1} nonzero forms of degree d in n variables, small coefficients."""
+    n, d = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1),
+                                 (3, 2)]))
+    m = draw(st.sampled_from([m for m in (n - 1, n, n + 1) if m]))
+    monos = monomials_of_degree(n, d)
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))
+    return [P(n, dict(zip(monos, draw(coeffs.filter(any))))) for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(koszul_systems())
+def test_koszul_matrices_and_exactness_match_the_reference(gs):
+    n, d, m = gs[0].nvars, gs[0].degree(), len(gs)
+    k_max = n * (d - 1) + d
+    exact = True
+    for k in range(k_max + 1):
+        ranks = []
+        for j in range(1, m + 1):
+            mat = koszul_matrices(gs, j, k)
+            assert mat == reference_koszul_matrix(gs, j, k)
+            ranks.append(reference_rank(mat.entries, mat.cols))
+        dims = [math.comb(m, j) * dim_degree(n, k - j * d) for j in range(1, m + 1)]
+        exact &= all(a + b == dim for a, b, dim in zip(ranks, ranks[1:] + [0], dims))
+    assert koszul_exactness_check(gs, k_max) == exact
 
 
 def test_koszul_exactness_examples():

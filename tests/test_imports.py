@@ -10,7 +10,9 @@ of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
 echelon, and the lift that reuses its factors.  One function,
 ``certified_rank``, chooses between the echelon and the exact core for a
 rank, so no caller hand-rolls its own fallback.  One function,
-``integer_vector``, scales a rational vector to integers.
+``integer_vector``, scales a rational vector to integers.  One function,
+``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
+modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
 """
 
 import ast
@@ -208,3 +210,28 @@ def test_a_second_scaling_is_caught():
     assert _functions_naming({"linalg": linalg_tree, "stability": stability_tree},
                              "lcm") == ["linalg.integer_vector",
                                         "stability.torus_destabilizer"]
+
+
+def test_one_koszul_basis_enumeration():
+    # each basis of a Koszul module is enumerated and indexed in one place and
+    # cached there; monomials_of_degree holds the package's other cache
+    trees = _package_trees()
+    assert _functions_naming(trees, "combinations") == ["ideals._koszul_basis"]
+    assert _functions_naming(trees, "lru_cache") == ["ideals._koszul_basis",
+                                                     "poly.monomials_of_degree"]
+
+
+def test_a_second_enumeration_is_caught():
+    tree = ast.parse("import itertools\nfrom functools import lru_cache\n"
+                     "@lru_cache(maxsize=None)\n"
+                     "def _koszul_basis(n, m, j, e):\n"
+                     "    return tuple(itertools.combinations(range(m), j))\n"
+                     "@lru_cache(maxsize=32)\n"
+                     "def _product_order(n, d, m, k):\n"
+                     "    return _macaulay_order(n, d, m, 1, k)\n"
+                     "def _macaulay_order(n, d, m, j, k):\n"
+                     "    return [w for w in itertools.combinations(range(m), j - 1)]\n")
+    assert _functions_naming({"ideals": tree}, "combinations") == ["ideals._koszul_basis",
+                                                                   "ideals._macaulay_order"]
+    assert _functions_naming({"ideals": tree}, "lru_cache") == ["ideals._koszul_basis",
+                                                                "ideals._product_order"]

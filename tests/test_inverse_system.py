@@ -16,8 +16,8 @@ from assoform.ideals import GradedIdeal
 from assoform.inverse_system import (NotRegularSequence, SingularHypersurface,
                                      associated_form, direct_sum_assoc,
                                      hilbert_point_functional,
-                                     macaulay_roundtrip, milnor_associated_form,
-                                     perp_piece)
+                                     catalecticants, macaulay_roundtrip,
+                                     milnor_associated_form, perp_piece)
 from assoform.linalg import _PRIME, from_rows
 from assoform.parsing import parse_system
 from assoform.poly import (Polynomial, Space, jacobian_det, monomials_of_degree, pairing,
@@ -195,6 +195,15 @@ def test_perp_rejects_zero_and_primal():
         perp_piece(Polynomial.zero(2, Space.DUAL), 1)
     with pytest.raises(ValueError):
         perp_piece(P(2, {(2, 0): 1}), 1)
+
+
+@pytest.mark.parametrize("f, k", [(Polynomial.zero(2, Space.DUAL), 1), (P(2, {(2, 0): 1}), 1),
+                                  (D(2, {(2, 0): 1, (1, 0): 1}), 1), (D(2, {(2, 0): 1}), -1),
+                                  (D(1, {(25,): 1}), 1)])
+def test_catalecticant_errors_name_their_stage(f, k):
+    for call in (lambda: perp_piece(f, k), lambda: catalecticants(f, (k,))):
+        with pytest.raises(ValueError, match="^catalecticants"):
+            call()
 
 
 def test_perp_hilbert_matches_quotient():
