@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import (QMatrix, certified_rank, corank_one_kernel, from_rows, in_row_space,
-                     kernel_of_rref, rref, unit_columns)
+from .linalg import (QMatrix, certified_rank, corank_one_kernel, in_row_space, integer_rows,
+                     kernel_of_rref, reduce_rows, unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
 
@@ -70,10 +70,12 @@ class GradedIdeal:
 
     def __init__(self, nvars: int, d: int, generators):
         gens = tuple(generators)
-        for g in gens:
+        for i, g in enumerate(gens, 1):
             if g.nvars != nvars or g.space is not Space.PRIMAL:
                 raise ValueError("generators must be primal forms in n variables")
-            if g.is_zero() or not g.is_homogeneous(d):
+            if g.is_zero():
+                raise ValueError(f"generator {i} is zero; generators must be nonzero forms")
+            if not g.is_homogeneous(d):
                 raise ValueError(f"generators must be nonzero homogeneous of degree {d}")
         if d < 1:
             raise ValueError("generator degree must be positive")
@@ -107,14 +109,9 @@ class GradedIdeal:
         """Canonical RREF basis of I_k and its pivot columns, reduced once."""
         cached = self._piece_cache.get(k)
         if cached is None:
-            ncols = dim_degree(self.nvars, k)
-            rows = tuple(tuple(row.get(c, 0) for c in range(ncols))
-                         for row in self._macaulay_rows(k))
-            reduced, pivots = rref(QMatrix(len(rows), ncols, rows))
-            basis = QMatrix(len(pivots), reduced.cols, reduced.entries[:len(pivots)])
-            cached = (basis, pivots)
+            cached = reduce_rows(self._macaulay_rows(k), dim_degree(self.nvars, k))
             self._piece_cache[k] = cached
-            self._rank_cache[k] = len(pivots)
+            self._rank_cache[k] = len(cached[1])
         return cached
 
     def _macaulay_rows(self, k: int):
@@ -314,9 +311,9 @@ def intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
     # one RREF with the dropped columns first: the rows pivoting past them
     # vanish there and span the intersection, already reduced
     order = sorted(range(basis.cols), key=lambda c: bool(keep_cols[c]))
-    reduced, pivots = rref(from_rows([[row[c] for c in order] for row in basis.entries],
-                                     cols=basis.cols))
     back = sorted(range(basis.cols), key=order.__getitem__)  # the inverse permutation
+    reduced, pivots = reduce_rows([{back[c]: x for c, x in row.items()}
+                                   for row in integer_rows(basis.entries)], basis.cols)
     ndrop = sum(not keep for keep in keep_cols)
     grid = tuple(tuple(row[j] for j in back)
                  for row, pc in zip(reduced.entries, pivots) if pc >= ndrop)

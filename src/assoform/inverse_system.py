@@ -24,7 +24,7 @@ The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
 nu! omega(x^b): nu! times the Hankel matrix of omega (Iarrobino and Kanev,
 Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999), built as
-integer rows.
+sparse integer rows, like the ideal's product rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, is_regular_sequence
 from .linalg import QMatrix, null_space
-from .poly import (ZERO, Mono, Polynomial, Space, integer_terms, jacobian_det,
+from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, integer_terms, jacobian_det,
                    mono_factorial, monomials_of_degree, pairing)
 
 
@@ -129,8 +129,8 @@ def hilbert_point_functional(gs) -> HilbertPointFunctional:
     return associated_form(gs).omega
 
 
-def catalecticants(f: Polynomial, degrees) -> list[QMatrix]:
-    """Integer matrices Cat_k of the maps S_k -> D_{nu-k}, g -> g acting on f, k in degrees.
+def catalecticants(f: Polynomial, degrees) -> list[list[dict[int, int]]]:
+    """Integer rows {column: entry} of Cat_k: S_k -> D_{nu-k}, g -> g on f, k in degrees.
 
     Cat_{nu-k} = Cat_k^T.  f is checked and its integer weights computed
     once for all degrees.  Refused for deg f > DEGREE_CAP.  See the module
@@ -150,21 +150,21 @@ def catalecticants(f: Polynomial, degrees) -> list[QMatrix]:
         if k < 0:
             raise ValueError("catalecticants: degree must be non-negative")
         src = monomials_of_degree(n, k)
-        rows = tuple(tuple(weighted.get(tuple(x + y for x, y in zip(a, c)), 0) for c in src)
-                     for a in monomials_of_degree(n, nu - k))
-        matrices.append(QMatrix(len(rows), len(src), rows))
+        matrices.append([{j: w for j, c in enumerate(src)
+                          if (w := weighted.get(tuple(x + y for x, y in zip(a, c))))}
+                         for a in monomials_of_degree(n, nu - k)])
     return matrices
 
 
 def perp_piece(f: Polynomial, k: int) -> QMatrix:
     """Canonical basis of the degree-k piece of the apolar ideal of f: ker Cat_k."""
-    return null_space(catalecticants(f, (k,))[0])
+    return null_space(catalecticants(f, (k,))[0], dim_degree(f.nvars, k))
 
 
 def macaulay_roundtrip(gs) -> bool:
     """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1."""
     assoc = associated_form(gs)
-    return all(null_space(cat) == assoc.ideal.graded_piece(k)
+    return all(null_space(cat, dim_degree(assoc.form.nvars, k)) == assoc.ideal.graded_piece(k)
                for k, cat in enumerate(catalecticants(assoc.form, range(assoc.nu + 2))))
 
 

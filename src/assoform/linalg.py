@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals, and the ranks certified mod p.
 
-Matrices store ``fractions.Fraction`` entries row-major and are immutable
-(integer matrices built in the library may hold ints, read as Fractions).
-Every result (RREF, kernel bases) is canonical: the RREF of a matrix is
-unique, whichever pivot rows the elimination picks.
+Inside the library a matrix is a list of sparse integer rows {column:
+entry}; ``QMatrix`` (immutable Fraction rows) is met only at the public
+functions, and ``integer_rows`` is the one conversion from it.  Every
+result (RREF, kernel bases) is canonical: the RREF of a matrix is unique.
 
-Every exact elimination runs on one integer Gauss-Jordan core: each row is
-scaled to a primitive integer row, row operations stay in the integers, and
-the canonical Fraction RREF is formed once at the end, so the bases are
-those of elimination over Fractions.
+The one exact elimination is ``reduce_rows``: it densifies integer rows
+once, runs the integer Gauss-Jordan core, and forms the canonical Fraction
+RREF of the pivot rows at the end, so the bases are those of elimination
+over Fractions.
 
 The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
 takes sparse integer rows in the caller's order, reduces each against the
@@ -40,7 +40,7 @@ _PRIME = (1 << 30) - 35
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Immutable rows x cols matrix of Fractions (entries[i][j])."""
+    """Immutable rows x cols matrix of Fractions (entries[i][j]), the public format."""
 
     rows: int
     cols: int
@@ -84,9 +84,9 @@ def integer_vector(values) -> tuple[Fraction, list[int]]:
     return Fraction(den, g), [x // g for x in ints] if g > 1 else ints
 
 
-def _integer_row(row) -> list[int]:
-    """An integer row as it is, else the primitive integer multiple of a rational row."""
-    return list(row) if all(type(x) is int for x in row) else integer_vector(row)[1]
+def integer_rows(rows) -> list[dict[int, int]]:
+    """The primitive integer multiple of each rational row, as {column: entry}."""
+    return [{c: x for c, x in enumerate(integer_vector(row)[1]) if x} for row in rows]
 
 
 def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
@@ -126,34 +126,31 @@ def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot columns).
+def reduce_rows(rows, ncols: int) -> tuple[QMatrix, tuple[int, ...]]:
+    """Canonical RREF basis (pivot rows only) and pivot columns of integer rows.
 
-    The elimination runs on primitive integer rows; each pivot row is
-    divided by its pivot only at the end, which gives the canonical RREF.
+    rows are sparse integer rows {column: entry}, densified once.  The
+    elimination runs on integer rows; only each pivot row is divided by its
+    pivot, at the end, which gives the canonical RREF.
     """
-    ints = [_integer_row(row) for row in rows]
-    pivots = _gauss_jordan(ints, ncols)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    pivots = _gauss_jordan(dense, ncols)
     zero = Fraction(0)
-    for i, row in enumerate(ints):
-        p = row[pivots[i]] if i < len(pivots) else 1
-        rows[i] = [Fraction(x, p) if x else zero for x in row]
-    return rows, pivots
+    grid = tuple(tuple(Fraction(x, dense[r][pc]) if x else zero for x in dense[r])
+                 for r, pc in enumerate(pivots))
+    return QMatrix(len(pivots), ncols, grid), tuple(pivots)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; row space preserved."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows, m.cols)
-    grid = tuple(tuple(row) for row in rows)
-    return QMatrix(m.rows, m.cols, grid), tuple(pivots)
+    basis, pivots = reduce_rows(integer_rows(m.entries), m.cols)
+    zeros = ((Fraction(0),) * m.cols,) * (m.rows - len(pivots))
+    return QMatrix(m.rows, m.cols, basis.entries + zeros), pivots
 
 
 def row_space_basis(m: QMatrix) -> QMatrix:
     """Canonical basis of the row space: RREF with zero rows dropped."""
-    reduced, pivots = rref(m)
-    grid = reduced.entries[: len(pivots)]
-    return QMatrix(len(pivots), m.cols, grid)
+    return reduce_rows(integer_rows(m.entries), m.cols)[0]
 
 
 def echelon_mod_p(rows, target: int):
@@ -242,8 +239,7 @@ def certified_rank(rows, ncols: int, bound: int) -> int:
 
 def rank(m: QMatrix) -> int:
     """Rank over Q, certified against the full rank min(rows, cols)."""
-    return certified_rank(({c: x for c, x in enumerate(_integer_row(row)) if x}
-                           for row in m.entries), m.cols, min(m.rows, m.cols))
+    return certified_rank(integer_rows(m.entries), m.cols, min(m.rows, m.cols))
 
 
 def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
@@ -334,36 +330,37 @@ def kernel_of_rref(reduced: QMatrix,
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space; empty iff full column rank."""
-    return kernel_of_rref(*rref(m))
+    return kernel_of_rref(*reduce_rows(integer_rows(m.entries), m.cols))
 
 
-def null_space(m: QMatrix) -> QMatrix:
-    """Canonical (RREF) basis of the right null space, from one elimination.
+def null_space(rows, ncols: int) -> QMatrix:
+    """Canonical (RREF) basis of the right null space of integer rows, from one elimination.
 
     With the columns reduced in reverse order, each free-variable vector,
     read back in the original order, leads with its 1 and is zero at the
     other free columns: listed last free column first, they are the RREF.
     """
-    flipped = QMatrix(m.rows, m.cols, tuple(row[::-1] for row in m.entries))
-    grid = tuple(vec[::-1] for vec in reversed(kernel_of_rref(*rref(flipped))))
-    return QMatrix(len(grid), m.cols, grid)
+    flipped = ({ncols - 1 - c: x for c, x in row.items()} for row in rows)
+    grid = tuple(vec[::-1] for vec in reversed(kernel_of_rref(*reduce_rows(flipped, ncols))))
+    return QMatrix(len(grid), ncols, grid)
 
 
 def solve_square(m: QMatrix, rhs) -> tuple[Fraction, ...] | None:
     """Solve m x = rhs for square m; None if m is singular."""
     if m.rows != m.cols:
         raise ValueError("solve_square expects a square matrix")
-    n = m.rows
-    rows = [list(r) + [Fraction(rhs[i])] for i, r in enumerate(m.entries)]
-    rows, pivots = _rref_rows(rows, n)
-    if len(pivots) < n:
+    n = m.rows  # m is nonsingular exactly when the augmented rows pivot at 0..n-1
+    reduced, pivots = reduce_rows(integer_rows(row + (b,) for row, b in zip(m.entries, rhs)),
+                                  n + 1)
+    if pivots != tuple(range(n)):
         return None
-    return tuple(rows[i][n] for i in range(n))
+    return tuple(row[n] for row in reduced.entries)
 
 
 def in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
     """Membership test against an RREF basis with known pivot columns."""
-    return rank(from_rows([*basis.entries, vector], cols=basis.cols)) == len(pivots)
+    return certified_rank(integer_rows([*basis.entries, vector]), basis.cols,
+                          min(basis.rows + 1, basis.cols)) == len(pivots)
 
 
 def unit_columns(basis: QMatrix, pivots: tuple[int, ...]) -> set[int]:

@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 
 from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular_sequence
-from assoform.linalg import (QMatrix, from_rows, kernel_basis, kernel_of_rref, null_space,
-                             rref, row_space_basis, solve_square)
+from assoform.linalg import (QMatrix, from_rows, integer_rows, kernel_basis, kernel_of_rref,
+                             null_space, rref, row_space_basis, solve_square)
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import OnePS, RootWitness, Verdict, torus_destabilizer
@@ -133,7 +133,7 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     tgt = monomials_of_degree(n, nu - k)
     cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
            for mono in monomials_of_degree(n, k)]
-    return null_space(transpose(from_rows(cat, cols=len(tgt))))
+    return null_space(integer_rows(transpose(from_rows(cat, cols=len(tgt))).entries), len(cat))
 
 
 # Oracle for the Koszul complex of forms g_1..g_m of degree d in n variables:

@@ -209,6 +209,18 @@ def test_perp_errors_name_the_catalecticants(write, capsys):
     assert "catalecticants expects a homogeneous dual form" in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("regseq", "vars: x1 x2\n0\nx2^2\n", "generator 1 is zero; generators must be nonzero"),
+    ("hilbert", "vars: x1 x2\nx1^2\n0\n", "generator 2 is zero; generators must be nonzero"),
+    ("perp", "vars: x1 x2\n0\n", "perp expects a nonzero form"),
+    ("binary-stability", "vars: x1 x2\n0\n", "binary-stability expects a nonzero form"),
+])
+def test_zero_form_errors_name_the_input(write, capsys, command, text, message):
+    code, out, err = run(capsys, command, write("f.txt", text))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_koszul_check(write, capsys):
     good = write("good.txt", SQUARES)
     code, out, _ = run(capsys, "koszul-check", good)

@@ -9,8 +9,10 @@ attribute in the package, the tests or the tracer, or overrides a method
 of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
 echelon, and the lift that reuses its factors.  One function,
 ``certified_rank``, chooses between the echelon and the exact core for a
-rank, so no caller hand-rolls its own fallback.  One function,
-``integer_vector``, scales a rational vector to integers.  One function,
+rank, so no caller hand-rolls its own fallback, and one, ``reduce_rows``,
+is the exact reduction of integer rows.  One function, ``integer_vector``,
+scales a rational vector to integers, and one, ``integer_rows``, turns the
+rows of a ``QMatrix`` into the library's integer rows.  One function,
 ``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
 modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
 """
@@ -163,7 +165,7 @@ def _rank_deciders(trees: dict[str, ast.Module]) -> tuple[list[str], ...]:
 def test_one_rank_decision():
     assert _rank_deciders(_package_trees()) == (
         ["linalg.certified_rank", "linalg.corank_one_kernel"],
-        ["linalg._rref_rows", "linalg.certified_rank"],
+        ["linalg.certified_rank", "linalg.reduce_rows"],
         [])
 
 
@@ -172,7 +174,7 @@ def test_a_hand_rolled_fallback_is_caught():
                             "    if len(echelon_mod_p(rows, bound)[1]) < bound:\n"
                             "        return len(_gauss_jordan(rows, ncols))\n"
                             "    return bound\n"
-                            "def _rref_rows(rows, ncols):\n"
+                            "def reduce_rows(rows, ncols):\n"
                             "    return _gauss_jordan(rows, ncols)\n")
     # dim_piece and the Koszul check go through certified_rank; a fourth
     # rank hand-rolls its fallback, and a fifth builds the Fraction matrices
@@ -188,7 +190,7 @@ def test_a_hand_rolled_fallback_is_caught():
                             "    return len(rref(koszul_matrices(gs, j, k))[1])\n")
     assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree}) == (
         ["ideals.hilbert_rank", "linalg.certified_rank"],
-        ["ideals.hilbert_rank", "linalg._rref_rows", "linalg.certified_rank"],
+        ["ideals.hilbert_rank", "linalg.certified_rank", "linalg.reduce_rows"],
         ["ideals.koszul_rank"])
 
 
@@ -210,6 +212,24 @@ def test_a_second_scaling_is_caught():
     assert _functions_naming({"linalg": linalg_tree, "stability": stability_tree},
                              "lcm") == ["linalg.integer_vector",
                                         "stability.torus_destabilizer"]
+
+
+def test_one_conversion_to_integer_rows():
+    # integer_rows is the one conversion of QMatrix rows; poly.integer_terms
+    # scales a polynomial's terms, and torus_destabilizer its weight vector
+    assert _functions_naming(_package_trees(), "integer_vector") == [
+        "linalg.integer_rows", "poly.integer_terms", "stability.torus_destabilizer"]
+
+
+def test_a_second_conversion_is_caught():
+    linalg_tree = ast.parse("def integer_rows(rows):\n"
+                            "    return [integer_vector(row)[1] for row in rows]\n"
+                            "def rank(m):\n"
+                            "    return certified_rank(integer_rows(m.entries), m.cols)\n"
+                            "def _integer_row(row):\n"
+                            "    return integer_vector(row)[1]\n")
+    assert _functions_naming({"linalg": linalg_tree}, "integer_vector") == [
+        "linalg._integer_row", "linalg.integer_rows"]
 
 
 def test_one_koszul_basis_enumeration():

@@ -26,8 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, _integer_row, certified_rank, corank_one_kernel,
-                             echelon_mod_p, from_rows, in_row_space, integer_vector,
+from assoform.linalg import (_PRIME, certified_rank, corank_one_kernel, echelon_mod_p,
+                             from_rows, in_row_space, integer_rows, integer_vector,
                              kernel_basis, null_space, rank, row_space_basis, rref,
                              solve_square, unit_columns)
 from assoform.poly import integer_terms
@@ -107,7 +107,7 @@ def test_solve_square_matches_reference(m, data):
 @example(from_rows([], cols=3))
 @example(from_rows([[], [], []]))
 def test_null_space_is_the_reduced_kernel(m):
-    got = null_space(m)
+    got = null_space(integer_rows(m.entries), m.cols)
     assert got == row_space_basis(from_rows(kernel_basis(m), cols=m.cols))
     assert got.rows == m.cols - rank(m)
     for v in got.entries:
@@ -180,13 +180,8 @@ def test_against_sympy(rows):
     assert kernel_basis(m) == [tuple(frac(x) for x in v) for v in sm.nullspace()]
 
 
-def _sparse_rows(m):
-    """The primitive integer rows of m as {column: entry}."""
-    return [{c: x for c, x in enumerate(_integer_row(row)) if x} for row in m.entries]
-
-
 def _mod_p_rank(m):
-    return len(echelon_mod_p(_sparse_rows(m), m.rows + 1)[1])
+    return len(echelon_mod_p(integer_rows(m.entries), m.rows + 1)[1])
 
 
 def test_certificate_settles_full_rank():
@@ -257,7 +252,7 @@ def _check_factors(rows, ncols, ids, cols, lower, upper):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_lu_factors_reproduce_the_pivot_block(m):
-    rows = _sparse_rows(m)
+    rows = integer_rows(m.entries)
     ids, cols, lower, upper = echelon_mod_p(rows, m.rows + 1)
     assert len(cols) <= rank(m)
     assert len(set(cols)) == len(cols)
@@ -365,7 +360,7 @@ def _spans(w, vector):
 @given(st.one_of(corank_one_matrices(), matrices()))
 def test_corank_one_kernel_is_certified(m):
     kernel = _reference_kernel(m)
-    w = corank_one_kernel(_sparse_rows(m), m.cols)
+    w = corank_one_kernel(integer_rows(m.entries), m.cols)
     if len(kernel) == 1 and _mod_p_rank(m) == m.cols - 1:
         assert w is not None and _spans(w, kernel[0])
         assert math.gcd(*w) == 1
@@ -375,7 +370,7 @@ def test_corank_one_kernel_is_certified(m):
 
 def _kernel(rows, cols=None):
     m = from_rows(rows, cols=cols)
-    return corank_one_kernel(_sparse_rows(m), m.cols)
+    return corank_one_kernel(integer_rows(m.entries), m.cols)
 
 
 def test_corank_one_kernel_checks_every_row():

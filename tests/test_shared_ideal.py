@@ -1,10 +1,12 @@
 """One validated ideal per operation: each elimination of an intersection runs once.
 
-The spies record the shape of every matrix passed to ``rank``, ``rref`` and
-``corank_one_kernel``, and the target rank of every ``echelon_mod_p``, at
-every module that binds them (``ideals`` binds its own ``rref`` and
-``corank_one_kernel``; the echelon is called only inside ``linalg``), so a second ideal built for the same forms shows up as a
-repeated call, and a subspace reduced twice shows up as a second ``rref``.
+The spies record the shape of every matrix passed to ``rank``,
+``reduce_rows`` (the one exact reduction) and ``corank_one_kernel``, and
+the target rank of every ``echelon_mod_p``, at every module that binds
+them (``ideals`` binds its own ``reduce_rows`` and ``corank_one_kernel``;
+the echelon is called only inside ``linalg``), so a second ideal built for
+the same forms shows up as a repeated call, and a subspace reduced twice
+shows up as a second ``reduce_rows``.
 """
 
 import random
@@ -24,7 +26,7 @@ from assoform.stability import semistability_audit
 
 SHAPES = {  # name: (the call's shape, the modules binding the name)
     "rank": (lambda m: (m.rows, m.cols), (linalg,)),
-    "rref": (lambda m: (m.rows, m.cols), (linalg, ideals)),
+    "reduce_rows": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
     "corank_one_kernel": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
     "echelon_mod_p": (lambda rows, target: (target,), (linalg,)),
 }
@@ -36,9 +38,11 @@ def eliminations(monkeypatch):
     for name, (shape, modules) in SHAPES.items():
         real = getattr(linalg, name)
 
-        def spy(*args, _name=name, _shape=shape, _real=real):
-            calls.append((_name, *_shape(*args)))
-            return _real(*args)
+        def spy(rows, *args, _name=name, _shape=shape, _real=real):
+            if _name == "reduce_rows":  # its rows may come as a generator
+                rows = list(rows)
+            calls.append((_name, *_shape(rows, *args)))
+            return _real(rows, *args)
 
         for module in modules:
             monkeypatch.setattr(module, name, spy)
@@ -55,7 +59,7 @@ def test_audit_certifies_and_reduces_once(eliminations):
     assert eliminations.count(("echelon_mod_p", 36)) == 1
     assert not [call for call in eliminations if call[0] == "rank"]
     assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
-    assert ("rref", 30, 28) not in eliminations
+    assert ("reduce_rows", 30, 28) not in eliminations
 
 
 def test_mather_yau_certifies_the_gradient_once(eliminations):
@@ -85,7 +89,7 @@ def test_associated_form_keeps_its_ideal(eliminations):
     # the regularity echelon of I_7 (rank 36) and the 30x28 product rows of I_6
     assert eliminations.count(("echelon_mod_p", 36)) == 1
     assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
-    assert ("rref", 30, 28) not in eliminations
+    assert ("reduce_rows", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
 
 
@@ -109,10 +113,10 @@ def test_associated_form_reads_omega_off_the_cached_piece(eliminations, monkeypa
     monkeypatch.setattr(ideals, "corank_one_kernel", lambda rows, ncols: None)
     eliminations.clear()
     assoc = associated_form(gs)
-    # the 30x28 product matrix of I_6 is reduced once; its 27x28 RREF basis
+    # the 30x28 product rows of I_6 are reduced once; its 27x28 RREF basis
     # is not reduced again to find the kernel
-    assert eliminations.count(("rref", 30, 28)) == 1
-    assert ("rref", 27, 28) not in eliminations
+    assert eliminations.count(("reduce_rows", 30, 28)) == 1
+    assert ("reduce_rows", 27, 28) not in eliminations
     assert assoc.form == expected
     assert assoc.omega(assoc.ideal.generators[0] * assoc.ideal.generators[1]) == 0
 
@@ -137,7 +141,7 @@ def test_perp_piece_reduces_once_per_degree(eliminations):
     for k in range(form.degree() + 2):
         eliminations.clear()
         perp_piece(form, k)
-        assert [call[0] for call in eliminations] == ["rref"], k
+        assert [call[0] for call in eliminations] == ["reduce_rows"], k
 
 
 def test_intersect_with_coordinates_reduces_once(eliminations):
@@ -146,4 +150,4 @@ def test_intersect_with_coordinates_reduces_once(eliminations):
     touches_tail = [sum(m[1:]) > 0 for m in monomials_of_degree(3, 3)]
     eliminations.clear()
     assert intersect_with_coordinates(basis, touches_tail).rows == 2
-    assert [call[0] for call in eliminations] == ["rref"]
+    assert [call[0] for call in eliminations] == ["reduce_rows"]
