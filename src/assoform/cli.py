@@ -30,7 +30,7 @@ from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
 from .inverse_system import associated_form, catalecticants
 from .invariants import mather_yau_point, points_equal
 from .linalg import certified_rank
-from .parsing import InputSystem, ParseError, parse_system, split_lines
+from .parsing import MAX_TRIALS, InputSystem, ParseError, parse_system, split_lines
 from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
                         recognize_decomposable, degeneration_limit,
@@ -46,13 +46,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _non_negative(text: str) -> int:
+def _non_negative(text: str, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
 
@@ -305,7 +307,7 @@ COMMANDS = {
     "audit": _Command(
         "randomized semistability audit", _read_system, _audit,
         (_FILE,
-         (("--trials",), {"type": _non_negative, "default": 20,
+         (("--trials",), {"type": lambda text: _non_negative(text, MAX_TRIALS), "default": 20,
                           "help": "number of sampled 1-PS"}),
          (("--seed",), {"type": int, "default": 0, "help": "sampling seed"}))),
 }

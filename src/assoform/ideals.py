@@ -20,15 +20,16 @@ x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
   rank, and n generic forms of degree d are a regular sequence, whose
   Hilbert function h_CI(k) is the coefficient of t^k in
   ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms.
-  This bounds regularity (at nu + 1, where h_CI = 0) and Hilbert
-  functions; omega's echelon stops at the same bound at nu (h_CI = 1), and
-  its lifted kernel is checked over Z.  With m != n generators the bound
+  This bounds regularity (at nu + 1, where h_CI = 0), Hilbert functions
+  and omega's echelon at nu (h_CI = 1).  With m != n generators the bound
   is the full rank: the generic Hilbert function of m > n forms is
-  Froberg's open conjecture (Math. Scand. 56, 1985).
+  Froberg's open conjecture (Math. Scand. 56, 1985).  A shorter rank is
+  exact when its kernel, lifted off the echelon, is checked over Z.
 - Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j <= dim K_j - rank
   d_{j+1} over Q, with equality exactly where the complex is exact (Eisenbud,
   Commutative Algebra, 17).  The source basis of d_j is taken in the same
-  Macaulay-first order.
+  Macaulay-first order.  With n generators regularity decides it from
+  degree nu + 1 on, so the ranks are walked only below it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import (QMatrix, certified_rank, corank_one_kernel, in_row_space, integer_rows,
-                     kernel_of_rref, reduce_rows, unit_columns)
+from .linalg import (QMatrix, certified_rank, in_row_space, integer_rows, null_space,
+                     reduce_rows, unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
 
@@ -89,7 +90,7 @@ class GradedIdeal:
         self._integer_forms = tuple(integer_terms(g.terms)[1] for g in gens)
         self._piece_cache: dict[int, tuple[QMatrix, tuple[int, ...]]] = {}
         self._rank_cache: dict[int, int] = {}
-        self._socle_kernel: list[tuple] | None = None
+        self._socle_kernel: list[tuple[Fraction, ...]] | None = None
 
     @classmethod
     def of(cls, forms) -> GradedIdeal:
@@ -119,12 +120,12 @@ class GradedIdeal:
         order = _macaulay_order(self.nvars, self.d, len(self.generators), 1, k)
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
-    def socle_kernel(self) -> list[tuple]:
-        """Kernel basis of the product rows of I_nu, once: certified mod p, else exact."""
-        if self._socle_kernel is None:
-            w = corank_one_kernel(list(self._macaulay_rows(self.nu)),
-                                  dim_degree(self.nvars, self.nu))
-            self._socle_kernel = [w] if w else kernel_of_rref(*self.piece_with_pivots(self.nu))
+    def socle_kernel(self) -> list[tuple[Fraction, ...]]:
+        """A kernel basis of the product rows of I_nu, once; the echelon stops at dim S_nu - 1."""
+        if self._socle_kernel is None:  # columns reversed: null_space restores Macaulay's order
+            top = dim_degree(self.nvars, self.nu) - 1
+            rows = ({top - c: x for c, x in row.items()} for row in self._macaulay_rows(self.nu))
+            self._socle_kernel = [v[::-1] for v in null_space(rows, top + 1, top).entries]
         return self._socle_kernel
 
     def graded_piece(self, k: int) -> QMatrix:
@@ -285,9 +286,15 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
     the primitive generators (the same ranks), with rank d_{j+1} already
     proven equal to its bound: dim K_j - rank d_{j+1} bounds the certified
     rank of d_j's source images.
+
+    With m = n it is exact iff the forms are a regular sequence (Eisenbud,
+    17.5), the cached rank of I_{nu+1}.  If not, H_0 = (S/I)_{nu+1} != 0 and
+    sum_j (-1)^j dim H_j(K)_{nu+1} = h_CI(nu + 1) = 0: it fails by nu + 1.
     """
     ideal = GradedIdeal.of(gs)
     n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
+    if m == n and (is_regular_sequence(ideal) or k_max > ideal.nu):
+        return is_regular_sequence(ideal)  # the cached rank
     for k in range(k_max + 1):
         above = 0  # rank of d_{j+1} in degree k; d_{min(m, k // d) + 1} is zero
         for j in range(min(m, k // d), 0, -1):

@@ -17,8 +17,8 @@ other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
 read off it on demand.
 
 Once regularity is certified, omega spans the kernel of I_nu's integer
-product rows: GradedIdeal.socle_kernel lifts it p-adically and keeps it
-only if it kills every row over Z, else reads it off the exact RREF.
+product rows, which GradedIdeal.socle_kernel takes from linalg.null_space:
+lifted off the echelon and checked over Z, else read off the exact RREF.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is

@@ -13,18 +13,17 @@ over Fractions.
 The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
 takes sparse integer rows in the caller's order, reduces each against the
 pivot rows kept so far, records its multipliers (the LU factors of the kept
-rows), and stops at a target rank, so rows past it are never read.  Two
-functions use it.  ``certified_rank`` is the only place where a rank
-chooses between the echelon and the exact core; its docstring states when
-a rank mod p is trusted.  ``corank_one_kernel`` stops the echelon at
-cols - 1, lifts a kernel vector p-adically on the kept rows' factors
-(Dixon, Numer. Math. 40, 1982), recovers it by rational reconstruction (von
-zur Gathen and Gerhard, Modern Computer Algebra, 5.10), and returns it only
-if it kills every row exactly over Z.
+rows), and stops at a target rank, so rows past it are never read.  Its
+one certificate, ``lifted_kernel``, lifts a kernel vector per free column
+p-adically on those factors (Dixon, Numer. Math. 40, 1982), recovers them
+by rational reconstruction (von zur Gathen and Gerhard, Modern Computer
+Algebra, 5.10) and keeps them only if they kill every row over Z.  Only
+``certified_rank`` and ``null_space`` trust the echelon; the exact core is
+their fallback.
 
 Each subspace is read off one elimination: ``kernel_of_rref`` reads a
-kernel off an RREF at hand, ``null_space`` reduces once for the canonical
-kernel basis, and ``unit_columns`` reads unit-vector membership off an RREF.
+kernel off an RREF at hand, ``null_space`` reads the canonical kernel basis
+off one echelon, and ``unit_columns`` reads unit vectors off an RREF.
 """
 from __future__ import annotations
 
@@ -218,22 +217,17 @@ def echelon_mod_p(rows, target: int):
 def certified_rank(rows, ncols: int, bound: int) -> int:
     """Rank over Q of integer rows {column: entry}, given a proven upper bound.
 
-    This is the one place where a rank mod p is trusted.  The rank mod p of
-    an integer matrix never exceeds its rank over Q (a nonzero minor mod p
-    is a nonzero integer minor), so a rank mod p equal to bound is exact:
-    the echelon stops there, and rows past the one that reaches it are
-    never read.  A shorter rank runs the exact core on the same rows: an
-    echelon that stops short has read them all.  The caller proves bound.
+    The rank mod p of an integer matrix never exceeds its rank over Q (a
+    nonzero minor mod p is a nonzero integer minor), so a rank mod p equal
+    to bound is exact: the echelon stops there, and later rows are never
+    read.  A shorter rank, having read every row, is exact if
+    ``lifted_kernel`` certifies it, else the exact core runs on the same
+    rows.  The caller proves bound.
     """
-    read = []
-
-    def reader():
-        for row in rows:
-            read.append(row)
-            yield row
-
-    if len(echelon_mod_p(reader(), bound)[1]) == bound:
-        return bound
+    read: list[dict[int, int]] = []  # the rows, as the echelon reads them
+    echelon = echelon_mod_p((read.append(row) or row for row in rows), bound)
+    if len(echelon[1]) == bound or lifted_kernel(read, ncols, echelon) is not None:
+        return len(echelon[1])
     return len(_gauss_jordan([[row.get(c, 0) for c in range(ncols)] for row in read], ncols))
 
 
@@ -242,73 +236,68 @@ def rank(m: QMatrix) -> int:
     return certified_rank(integer_rows(m.entries), m.cols, min(m.rows, m.cols))
 
 
-def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
-    """den * x as integers, for the rational vector x = residues mod modulus; or None.
+def _reconstruct(vectors: list[list[int]], modulus: int) -> list[list[int]] | None:
+    """den * x as integer vectors, for the rational vectors x = vectors mod modulus; or None.
 
-    Each entry, scaled by the denominator found so far, is reconstructed by
-    the half extended Euclid with numerator and denominator at most
-    sqrt(modulus / 2); past the first few entries it is an integer.
+    Each entry, times the common denominator den so far, is reconstructed by
+    the half extended Euclid with numerator and denominator at most sqrt(modulus / 2).
     """
     bound = math.isqrt(modulus // 2)
     den = 1
-    for u in residues:
-        r0, r1, s0, s1 = modulus, den * u % modulus, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        den *= abs(s1)
-        if not den or den > bound:
-            return None
-    return [v - modulus if 2 * v > modulus else v for v in (den * u % modulus for u in residues)]
+    for vec in vectors:
+        for u in vec:
+            r0, r1, s0, s1 = modulus, den * u % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            den *= abs(s1)
+            if not den or den > bound:
+                return None
+    return [[v - modulus if 2 * v > modulus else v for v in (den * u % modulus for u in vec)]
+            for vec in vectors]
 
 
-def corank_one_kernel(rows: list[dict[int, int]], ncols: int) -> tuple[int, ...] | None:
-    """A primitive integer vector spanning the kernel of the rows, certified; or None.
+def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon) -> list[list[int]] | None:
+    """A basis W of the kernel of integer rows, lifted from their echelon mod p; or None.
 
-    rows are sparse integer rows {column: entry} with ncols columns, in the
-    order the echelon takes them; it stops at rank ncols - 1, and the kernel
-    is lifted on the rows it kept.  With B those rows R at the pivot columns
-    and f the free column, x = B^{-1}(-M[R, f]) is lifted p-adically, one LU
-    solve per step, and reconstructed every 4 steps.  w (x with x_f = 1,
-    times the common denominator) is returned only when w_f != 0 and
-    M w = 0 over Z on every row: then the rank over Q is ncols - 1 and
-    ker M = <w>.  By Cramer's rule the Hadamard bound H of the rows R bounds
-    x's numerators and denominator, so reconstruction succeeds once
-    p^k > 2 H^2; past that step the answer is None.
+    With B the kept rows R at the pivot columns, x_f = B^{-1}(-M[R, f]) is
+    lifted on the LU factors for each free column f, and all are
+    reconstructed with one denominator every 4 steps.  w_f is x_f at the
+    pivot columns, 1 at f and 0 at the other free columns, times it.  W
+    (by f) is returned only if M w_f = 0 over Z on every row: independent
+    kernel vectors, they cap the rank over Q at the rank mod p, its floor.
+    Reconstruction holds once p^k > 2 H^2, H the Hadamard bound of R, which
+    bounds the numerators and denominator (Cramer); past that, None.
     """
     p = _PRIME
-    ids, cols, lower, upper = echelon_mod_p(rows, ncols - 1)
-    if len(cols) != ncols - 1:
-        return None
-    free = min(set(range(ncols)).difference(cols))
+    ids, cols, lower, upper = echelon
     where = {c: k for k, c in enumerate(cols)}
-    inverses = [pow(low[-1][1], -1, p) for low in lower]
-    forward = [low[:-1] for low in lower]  # L off its diagonal
-    back = [[(where[c], u) for c, u in up.items() if c != free] for up in upper]
-    kept = [rows[i] for i in ids]
-    block = [[(where[c], a) for c, a in row.items() if c != free] for row in kept]
-    residual = [-row.get(free, 0) for row in kept]
-    bound = 2 * math.prod(sum(a * a for a in row.values()) for row in kept)  # 2 H^2
+    free = [c for c in range(ncols) if c not in where]
+    forward = [(low[:-1], pow(low[-1][1], -1, p)) for low in lower]  # L: off-diagonal, 1/diagonal
+    back = [[(where[c], u) for c, u in up.items() if c in where] for up in upper]
+    pivotal = [[(where[c], a) for c, a in row.items() if c in where] for row in rows]
+    residuals = [[-rows[i].get(f, 0) for i in ids] for f in free]
+    bound = 2 * math.prod(sum(a * a for a in rows[i].values()) for i in ids)  # 2 H^2
     steps = bound.bit_length() // 29 + 1  # p > 2^29, so p^steps > bound
-    lifted, modulus = [0] * len(cols), 1
+    lifted, modulus = [[0] * len(cols) + [1] for _ in free], 1  # x_f by pivot, then 1 at f
     for step in range(1, steps + 1):
-        y: list[int] = []  # B x = residual mod p: forward, then back substitution
-        for low, inv, b in zip(forward, inverses, residual):
-            y.append((b - sum(a * y[j] for j, a in low)) * inv % p)
-        x = [0] * len(cols)
-        for k in reversed(range(len(cols))):
-            x[k] = (y[k] - sum(u * x[j] for j, u in back[k])) % p
-        lifted = [t + modulus * xk for t, xk in zip(lifted, x)]
+        for residual, lift in zip(residuals, lifted):
+            y: list[int] = []  # B x = residual mod p: forward, then back substitution
+            for (low, inv), b in zip(forward, residual):
+                y.append((b - sum(a * y[j] for j, a in low)) * inv % p)
+            x = [0] * len(cols)
+            for k in reversed(range(len(cols))):
+                x[k] = (y[k] - sum(u * x[j] for j, u in back[k])) % p
+                lift[k] += modulus * x[k]
+            residual[:] = [(b - sum(a * x[j] for j, a in pivotal[i])) // p
+                           for b, i in zip(residual, ids)]
         modulus *= p
-        residual = [(b - sum(a * x[j] for j, a in row)) // p
-                    for b, row in zip(residual, block)]
-        if step % 4 and step < steps:
-            continue
-        at = dict(zip(cols, lifted))
-        w = _reconstruct([at.get(c, 1) for c in range(ncols)], modulus)
-        if w is not None and w[free] and not any(
-                sum(a * w[c] for c, a in row.items()) for row in rows):
-            return tuple(_primitive(w))
+        kernel = _reconstruct(lifted, modulus) if step % 4 == 0 or step == steps else None
+        if kernel is not None and not any(sum(a * w[k] for k, a in at) + w[-1] * row.get(f, 0)
+                                          for at, row in zip(pivotal, rows)
+                                          for w, f in zip(kernel, free)):
+            return [[w[where[c]] if c in where else w[-1] * (c == f) for c in range(ncols)]
+                    for w, f in zip(kernel, free)]
     return None
 
 
@@ -333,15 +322,24 @@ def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     return kernel_of_rref(*reduce_rows(integer_rows(m.entries), m.cols))
 
 
-def null_space(rows, ncols: int) -> QMatrix:
-    """Canonical (RREF) basis of the right null space of integer rows, from one elimination.
+def null_space(rows, ncols: int, target: int | None = None) -> QMatrix:
+    """Canonical (RREF) basis of the right null space of integer rows.
 
-    With the columns reduced in reverse order, each free-variable vector,
-    read back in the original order, leads with its 1 and is zero at the
-    other free columns: listed last free column first, they are the RREF.
+    With the columns reversed, the free-variable vectors, read back and
+    listed last free column first, are the RREF.  The echelon stops at
+    target (default: every row); its lifted kernel is that basis if each w_f
+    is zero past f, like ``kernel_of_rref``'s, else the rows are reduced.
     """
-    flipped = ({ncols - 1 - c: x for c, x in row.items()} for row in rows)
-    grid = tuple(vec[::-1] for vec in reversed(kernel_of_rref(*reduce_rows(flipped, ncols))))
+    flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
+    echelon = echelon_mod_p(flipped, ncols if target is None else target)
+    kernel = lifted_kernel(flipped, ncols, echelon)
+    free = sorted(set(range(ncols)).difference(echelon[1]))
+    if kernel is not None and not any(any(w[f + 1:]) for w, f in zip(kernel, free)):
+        zero = Fraction(0)
+        vectors = [[Fraction(x, w[f]) if x else zero for x in w] for w, f in zip(kernel, free)]
+    else:
+        vectors = kernel_of_rref(*reduce_rows(flipped, ncols))
+    grid = tuple(tuple(vec[::-1]) for vec in reversed(vectors))
     return QMatrix(len(grid), ncols, grid)
 
 

@@ -51,6 +51,8 @@ MAX_NESTING = 100
 MAX_DEGREE = 200
 MAX_COEFF_BITS = 10_000
 MAX_TERM_PRODUCTS = 100_000
+# Most one-parameter subgroups an audit samples (each is a line of its report).
+MAX_TRIALS = 10_000
 
 
 class _Token(NamedTuple):

@@ -32,7 +32,7 @@ from .ideals import (GradedIdeal, intersect_with_coordinates,
                      is_regular_sequence, min_nonideal_monomial,
                      vectors_to_polynomials)
 from .inverse_system import NotRegularSequence, associated_form
-from .linalg import from_rows, integer_vector, solve_square
+from .linalg import integer_vector, reduce_rows
 from .poly import Mono, Polynomial, Space, grevlex_key, monomials_of_degree
 
 
@@ -128,13 +128,13 @@ def _min_norm_point(points: list[tuple[int, ...]]):
         corral.append(j)
         weights.append(Fraction(0))
         while True:  # minor cycle: affine minimizer of the corral
-            m = len(corral)
-            bordered = [[_dot(points[i], points[k]) for k in corral] + [1] for i in corral]
-            bordered.append([1] * m + [0])
-            sol = solve_square(from_rows(bordered), [0] * m + [1])
-            if sol is None:
+            m = len(corral)  # the Gram matrix bordered by ones, with the right side (0..0, 1)
+            bordered = [dict(enumerate([_dot(points[i], points[k]) for k in corral] + [1]))
+                        for i in corral] + [dict(enumerate([1] * m + [0, 1]))]
+            reduced, pivots = reduce_rows(bordered, m + 2)
+            if pivots != tuple(range(m + 1)):
                 raise ArithmeticError("Wolfe corral lost affine independence")
-            alpha = sol[:m]
+            alpha = [row[m + 1] for row in reduced.entries[:m]]
             if all(a > 0 for a in alpha):
                 weights = list(alpha)
                 break

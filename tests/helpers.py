@@ -8,8 +8,8 @@ import random
 from fractions import Fraction
 
 from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular_sequence
-from assoform.linalg import (QMatrix, from_rows, integer_rows, kernel_basis, kernel_of_rref,
-                             null_space, rref, row_space_basis, solve_square)
+from assoform.linalg import (QMatrix, from_rows, kernel_basis, kernel_of_rref, rref,
+                             row_space_basis, solve_square)
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import OnePS, RootWitness, Verdict, torus_destabilizer
@@ -92,6 +92,13 @@ def reference_rank(rows, ncols: int) -> int:
     return len(reference_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)[1])
 
 
+def reference_null_space(rows, ncols: int) -> QMatrix:
+    """Oracle for linalg.null_space: the RREF of the kernel read off the matrix's RREF."""
+    reduced, pivots = reference_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)
+    kernel = kernel_of_rref(from_rows(reduced, cols=ncols), tuple(pivots))
+    return from_rows(reference_rref_rows([list(v) for v in kernel], ncols)[0], cols=ncols)
+
+
 def reference_in_row_space(basis: QMatrix, pivots: tuple[int, ...], vector) -> bool:
     """Oracle for linalg.in_row_space: reduce vector against the RREF pivot rows."""
     vec = [Fraction(x) for x in vector]
@@ -133,7 +140,7 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     tgt = monomials_of_degree(n, nu - k)
     cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
            for mono in monomials_of_degree(n, k)]
-    return null_space(integer_rows(transpose(from_rows(cat, cols=len(tgt))).entries), len(cat))
+    return reference_null_space(transpose(from_rows(cat, cols=len(tgt))).entries, len(cat))
 
 
 # Oracle for the Koszul complex of forms g_1..g_m of degree d in n variables:

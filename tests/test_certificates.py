@@ -6,7 +6,9 @@ runs.  Fixed inputs pin down what no certificate may trust: Macaulay's
 square matrix alone (short on the permuted squares, whose I_{nu+1} is
 full), the generic rank with m != n generators, and a Koszul degree whose
 ranks mod p fall short.  Inputs whose ranks are short mod p take the exact
-fallback and give the exact answers.
+fallback and give the exact answers.  With n forms, ``koszul-check`` is
+the regularity verdict at every degree from nu + 1 on, and walks the
+Koszul ranks only below it on a non-regular sequence.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from helpers import (random_regular_sequence, reference_associated_form, reference_rank,
                      series_hilbert)
 
-from assoform import linalg
+from assoform import ideals
 from assoform.cli import main
 from assoform.ideals import (GradedIdeal, coeff_vector, hilbert_function,
                              is_regular_sequence, koszul_exactness_check)
@@ -24,20 +26,6 @@ from assoform.inverse_system import associated_form
 from assoform.linalg import echelon_mod_p
 from assoform.parsing import parse_system
 from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
-
-
-@pytest.fixture
-def exact_core(monkeypatch):
-    """The shapes of the matrices the exact integer Gauss-Jordan reduces."""
-    calls = []
-    real = linalg._gauss_jordan
-
-    def spy(rows, ncols):
-        calls.append((len(rows), ncols))
-        return real(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
-    return calls
 
 
 def _ideal(text: str) -> GradedIdeal:
@@ -138,3 +126,34 @@ def test_hilbert_with_m_not_n_is_exact(text, values, koszul):
     bound = len(values) - 1
     assert hilbert_function(ideal, bound) == values == _exact_hilbert(ideal, bound)
     assert koszul_exactness_check(ideal, 4) is koszul
+
+
+def test_koszul_check_of_a_regular_sequence_walks_no_differential(monkeypatch):
+    ideal = GradedIdeal.of(random_regular_sequence(random.Random(4), 3, 3))
+    degrees = []  # the homological degree j of every _koszul_images call
+    real = ideals._koszul_images
+
+    def spy(forms, n, d, j, k, order):
+        degrees.append(j)
+        return real(forms, n, d, j, k, order)
+
+    monkeypatch.setattr(ideals, "_koszul_images", spy)
+    for k_max in (0, ideal.nu, ideal.nu + 1, ideal.nu + ideal.d):
+        assert koszul_exactness_check(ideal, k_max)
+    # only the product rows of I_{nu+1}, for the cached regularity rank
+    assert degrees and set(degrees) == {1}
+
+
+@pytest.mark.parametrize("text, first_failure", [
+    ("vars: x1 x2\nx1^2\nx1*x2", 3),  # nu = 2: the syzygy x2 g_1 - x1 g_2 in degree 3
+    ("vars: x1 x2 x3\nx1^3\nx1^2*x2\nx3^3", 4),  # nu = 6: the walk fails below nu + 1
+])
+def test_non_regular_koszul_check_walks_below_nu_plus_one(text, first_failure, tmp_path):
+    ideal = _ideal(text)
+    assert not is_regular_sequence(ideal)
+    for k_max in range(ideal.nu + ideal.d + 1):
+        assert koszul_exactness_check(ideal, k_max) is (k_max < first_failure), k_max
+    path = tmp_path / "f.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["koszul-check", str(path), "--degree-cap", str(first_failure - 1)]) == 0
+    assert main(["koszul-check", str(path)]) == 2

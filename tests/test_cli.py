@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import assoform
-from assoform import cli, inverse_system
+from assoform import cli, inverse_system, parsing
 from assoform.cli import main
 from assoform.inverse_system import associated_form, perp_piece
 from assoform.parsing import MAX_NESTING
@@ -322,6 +322,16 @@ def test_audit_bad_trials_is_usage_error(write, capsys, trials):
     assert code == 1
     assert out == ""
     assert "--trials" in err
+
+
+def test_audit_trials_are_bounded(write, capsys):
+    # a larger count would run for hours and print gigabytes
+    path = write("f.txt", SQUARES)
+    for trials in (parsing.MAX_TRIALS + 1, 1_000_000):
+        code, out, err = run(capsys, "audit", path, "--trials", str(trials))
+        assert code == 1
+        assert out == ""
+        assert f"must be at most {parsing.MAX_TRIALS}" in err
 
 
 def test_audit_zero_trials(write, capsys):

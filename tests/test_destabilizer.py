@@ -71,14 +71,14 @@ def test_edge_cases(monos, expected):
 ])
 def test_minor_cycle_drop(monkeypatch, monos, expected):
     solutions = []
-    solve = stability.solve_square
+    reduce = stability.reduce_rows
 
-    def spy(m, rhs):
-        sol = solve(m, rhs)
-        solutions.append(sol[:-1])
-        return sol
+    def spy(rows, ncols):  # the bordered Gram system; its last column is the solution
+        reduced, pivots = reduce(rows, ncols)
+        solutions.append([row[-1] for row in reduced.entries[:-1]])
+        return reduced, pivots
 
-    monkeypatch.setattr(stability, "solve_square", spy)
+    monkeypatch.setattr(stability, "reduce_rows", spy)
     f = D(3, monos)
     want = None if expected is None else OnePS(expected)
     assert torus_destabilizer(f) == want

@@ -7,10 +7,11 @@ elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
 the benchmark tracer, and each method of a library class is named as an
 attribute in the package, the tests or the tracer, or overrides a method
 of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
-echelon, and the lift that reuses its factors.  One function,
-``certified_rank``, chooses between the echelon and the exact core for a
-rank, so no caller hand-rolls its own fallback, and one, ``reduce_rows``,
-is the exact reduction of integer rows.  One function, ``integer_vector``,
+echelon, and the kernel lift that reuses its factors.  Two functions,
+``certified_rank`` for a rank and ``null_space`` for a kernel, run the
+echelon and choose between its certified answer and the exact core, so no
+caller hand-rolls its own fallback, and one, ``reduce_rows``, is the exact
+reduction of integer rows.  One function, ``integer_vector``,
 scales a rational vector to integers, and one, ``integer_rows``, turns the
 rows of a ``QMatrix`` into the library's integer rows.  One function,
 ``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
@@ -143,8 +144,8 @@ def _package_trees() -> dict[str, ast.Module]:
 
 def test_one_mod_p_elimination():
     # _PRIME is the modulus of the mod-p eliminations
-    assert _functions_naming(_package_trees(), "_PRIME") == ["linalg.corank_one_kernel",
-                                                             "linalg.echelon_mod_p"]
+    assert _functions_naming(_package_trees(), "_PRIME") == ["linalg.echelon_mod_p",
+                                                             "linalg.lifted_kernel"]
 
 
 def test_a_second_mod_p_elimination_is_caught():
@@ -157,27 +158,30 @@ def test_a_second_mod_p_elimination_is_caught():
 
 
 def _rank_deciders(trees: dict[str, ast.Module]) -> tuple[list[str], ...]:
-    """The callers of the echelon, of the exact core, and of the dense Koszul matrices."""
-    return tuple(_functions_naming(trees, name)
-                 for name in ("echelon_mod_p", "_gauss_jordan", "koszul_matrices"))
+    """The callers of the echelon, its lift, the exact core and the dense Koszul matrices."""
+    return tuple(_functions_naming(trees, name) for name in
+                 ("echelon_mod_p", "lifted_kernel", "_gauss_jordan", "koszul_matrices"))
 
 
 def test_one_rank_decision():
     assert _rank_deciders(_package_trees()) == (
-        ["linalg.certified_rank", "linalg.corank_one_kernel"],
+        ["linalg.certified_rank", "linalg.null_space"],
+        ["linalg.certified_rank", "linalg.null_space"],
         ["linalg.certified_rank", "linalg.reduce_rows"],
         [])
 
 
 def test_a_hand_rolled_fallback_is_caught():
     linalg_tree = ast.parse("def certified_rank(rows, ncols, bound):\n"
-                            "    if len(echelon_mod_p(rows, bound)[1]) < bound:\n"
+                            "    echelon = echelon_mod_p(rows, bound)\n"
+                            "    if lifted_kernel(rows, ncols, echelon) is None:\n"
                             "        return len(_gauss_jordan(rows, ncols))\n"
-                            "    return bound\n"
+                            "    return len(echelon[1])\n"
                             "def reduce_rows(rows, ncols):\n"
                             "    return _gauss_jordan(rows, ncols)\n")
     # dim_piece and the Koszul check go through certified_rank; a fourth
-    # rank hand-rolls its fallback, and a fifth builds the Fraction matrices
+    # rank hand-rolls its fallback, a fifth builds the Fraction matrices, and
+    # omega trusts a lift of its own
     ideals_tree = ast.parse("def dim_piece(self, k):\n"
                             "    return certified_rank(self.rows(k), self.ncols(k), self.bound)\n"
                             "def koszul_check(gs, k):\n"
@@ -187,9 +191,12 @@ def test_a_hand_rolled_fallback_is_caught():
                             "        return len(_gauss_jordan(rows, ncols))\n"
                             "    return bound\n"
                             "def koszul_rank(gs, j, k):\n"
-                            "    return len(rref(koszul_matrices(gs, j, k))[1])\n")
+                            "    return len(rref(koszul_matrices(gs, j, k))[1])\n"
+                            "def socle_kernel(self):\n"
+                            "    return lifted_kernel(self.rows, self.ncols, self.echelon)\n")
     assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree}) == (
         ["ideals.hilbert_rank", "linalg.certified_rank"],
+        ["ideals.socle_kernel", "linalg.certified_rank"],
         ["ideals.hilbert_rank", "linalg.certified_rank", "linalg.reduce_rows"],
         ["ideals.koszul_rank"])
 

@@ -6,13 +6,15 @@ Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``echelon_mod_p`` must find the rank of any row order, stop as soon as it
 reaches its target and never before, and factor the rows it keeps.
 ``certified_rank`` must return the exact rank for every valid bound, read no
-row past the one that reaches the bound, and take the exact core when the
-rank mod p is short.
+row past the one that reaches the bound, and take the exact core only when
+a short rank mod p is below the rank over Q.
 ``integer_vector`` must scale a rational vector to its primitive integer
 multiple by a positive scale, as ``poly.integer_terms`` does for a dict.
-``corank_one_kernel`` must return a vector spanning the kernel exactly when
-the rank mod p and the rank over Q are both cols - 1, and None otherwise.
-The subspaces read off one elimination (``null_space``, ``unit_columns``,
+``lifted_kernel`` must return a basis of the kernel, one vector per free
+column, exactly when the rank mod p is the rank over Q, and None otherwise;
+``null_space`` and ``certified_rank`` must equal the oracles at every
+corank, and take the exact core when the prime is unlucky.  The subspaces
+read off one elimination (``null_space``, ``unit_columns``,
 ``ideals.intersect_with_coordinates``) must equal what two eliminations give.
 """
 
@@ -21,15 +23,15 @@ from fractions import Fraction
 
 import pytest
 from helpers import (reference_in_row_space, reference_intersect_with_coordinates,
-                     reference_rank, reference_rref_rows)
+                     reference_null_space, reference_rank, reference_rref_rows)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, certified_rank, corank_one_kernel, echelon_mod_p,
-                             from_rows, in_row_space, integer_rows, integer_vector,
-                             kernel_basis, null_space, rank, row_space_basis, rref,
-                             solve_square, unit_columns)
+from assoform.linalg import (_PRIME, certified_rank, echelon_mod_p, from_rows, in_row_space,
+                             integer_rows, integer_vector, kernel_basis, lifted_kernel,
+                             null_space, rank, row_space_basis, rref, solve_square,
+                             unit_columns)
 from assoform.poly import integer_terms
 
 ENTRIES = st.one_of(
@@ -350,27 +352,34 @@ def corank_one_matrices(draw):
     return from_rows(rows, cols=ncols)
 
 
-def _spans(w, vector):
-    """Whether the nonzero integer vector w spans the line of vector."""
-    j = next(i for i, x in enumerate(vector) if x)
-    return w[j] != 0 and all(w[j] * x == vector[j] * y for x, y in zip(vector, w))
+def _lift(m, target=None):
+    """lifted_kernel of m's integer rows, on their echelon up to target (default: every row)."""
+    rows = integer_rows(m.entries)
+    return lifted_kernel(rows, m.cols, echelon_mod_p(rows, m.cols if target is None else target))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(corank_one_matrices(), matrices()))
-def test_corank_one_kernel_is_certified(m):
+def test_lifted_kernel_is_certified(m):
+    # W exists exactly when the rank mod p is the rank over Q; then it is the
+    # kernel's basis with unit vectors (times one denominator) at the free columns
     kernel = _reference_kernel(m)
-    w = corank_one_kernel(integer_rows(m.entries), m.cols)
-    if len(kernel) == 1 and _mod_p_rank(m) == m.cols - 1:
-        assert w is not None and _spans(w, kernel[0])
-        assert math.gcd(*w) == 1
+    rows = integer_rows(m.entries)
+    cols = echelon_mod_p(rows, m.cols)[1]
+    w = _lift(m)
+    if len(cols) == m.cols - len(kernel):
+        free = [c for c in range(m.cols) if c not in cols]
+        assert w is not None and len(w) == len(kernel)
+        den = w[0][free[0]] if w else 1
+        assert den > 0
+        assert all(vec[g] == den * (f == g) for vec, f in zip(w, free) for g in free)
+        assert all(sum(a * vec[c] for c, a in row.items()) == 0 for row in rows for vec in w)
     else:
         assert w is None
 
 
 def _kernel(rows, cols=None):
-    m = from_rows(rows, cols=cols)
-    return corank_one_kernel(integer_rows(m.entries), m.cols)
+    return _lift(from_rows(rows, cols=cols))
 
 
 def test_corank_one_kernel_checks_every_row():
@@ -379,22 +388,75 @@ def test_corank_one_kernel_checks_every_row():
 
 
 def test_corank_one_kernel_refuses_a_short_rank():
-    # a two-dimensional kernel: (-1, 1, 0) kills the row, but does not span
-    assert _kernel([[1, 1, 0]]) is None
-    assert _kernel([[1, 1, 1], [2, 2, 2]]) is None
     # rank 1 mod p, 2 over Q: the kernel is a line, but the certificate is off
     assert _kernel([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]]) is None
+    # an echelon stopped below the rank leaves too many free columns
+    assert _lift(from_rows([[1, 0, 0], [0, 1, 0]]), 1) is None
 
 
 def test_corank_one_kernel_lifts_past_a_wrong_first_reconstruction():
     # after 4 steps the reconstruction of -b/a succeeds with a wrong fraction
     # of 60 bits; the row check rejects it and the lift goes on to step 8
     a, b = 2 ** 100 + 277, 3 ** 70 + 5
-    assert _kernel([[a, b]]) == (-b, a)
-    assert _kernel([[Fraction(a, 7), Fraction(b, 7)], [a, b]]) == (-b, a)
+    assert _kernel([[a, b]]) == [[-b, a]]
+    assert _kernel([[Fraction(a, 7), Fraction(b, 7)], [a, b]]) == [[-b, a]]
 
 
-def test_corank_one_kernel_of_no_rows():
-    assert _kernel([], cols=1) == (1,)
-    assert _kernel([], cols=2) is None
-    assert _kernel([], cols=0) is None
+def test_lifted_kernel_beyond_corank_one():
+    # a plane: the unit vectors at the free columns 1 and 2, completed
+    assert _kernel([[1, 1, 0]]) == [[-1, 1, 0], [0, 0, 1]]
+    assert _kernel([[1, 1, 1], [2, 2, 2]]) == [[-1, 1, 0], [-1, 0, 1]]
+    # one common denominator for every vector
+    assert _kernel([[2, 1, 3]]) == [[-1, 2, 0], [-3, 0, 2]]
+    # no rows: the unit vectors; full column rank: the empty basis
+    assert _kernel([], cols=1) == [[1]]
+    assert _kernel([], cols=2) == [[1, 0], [0, 1]]
+    assert _kernel([], cols=0) == []
+    assert _kernel([[1, 2], [3, 4]]) == []
+
+
+@st.composite
+def unlucky_matrices(draw):
+    """ranked_matrices, often with entries shifted by multiples of p.
+
+    The shift leaves the matrix mod p, and so its rank mod p, as it was,
+    while the rank over Q may grow past it: the certificates must fail then.
+    """
+    grid, ncols = draw(ranked_matrices())
+    if draw(st.booleans()):
+        grid = [[x + _PRIME * draw(st.integers(-1, 1)) for x in row] for row in grid]
+    return grid, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(unlucky_matrices())
+def test_null_space_and_rank_match_the_oracles_at_every_corank(matrix):
+    grid, ncols = matrix
+    rows = [{c: x for c, x in enumerate(row) if x} for row in grid]
+    assert null_space(rows, ncols) == reference_null_space(grid, ncols)
+    assert (certified_rank(iter(rows), ncols, min(len(rows), ncols))
+            == reference_rank(grid, ncols))
+
+
+@pytest.mark.parametrize("grid, ncols", [
+    ([[1, 1], [1, 1 + _PRIME]], 2),  # rank 1 mod p, 2 over Q
+    ([[_PRIME, 1], [0, 1]], 2),
+    ([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]], 3),  # corank 2 mod p, 1 over Q
+    ([[2, 2, 4], [1, 1 + _PRIME, 2 + _PRIME], [0, _PRIME, 0]], 3),
+])
+def test_unlucky_prime_takes_the_fallback(grid, ncols, exact_core):
+    rows = [{c: x for c, x in enumerate(row) if x} for row in grid]
+    assert certified_rank(iter(rows), ncols, min(len(rows), ncols)) == reference_rank(grid, ncols)
+    assert len(exact_core) == 1
+    assert null_space(rows, ncols) == reference_null_space(grid, ncols)
+    assert len(exact_core) == 2
+
+
+def test_null_space_refuses_a_lift_off_the_canonical_pivots(exact_core):
+    # mod p the row [1, p] is [1, 0]: the lift (1, -p) on the reversed columns
+    # is a kernel over Z, but not the RREF, whose 1 leads at column 0
+    assert null_space([{0: 1, 1: _PRIME}], 2) == from_rows([[1, Fraction(-1, _PRIME)]])
+    assert len(exact_core) == 1
+    # the same row reversed: the lift is the RREF, and nothing is reduced exactly
+    assert null_space([{0: _PRIME, 1: 1}], 2) == from_rows([[1, -_PRIME]])
+    assert len(exact_core) == 1

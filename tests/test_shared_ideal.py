@@ -1,12 +1,12 @@
 """One validated ideal per operation: each elimination of an intersection runs once.
 
 The spies record the shape of every matrix passed to ``rank``,
-``reduce_rows`` (the one exact reduction) and ``corank_one_kernel``, and
-the target rank of every ``echelon_mod_p``, at every module that binds
-them (``ideals`` binds its own ``reduce_rows`` and ``corank_one_kernel``;
-the echelon is called only inside ``linalg``), so a second ideal built for
-the same forms shows up as a repeated call, and a subspace reduced twice
-shows up as a second ``reduce_rows``.
+``reduce_rows`` (the one exact reduction) and ``lifted_kernel`` (the
+certified kernel), and the target rank of every ``echelon_mod_p``, at
+every module that binds them (``ideals`` binds its own ``reduce_rows``;
+the echelon and the lift are called only inside ``linalg``), so a second
+ideal built for the same forms shows up as a repeated call, and a subspace
+reduced twice shows up as a second ``reduce_rows``.
 """
 
 import random
@@ -27,7 +27,7 @@ from assoform.stability import semistability_audit
 SHAPES = {  # name: (the call's shape, the modules binding the name)
     "rank": (lambda m: (m.rows, m.cols), (linalg,)),
     "reduce_rows": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
-    "corank_one_kernel": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
+    "lifted_kernel": (lambda rows, ncols, echelon: (len(rows), ncols), (linalg,)),
     "echelon_mod_p": (lambda rows, target: (target,), (linalg,)),
 }
 
@@ -58,7 +58,7 @@ def test_audit_certifies_and_reduces_once(eliminations):
     # of the 30x28 rows of I_6, which are never reduced exactly
     assert eliminations.count(("echelon_mod_p", 36)) == 1
     assert not [call for call in eliminations if call[0] == "rank"]
-    assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
+    assert eliminations.count(("lifted_kernel", 30, 28)) == 1
     assert ("reduce_rows", 30, 28) not in eliminations
 
 
@@ -88,7 +88,7 @@ def test_associated_form_keeps_its_ideal(eliminations):
     assert hilbert_point_functional(ideal) == assoc.omega
     # the regularity echelon of I_7 (rank 36) and the 30x28 product rows of I_6
     assert eliminations.count(("echelon_mod_p", 36)) == 1
-    assert eliminations.count(("corank_one_kernel", 30, 28)) == 1
+    assert eliminations.count(("lifted_kernel", 30, 28)) == 1
     assert ("reduce_rows", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
 
@@ -110,7 +110,7 @@ def test_associated_form_reads_omega_off_the_cached_piece(eliminations, monkeypa
     gs = random_regular_sequence(random.Random(3), 3, 3)
     expected = associated_form(gs).form
     # without a kernel certificate, omega is read off the exact RREF of I_6
-    monkeypatch.setattr(ideals, "corank_one_kernel", lambda rows, ncols: None)
+    monkeypatch.setattr(linalg, "lifted_kernel", lambda rows, ncols, echelon: None)
     eliminations.clear()
     assoc = associated_form(gs)
     # the 30x28 product rows of I_6 are reduced once; its 27x28 RREF basis
@@ -131,9 +131,8 @@ def test_associated_form_makes_no_rref_call(eliminations, n, d, seed):
     nu = n * (d - 1)
     cols = len(monomials_of_degree(n, nu))
     assert eliminations == [("echelon_mod_p", len(monomials_of_degree(n, nu + 1))),
-                            ("corank_one_kernel", n * len(monomials_of_degree(n, nu - d)),
-                             cols),
-                            ("echelon_mod_p", cols - 1)]
+                            ("echelon_mod_p", cols - 1),
+                            ("lifted_kernel", n * len(monomials_of_degree(n, nu - d)), cols)]
 
 
 def test_perp_piece_reduces_once_per_degree(eliminations):
@@ -141,7 +140,9 @@ def test_perp_piece_reduces_once_per_degree(eliminations):
     for k in range(form.degree() + 2):
         eliminations.clear()
         perp_piece(form, k)
-        assert [call[0] for call in eliminations] == ["reduce_rows"], k
+        # one echelon of the catalecticant, whose lifted kernel is the basis:
+        # nothing is reduced exactly
+        assert [call[0] for call in eliminations] == ["echelon_mod_p", "lifted_kernel"], k
 
 
 def test_intersect_with_coordinates_reduces_once(eliminations):
