@@ -27,9 +27,8 @@ from typing import Callable, NamedTuple
 
 from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
                      koszul_exactness_check)
-from .inverse_system import associated_form, catalecticants
+from .inverse_system import apolar_hilbert, associated_form
 from .invariants import mather_yau_point, points_equal
-from .linalg import certified_rank
 from .parsing import MAX_TRIALS, InputSystem, ParseError, parse_system, split_lines
 from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
@@ -141,14 +140,7 @@ def _assoc(system, args, out):
 
 
 def _perp(f, args, out):
-    # dim (f_perp)_k = dim S_k - rank Cat_k, and Cat_{nu-k} is the transpose
-    # of Cat_k, so one rank serves k and nu - k; Cat_k is 0 x dim S_k for k > nu.
-    # For k <= nu // 2 its dim S_{nu-k} rows outnumber its columns: dim S_k bounds the rank
-    nu = f.degree()
-    top = _top_degree(args, nu + 1)
-    ranks = [certified_rank(cat, dim_degree(f.nvars, k), dim_degree(f.nvars, k))
-             for k, cat in enumerate(catalecticants(f, range(min(top, nu // 2) + 1)))]
-    hilbert = [ranks[min(k, nu - k)] if k <= nu else 0 for k in range(top + 1)]
+    hilbert = apolar_hilbert(f, _top_degree(args, f.degree() + 1))
     dims = [dim_degree(f.nvars, k) - h for k, h in enumerate(hilbert)]
     for k, (dim, h) in enumerate(zip(dims, hilbert)):
         out.append(f"degree {k}: dim (f_perp)_{k} = {dim}, dim quotient = {h}")

@@ -182,20 +182,11 @@ def is_regular_sequence(gs) -> bool:
     return ideal.dim_piece(ideal.nu + 1) == dim_degree(n, ideal.nu + 1)
 
 
-def min_nonideal_monomial(ideal: GradedIdeal, k: int,
-                          restrict: tuple[int, int] | None = None) -> Mono | None:
-    """Grevlex-smallest degree-k monomial outside I_k, or None.
-
-    With restrict=(a, N), only monomials of total degree >= N in the last
-    n-a variables are considered.  Membership is read off the RREF of I_k.
-    """
-    a, power = restrict if restrict is not None else (ideal.nvars, 0)  # (n, 0) keeps all
-    if not 1 <= a <= ideal.nvars or power < 0:
-        raise ValueError("restriction must satisfy 1 <= a <= n and N >= 0")
+def min_nonideal_monomial(ideal: GradedIdeal, k: int) -> Mono | None:
+    """Grevlex-smallest degree-k monomial outside I_k, or None, read off the RREF of I_k."""
     target = monomials_of_degree(ideal.nvars, k)
     members = {target[j] for j in unit_columns(*ideal.piece_with_pivots(k))}
-    return min((m for m in target if m not in members and sum(m[a:]) >= power),
-               key=grevlex_key, default=None)
+    return min((m for m in target if m not in members), key=grevlex_key, default=None)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,14 @@ associated form is
     A(g_1..g_n) = sum over |a| = nu of (nu!/a!) omega(x^a) z^a,
 
 the expansion of omega((x_1 z_1 + ... + x_n z_n)^nu).  It is a Macaulay
-inverse system of the quotient: the apolar ideal of A recovers I in every
-degree.  Both normalizations the literature uses are kept consistent here:
-omega(det Jac) = 1 by construction, and the pairing of det Jac against the
-form equals nu!, asserted at construction time.  A and omega determine each
+inverse system of the quotient: the apolar ideal of A is I (Iarrobino and
+Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).  As
+x^a sends z^c to a nonzero multiple of z^(c-a) if a <= c and to 0 otherwise,
+this is the one rule for monomial membership: x^a of degree at most nu lies
+outside I exactly when it divides a monomial in the support of A.  Both
+normalizations the literature uses are kept consistent here: omega(det
+Jac) = 1 by construction, and the pairing of det Jac against the form
+equals nu!, asserted at construction time.  A and omega determine each
 other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
 read off it on demand.
 
@@ -22,9 +26,8 @@ lifted off the echelon and checked over Z, else read off the exact RREF.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
-nu! omega(x^b): nu! times the Hankel matrix of omega (Iarrobino and Kanev,
-Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999), built as
-sparse integer rows, like the ideal's product rows.
+nu! omega(x^b): nu! times the Hankel matrix of omega, built as sparse
+integer rows, like the ideal's product rows; its ranks are apolar_hilbert.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, is_regular_sequence
-from .linalg import QMatrix, null_space
-from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, integer_terms, jacobian_det,
-                   mono_factorial, monomials_of_degree, pairing)
+from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, hilbert_function,
+                     is_regular_sequence)
+from .linalg import QMatrix, certified_rank, null_space
+from .poly import (ZERO, Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
+                   jacobian_det, mono_factorial, monomials_of_degree, pairing)
 
 
 class NotRegularSequence(ValueError):
@@ -161,11 +165,24 @@ def perp_piece(f: Polynomial, k: int) -> QMatrix:
     return null_space(catalecticants(f, (k,))[0], dim_degree(f.nvars, k))
 
 
+def apolar_hilbert(f: Polynomial, top: int) -> tuple[int, ...]:
+    """dim (S/f_perp)_k = rank Cat_k for k = 0..top; Cat_{nu-k} = Cat_k^T has its rank."""
+    nu = f.degree()  # Cat_k is 0 for k > nu; for k <= nu // 2, dim S_k bounds its rank
+    ranks = [certified_rank(cat, dim_degree(f.nvars, k), dim_degree(f.nvars, k))
+             for k, cat in enumerate(catalecticants(f, range(min(top, nu // 2) + 1)))]
+    return tuple(ranks[min(k, nu - k)] if k <= nu else 0 for k in range(top + 1))
+
+
 def macaulay_roundtrip(gs) -> bool:
-    """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1."""
+    """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1.
+
+    It contains (gs) if each g_i kills A, and then equals it where the
+    Hilbert functions agree.
+    """
     assoc = associated_form(gs)
-    return all(null_space(cat, dim_degree(assoc.form.nvars, k)) == assoc.ideal.graded_piece(k)
-               for k, cat in enumerate(catalecticants(assoc.form, range(assoc.nu + 2))))
+    top = assoc.nu + 1
+    return (all(apolar_apply(g, assoc.form).is_zero() for g in assoc.source)
+            and apolar_hilbert(assoc.form, top) == hilbert_function(assoc.ideal, top))
 
 
 def _lift(f: Polynomial, nvars: int, offset: int) -> Polynomial:

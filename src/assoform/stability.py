@@ -19,6 +19,10 @@ checked exactly: p is a positive convex combination of the support, and
 every support point lies on the far side of the hyperplane through p
 normal to it.  Uniqueness of p makes the output deterministic and
 equivariant under simultaneous permutation of variables.
+
+Membership in I follows inverse_system's duality rule: the audit's
+grevlex-least monomial outside I_nu is that of A, and a split's condition
+(B) fails iff a monomial of omega has degree >= N in the last n-b variables.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .ideals import (GradedIdeal, intersect_with_coordinates,
-                     is_regular_sequence, min_nonideal_monomial,
+from .ideals import (GradedIdeal, intersect_with_coordinates, is_regular_sequence,
                      vectors_to_polynomials)
 from .inverse_system import NotRegularSequence, associated_form
 from .linalg import integer_vector, reduce_rows
@@ -293,9 +296,9 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     (A) the image of I modulo the last n-b variables is a balanced complete
     intersection in the first b variables, equivalently I_d meets the span
     of monomials involving the last variables in dimension exactly n-b;
-    (B) the ((n-b)(d-1)+1)-st power of the ideal of the last variables is
-    contained in I, checked on pure monomials in its generating degree.
-    On success the certificate carries a basis of I_d in the small subring.
+    (B) the N-th power of the ideal of the last variables, N = (n-b)(d-1)+1,
+    is contained in I, read off omega once (A) holds.  On success the
+    certificate carries a basis of I_d in the small subring.
     """
     n, d = ideal.nvars, ideal.d
     if not 1 <= b <= n - 1:
@@ -305,16 +308,13 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
                                  "complete intersection")
     basis = ideal.graded_piece(d)
     monos_d = monomials_of_degree(n, d)
-
-    touches_tail = [sum(m[b:]) > 0 for m in monos_d]
-    if intersect_with_coordinates(basis, touches_tail).rows != n - b:
+    if intersect_with_coordinates(basis, [sum(m[b:]) > 0 for m in monos_d]).rows != n - b:
         return None  # (A) fails
-    power = (n - b) * (d - 1) + 1  # >= d, since b < n
-    if min_nonideal_monomial(ideal, power, restrict=(b, power)) is not None:
-        return None  # (B) fails: a pure monomial in the last variables lies outside I
-
-    pure_tail = [sum(m[:b]) == 0 for m in monos_d]
-    extracted = intersect_with_coordinates(basis, pure_tail)
+    power = (n - b) * (d - 1) + 1
+    omega = ideal.socle_kernel()[0]
+    if any(x and sum(m[b:]) >= power for m, x in zip(monomials_of_degree(n, ideal.nu), omega)):
+        return None  # (B) fails
+    extracted = intersect_with_coordinates(basis, [sum(m[:b]) == 0 for m in monos_d])
     if extracted.rows != n - b:
         raise RuntimeError("conditions (A) and (B) hold but the extracted subspace "
                            f"has dimension {extracted.rows}, expected {n - b}")
@@ -406,8 +406,6 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
         lo, hi = support_weight_range(assoc.form, dual)
         samples.append(WeightSample(w, lo, hi, lo >= 0))
 
-    # I_nu is the kernel of omega, so the degree-nu monomials outside I are
-    # exactly the support of A
     mono = min(assoc.form.terms, key=grevlex_key)
     grevlex_ok = all(sum(mono[:i]) <= i * (d - 1) for i in range(1, n + 1))
 

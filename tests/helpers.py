@@ -7,12 +7,14 @@ import math
 import random
 from fractions import Fraction
 
-from assoform.ideals import DEGREE_CAP, DegreeCapError, coeff_vector, is_regular_sequence
+from assoform.ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
+                             is_regular_sequence, vectors_to_polynomials)
 from assoform.linalg import (QMatrix, from_rows, kernel_basis, kernel_of_rref, rref,
-                             row_space_basis, solve_square)
+                             row_space_basis, solve_square, unit_columns)
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
-from assoform.stability import OnePS, RootWitness, Verdict, torus_destabilizer
+from assoform.stability import (DecompositionCertificate, OnePS, RootWitness, Verdict,
+                                torus_destabilizer)
 
 
 def identity(n: int) -> QMatrix:
@@ -440,6 +442,26 @@ def reference_intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
         return QMatrix(0, basis.cols, ())
     coeff = from_rows(combos, cols=basis.rows)
     return row_space_basis(mat_mul(coeff, basis))
+
+
+# Oracle for stability.recognize_decomposable: its earlier route, which reads
+# condition (B) off the unit columns of the exact RREF of I_N, restricted to
+# the pure monomials of degree N in the last n-b variables.
+def reference_recognize_decomposable(gs, b: int) -> DecompositionCertificate | None:
+    ideal = GradedIdeal.of(gs)
+    n, d = ideal.nvars, ideal.d
+    monos_d = monomials_of_degree(n, d)
+    basis = ideal.graded_piece(d)
+    if reference_intersect_with_coordinates(basis, [sum(m[b:]) > 0 for m in monos_d]).rows != n - b:
+        return None  # (A) fails
+    power = (n - b) * (d - 1) + 1
+    target = monomials_of_degree(n, power)
+    members = {target[j] for j in unit_columns(*ideal.piece_with_pivots(power))}
+    if any(sum(m[:b]) == 0 and m not in members for m in target):
+        return None  # (B) fails
+    extracted = reference_intersect_with_coordinates(basis, [sum(m[:b]) == 0 for m in monos_d])
+    return DecompositionCertificate(
+        b, tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL)))
 
 
 # Oracle for Polynomial.__pow__: its earlier binary-powering loop.

@@ -177,12 +177,6 @@ def test_min_nonideal_full_piece():
     assert min_nonideal_monomial(ideal, 2) is None
 
 
-def test_min_nonideal_restricted():
-    ideal = GradedIdeal(2, 2, squares(2))
-    assert min_nonideal_monomial(ideal, 2, restrict=(1, 1)) == (1, 1)
-    assert min_nonideal_monomial(ideal, 2, restrict=(1, 2)) is None  # only x2^2
-
-
 def test_min_nonideal_is_grevlex_minimal():
     rng = random.Random(23)
     for _ in range(6):

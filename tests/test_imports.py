@@ -16,6 +16,10 @@ scales a rational vector to integers, and one, ``integer_rows``, turns the
 rows of a ``QMatrix`` into the library's integer rows.  One function,
 ``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
 modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
+One function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and
+only ``GradedIdeal``, ``min_nonideal_monomial`` and ``recognize_decomposable``
+read an ideal's exact RREF pieces: the rest of the package reads membership
+in a complete intersection off its inverse system.
 """
 
 import ast
@@ -199,6 +203,41 @@ def test_a_hand_rolled_fallback_is_caught():
         ["ideals.socle_kernel", "linalg.certified_rank"],
         ["ideals.hilbert_rank", "linalg.certified_rank", "linalg.reduce_rows"],
         ["ideals.koszul_rank"])
+
+
+def _membership_readers(trees: dict[str, ast.Module]) -> tuple[list[str], list[str]]:
+    """The users of the catalecticants, and the readers of an ideal's RREF pieces."""
+    pieces = ("piece_with_pivots", "graded_piece", "min_nonideal_monomial")
+    return (_functions_naming(trees, "catalecticants"),
+            sorted({f for name in pieces for f in _functions_naming(trees, name)}))
+
+
+def test_one_membership_rule():
+    # perp and the roundtrip rank the catalecticants through apolar_hilbert,
+    # and perp_piece takes a kernel; contains and graded_piece are GradedIdeal's,
+    # and recognize_decomposable reduces only I_d
+    assert _membership_readers(_package_trees()) == (
+        ["inverse_system.apolar_hilbert", "inverse_system.perp_piece"],
+        ["ideals.contains", "ideals.graded_piece", "ideals.min_nonideal_monomial",
+         "stability.recognize_decomposable"])
+
+
+def test_a_second_membership_route_is_caught():
+    # perp ranks its own catalecticants, the roundtrip compares RREFs, and
+    # the audit reads its monomial off the RREF of I_nu
+    cli_tree = ast.parse("def _perp(f, args, out):\n"
+                         "    return [certified_rank(c, n, n) for c in catalecticants(f, top)]\n")
+    inverse_tree = ast.parse("def apolar_hilbert(f, top):\n"
+                             "    return [certified_rank(c, n, n) for c in catalecticants(f, top)]\n"
+                             "def macaulay_roundtrip(gs):\n"
+                             "    return all(null_space(c, n) == ideal.graded_piece(k)\n"
+                             "               for k, c in enumerate(catalecticants(form, top)))\n")
+    stability_tree = ast.parse("def semistability_audit(gs, trials, seed):\n"
+                               "    return min_nonideal_monomial(ideal, ideal.nu)\n")
+    assert _membership_readers({"cli": cli_tree, "inverse_system": inverse_tree,
+                                "stability": stability_tree}) == (
+        ["cli._perp", "inverse_system.apolar_hilbert", "inverse_system.macaulay_roundtrip"],
+        ["inverse_system.macaulay_roundtrip", "stability.semistability_audit"])
 
 
 def test_one_rational_to_integer_scaling():

@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from assoform import inverse_system, poly
-from assoform.ideals import GradedIdeal, is_regular_sequence
-from assoform.inverse_system import (NotRegularSequence, SingularHypersurface,
+from assoform.ideals import GradedIdeal, hilbert_function, is_regular_sequence
+from assoform.inverse_system import (AssociatedForm, NotRegularSequence,
+                                     SingularHypersurface, apolar_hilbert,
                                      associated_form, direct_sum_assoc,
                                      hilbert_point_functional,
                                      catalecticants, macaulay_roundtrip,
@@ -277,6 +278,33 @@ def test_roundtrip_random():
 def test_roundtrip_requires_regular():
     with pytest.raises(NotRegularSequence):
         macaulay_roundtrip([P(2, {(2, 0): 1}), P(2, {(1, 1): 1})])
+
+
+def test_roundtrip_refuses_the_form_of_another_intersection(monkeypatch):
+    rng = random.Random(38)
+    gs, other = random_regular_sequence(rng, 2, 3), random_regular_sequence(rng, 2, 3)
+    real = inverse_system.associated_form
+    wrong = real(other).form
+    monkeypatch.setattr(inverse_system, "associated_form",
+                        lambda forms: AssociatedForm(wrong, GradedIdeal.of(forms)))
+    # the Hilbert functions agree, but the g_i do not kill the other form
+    assert apolar_hilbert(wrong, 5) == hilbert_function(GradedIdeal.of(gs), 5)
+    assert not all(poly.apolar_apply(g, wrong).is_zero() for g in gs)
+    assert not macaulay_roundtrip(gs)
+
+
+def test_roundtrip_refuses_a_derivative_of_the_form(monkeypatch):
+    gs = random_regular_sequence(random.Random(39), 3, 2)
+    real = inverse_system.associated_form
+
+    def derivative(forms):
+        assoc = real(forms)
+        return AssociatedForm(partial(assoc.form, 0), assoc.ideal)
+
+    monkeypatch.setattr(inverse_system, "associated_form", derivative)
+    # every g_i kills dA/dz_1, whose apolar ideal is larger than (gs)
+    assert all(poly.apolar_apply(g, partial(real(gs).form, 0)).is_zero() for g in gs)
+    assert not macaulay_roundtrip(gs)
 
 
 # -- direct sums --------------------------------------------------------------------

@@ -12,16 +12,16 @@ reduced twice shows up as a second ``reduce_rows``.
 import random
 
 import pytest
-from helpers import power_gens, random_form, random_regular_sequence
+from helpers import mixed_direct_sum, power_gens, random_form, random_regular_sequence
 
-from assoform import ideals, linalg
+from assoform import ideals, inverse_system, linalg
 from assoform.ideals import (GradedIdeal, intersect_with_coordinates,
                              is_regular_sequence)
 from assoform.invariants import mather_yau_point
 from assoform.inverse_system import (associated_form, hilbert_point_functional,
                                      macaulay_roundtrip, perp_piece)
-from assoform.poly import Polynomial, Space, monomials_of_degree
-from assoform.stability import semistability_audit
+from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
+from assoform.stability import recognize_decomposable, semistability_audit
 
 
 SHAPES = {  # name: (the call's shape, the modules binding the name)
@@ -152,3 +152,46 @@ def test_intersect_with_coordinates_reduces_once(eliminations):
     eliminations.clear()
     assert intersect_with_coordinates(basis, touches_tail).rows == 2
     assert [call[0] for call in eliminations] == ["reduce_rows"]
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The module of every null_space call, at each module that binds it."""
+    calls = []
+    for module in (ideals, inverse_system):
+        monkeypatch.setattr(module, "null_space",
+                            lambda *args, _module=module: calls.append(_module.__name__)
+                            or linalg.null_space(*args))
+    return calls
+
+
+# a dense intersection (no split) and a direct sum in a scrambled basis (split at 2)
+MEMBERSHIP_CASES = [random_regular_sequence(random.Random(3), 3, 3),
+                    mixed_direct_sum(random.Random(4), 3, 2, 3)[1]]
+
+
+@pytest.mark.parametrize("gs", MEMBERSHIP_CASES, ids=["dense", "direct sum"])
+def test_membership_reduces_only_the_generating_degree(eliminations, kernels, gs):
+    # with every certificate holding, the exact core sees no piece past I_d,
+    # and omega is the one kernel: the roundtrip compares ranks
+    ideal = GradedIdeal.of(gs)
+    assert macaulay_roundtrip(ideal)
+    assert kernels == ["assoform.ideals"]
+    semistability_audit(ideal, trials=3, seed=0)
+    splits = [recognize_decomposable(ideal, b) is not None for b in (1, 2)]
+    assert splits == [False, gs is MEMBERSHIP_CASES[1]]
+    assert kernels == ["assoform.ideals"]
+    assert not [call for call in eliminations
+                if call[0] == "reduce_rows" and call[2] > dim_degree(3, 3)]
+
+
+def test_decomposability_solves_omega_only_after_condition_a(eliminations):
+    ideal = GradedIdeal.of(MEMBERSHIP_CASES[0])
+    assert is_regular_sequence(ideal)
+    eliminations.clear()
+    # (A) fails at b = 2: I_3 maps onto three dimensions of the four of k[x1, x2]_3
+    assert recognize_decomposable(ideal, 2) is None
+    assert [call[0] for call in eliminations] == ["reduce_rows", "reduce_rows"]
+    # (A) holds at b = 1 for every regular sequence; (B) then solves omega
+    assert recognize_decomposable(ideal, 1) is None
+    assert eliminations.count(("lifted_kernel", 30, 28)) == 1

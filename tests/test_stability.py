@@ -5,8 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (power_gens, random_form, random_regular_sequence,
-                     reference_binary_stability)
+from helpers import (mixed_direct_sum, power_gens, random_form, random_regular_sequence,
+                     reference_binary_stability, reference_recognize_decomposable)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -254,7 +254,6 @@ def test_recognize_split_index_range():
 
 
 def test_recognize_randomized_direct_sums():
-    from helpers import mixed_direct_sum
     rng = random.Random(45)
     for _ in range(8):
         n = rng.choice([2, 3])
@@ -269,6 +268,33 @@ def test_recognize_randomized_direct_sums():
         want = row_space_basis(from_rows(
             [[g.terms.get(m, Fraction(0)) for m in monos] for g in lifted[b:]]))
         assert got == want
+
+
+@st.composite
+def split_candidates(draw):
+    """Random regular sequences, direct sums of embedded blocks, and permuted sums.
+
+    A permutation of the variables moves a direct sum's split off its index.
+    """
+    n, d = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    family = draw(st.sampled_from(["random", "direct sum", "permuted direct sum"]))
+    if family == "random":
+        return random_regular_sequence(rng, n, d)
+    gs = draw(st.sampled_from(mixed_direct_sum(rng, n, draw(st.integers(1, n - 1)), d)))
+    if family == "permuted direct sum":
+        perm = draw(st.permutations(range(n)))
+        gs = [P(n, {tuple(m[i] for i in perm): c for m, c in g.terms.items()}) for g in gs]
+    return gs
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_candidates())
+def test_recognize_matches_the_rref_of_the_power(gs):
+    # (B) read off omega's support equals (B) read off the exact RREF of I_N
+    ideal = GradedIdeal.of(gs)
+    for b in range(1, ideal.nvars):
+        assert recognize_decomposable(ideal, b) == reference_recognize_decomposable(gs, b), b
 
 
 # -- degeneration to direct sums ----------------------------------------------------------
