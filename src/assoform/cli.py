@@ -184,7 +184,7 @@ def _decompose(system, args, out):
     gens = [g.render(list(system.names)) for g in certificate.generators]
     out.append(f"decomposable at split b = {certificate.split_index}; "
                f"extracted generators: {', '.join(gens)}")
-    # both recognition conditions hold on every returned certificate
+    # both recognition conditions hold on every certificate: see recognize_decomposable
     return {"certificate": {"split": certificate.split_index, "generators": gens,
                             "condition_a": True, "condition_b": True},
             "tried": splits}

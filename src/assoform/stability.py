@@ -21,8 +21,7 @@ normal to it.  Uniqueness of p makes the output deterministic and
 equivariant under simultaneous permutation of variables.
 
 Membership in I follows inverse_system's duality rule: the audit's
-grevlex-least monomial outside I_nu is that of A, and a split's condition
-(B) fails iff a monomial of omega has degree >= N in the last n-b variables.
+grevlex-least monomial outside I_nu is that of A.
 """
 
 from __future__ import annotations
@@ -291,14 +290,18 @@ def binary_stability(f: Polynomial) -> StabilityReport:
 
 
 def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertificate | None:
-    """Check the two-part recognition certificate for a split at index b.
+    """The split certificate at index b: the RREF basis of E = I_d meet k[y]_d.
 
-    (A) the image of I modulo the last n-b variables is a balanced complete
-    intersection in the first b variables, equivalently I_d meets the span
-    of monomials involving the last variables in dimension exactly n-b;
-    (B) the N-th power of the ideal of the last variables, N = (n-b)(d-1)+1,
-    is contained in I, read off omega once (A) holds.  On success the
-    certificate carries a basis of I_d in the small subring.
+    With y = x_{b+1}..x_n, a regular sequence has one exactly when dim E =
+    n-b, and then (A) I_d meets V, the span of the degree-d monomials with
+    some y, in dimension n-b, and (B) (y)^N lies in I, N = (n-b)(d-1)+1.
+    Proof: I + (y) is m-primary, so I_d maps onto at least b dimensions of
+    k[x_1..x_b]_d and dim E <= dim(I_d meet V) <= n-b; equality gives (A).
+    Were E(p) = 0 at some p != 0 in y-space, b forms completing E to a basis
+    of I_d would, on the span of the first b axes and p, be b forms in b+1
+    variables with a common nonzero zero, where E vanishes too: a zero of I.
+    So E is a regular sequence in k[y], and k[y]_N lies in (E), giving (B).
+    The tests check the converse against a route deciding (A) and (B) apart.
     """
     n, d = ideal.nvars, ideal.d
     if not 1 <= b <= n - 1:
@@ -306,19 +309,11 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
     if not is_regular_sequence(ideal):
         raise NotRegularSequence("decomposability certificate needs a balanced "
                                  "complete intersection")
-    basis = ideal.graded_piece(d)
     monos_d = monomials_of_degree(n, d)
-    if intersect_with_coordinates(basis, [sum(m[b:]) > 0 for m in monos_d]).rows != n - b:
-        return None  # (A) fails
-    power = (n - b) * (d - 1) + 1
-    omega = ideal.socle_kernel()[0]
-    if any(x and sum(m[b:]) >= power for m, x in zip(monomials_of_degree(n, ideal.nu), omega)):
-        return None  # (B) fails
-    extracted = intersect_with_coordinates(basis, [sum(m[:b]) == 0 for m in monos_d])
-    if extracted.rows != n - b:
-        raise RuntimeError("conditions (A) and (B) hold but the extracted subspace "
-                           f"has dimension {extracted.rows}, expected {n - b}")
-    gens = tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL))
+    tail = intersect_with_coordinates(ideal.graded_piece(d), [sum(m[:b]) == 0 for m in monos_d])
+    if tail.rows != n - b:
+        return None
+    gens = tuple(vectors_to_polynomials(tail, monos_d, n, Space.PRIMAL))
     return DecompositionCertificate(b, gens)
 
 

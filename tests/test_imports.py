@@ -19,7 +19,8 @@ modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
 One function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and
 only ``GradedIdeal``, ``min_nonideal_monomial`` and ``recognize_decomposable``
 read an ideal's exact RREF pieces: the rest of the package reads membership
-in a complete intersection off its inverse system.
+in a complete intersection off its inverse system.  Only ``associated_form``
+solves for omega, through ``GradedIdeal.socle_kernel``.
 """
 
 import ast
@@ -238,6 +239,23 @@ def test_a_second_membership_route_is_caught():
                                 "stability": stability_tree}) == (
         ["cli._perp", "inverse_system.apolar_hilbert", "inverse_system.macaulay_roundtrip"],
         ["inverse_system.macaulay_roundtrip", "stability.semistability_audit"])
+
+
+def test_one_omega_solve():
+    # decomposability reads I_d alone; the kernel of I_nu is the associated form's
+    assert _functions_naming(_package_trees(), "socle_kernel") == [
+        "inverse_system.associated_form"]
+
+
+def test_a_second_omega_solve_is_caught():
+    stability_tree = ast.parse("def recognize_decomposable(ideal, b):\n"
+                               "    omega = ideal.socle_kernel()[0]\n"
+                               "    return not any(x and sum(m[b:]) >= 3 for m, x in zip(monos, omega))\n")
+    inverse_tree = ast.parse("def associated_form(gs):\n"
+                             "    return ideal.socle_kernel()\n")
+    assert _functions_naming({"stability": stability_tree, "inverse_system": inverse_tree},
+                             "socle_kernel") == ["inverse_system.associated_form",
+                                                 "stability.recognize_decomposable"]
 
 
 def test_one_rational_to_integer_scaling():

@@ -185,13 +185,15 @@ def test_membership_reduces_only_the_generating_degree(eliminations, kernels, gs
                 if call[0] == "reduce_rows" and call[2] > dim_degree(3, 3)]
 
 
-def test_decomposability_solves_omega_only_after_condition_a(eliminations):
-    ideal = GradedIdeal.of(MEMBERSHIP_CASES[0])
+@pytest.mark.parametrize("gs", MEMBERSHIP_CASES, ids=["dense", "direct sum"])
+def test_decomposability_reduces_only_the_generating_degree(eliminations, kernels, gs):
+    # once regularity is certified, every split is one intersection of I_d:
+    # omega is never solved, and no piece past S_d is reduced
+    ideal = GradedIdeal.of(gs)
     assert is_regular_sequence(ideal)
     eliminations.clear()
-    # (A) fails at b = 2: I_3 maps onto three dimensions of the four of k[x1, x2]_3
-    assert recognize_decomposable(ideal, 2) is None
-    assert [call[0] for call in eliminations] == ["reduce_rows", "reduce_rows"]
-    # (A) holds at b = 1 for every regular sequence; (B) then solves omega
-    assert recognize_decomposable(ideal, 1) is None
-    assert eliminations.count(("lifted_kernel", 30, 28)) == 1
+    splits = [recognize_decomposable(ideal, b) is not None for b in (1, 2)]
+    assert splits == [False, gs is MEMBERSHIP_CASES[1]]
+    assert kernels == []
+    assert {call[0] for call in eliminations} == {"reduce_rows"}
+    assert all(ncols <= dim_degree(3, 3) for _, _, ncols in eliminations)

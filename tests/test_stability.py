@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import (mixed_direct_sum, power_gens, random_form, random_regular_sequence,
-                     reference_binary_stability, reference_recognize_decomposable)
+from helpers import (lift_block, mixed_direct_sum, power_gens, random_form,
+                     random_regular_sequence, reference_binary_stability,
+                     reference_recognize_decomposable)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +232,10 @@ def test_recognize_requires_complete_intersection():
     with pytest.raises(NotRegularSequence):
         recognize_decomposable(
             GradedIdeal(2, 2, [P(2, {(2, 0): 1}), P(2, {(1, 1): 1})]), 1)
+    # I_2 meets k[x2]_2 in the full dimension n - b = 1, but x2 = 0 is a common zero
+    with pytest.raises(NotRegularSequence):
+        recognize_decomposable(
+            GradedIdeal(2, 2, [P(2, {(1, 1): 1}), P(2, {(0, 2): 1})]), 1)
 
 
 def test_recognize_certifies_regularity_once_per_ideal(monkeypatch):
@@ -272,15 +277,26 @@ def test_recognize_randomized_direct_sums():
 
 @st.composite
 def split_candidates(draw):
-    """Random regular sequences, direct sums of embedded blocks, and permuted sums.
+    """Random regular sequences, direct sums of embedded blocks, permuted sums
+    and triangular sequences.
 
     A permutation of the variables moves a direct sum's split off its index.
+    A triangular sequence, b dense forms and n-b forms in the last n-b
+    variables, splits at b without being a direct sum.
     """
     n, d = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]))
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
-    family = draw(st.sampled_from(["random", "direct sum", "permuted direct sum"]))
+    family = draw(st.sampled_from(["random", "direct sum", "permuted direct sum",
+                                   "triangular"]))
     if family == "random":
         return random_regular_sequence(rng, n, d)
+    if family == "triangular":
+        b = draw(st.integers(1, n - 1))
+        while True:
+            gs = [random_form(rng, n, d) for _ in range(b)]
+            gs += [lift_block(random_form(rng, n - b, d), n, b) for _ in range(n - b)]
+            if is_regular_sequence(gs):
+                return gs
     gs = draw(st.sampled_from(mixed_direct_sum(rng, n, draw(st.integers(1, n - 1)), d)))
     if family == "permuted direct sum":
         perm = draw(st.permutations(range(n)))
@@ -291,7 +307,8 @@ def split_candidates(draw):
 @settings(max_examples=80, deadline=None)
 @given(split_candidates())
 def test_recognize_matches_the_rref_of_the_power(gs):
-    # (B) read off omega's support equals (B) read off the exact RREF of I_N
+    # one intersection with the tail subring agrees with the oracle, which
+    # tests (A) and then reads (B) off the exact RREF of I_N
     ideal = GradedIdeal.of(gs)
     for b in range(1, ideal.nvars):
         assert recognize_decomposable(ideal, b) == reference_recognize_decomposable(gs, b), b
