@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
@@ -235,7 +235,7 @@ def _mather_yau(forms, args, out):
 
 def _audit(system, args, out):
     report = semistability_audit(system.ideal, args.trials, args.seed)
-    out.append(f"sampled {report.trials} one-parameter subgroups (seed {report.seed})")
+    out.append(f"sampled {args.trials} one-parameter subgroups (seed {args.seed})")
     out.append(f"all minimum dual weights <= 0: {report.all_mins_nonpositive}")
     out.append(f"grevlex partial-sum inequalities hold: {report.grevlex_ok}")
     if report.decomposable_split is not None:
@@ -243,16 +243,7 @@ def _audit(system, args, out):
     else:
         out.append("no given-coordinate decomposition certificate; samples "
                    f"admitting a limit: {list(report.limit_admitting)}")
-    return {
-        "all_mins_nonpositive": report.all_mins_nonpositive,
-        "grevlex_ok": report.grevlex_ok,
-        "min_monomial": list(report.min_monomial) if report.min_monomial else None,
-        "decomposable_split": report.decomposable_split,
-        "limit_admitting": list(report.limit_admitting),
-        "samples": [{"weights": list(s.weights), "dual_min": s.dual_min,
-                     "dual_max": s.dual_max, "admits_limit": s.admits_limit}
-                    for s in report.samples],
-    }
+    return asdict(report)  # json writes its tuples as lists
 
 
 # -- the command table ---------------------------------------------------------

@@ -16,15 +16,13 @@ these rows are nearly triangular, so the echelon has little fill-in and
 stops after few of the others.  The square alone does not suffice: for
 x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
 
-- dim I_k with n generators.  Specialising coefficients can only lower a
-  rank, and n generic forms of degree d are a regular sequence, whose
-  Hilbert function h_CI(k) is the coefficient of t^k in
-  ((1 - t^d)/(1 - t))^n.  So dim I_k <= dim S_k - h_CI(k) for any n forms.
-  This bounds regularity (at nu + 1, where h_CI = 0), Hilbert functions
-  and omega's echelon at nu (h_CI = 1).  With m != n generators the bound
-  is the full rank: the generic Hilbert function of m > n forms is
-  Froberg's open conjecture (Math. Scand. 56, 1985).  A shorter rank is
-  exact when its kernel, lifted off the echelon, is checked over Z.
+- dim I_k with n generators: dim S_k - h_CI(k), attained by a regular
+  sequence (GradedIdeal.dim_piece).  This bounds regularity (at nu + 1,
+  where h_CI = 0), Hilbert functions and omega's echelon at nu (h_CI = 1).
+  With m != n generators the bound is the full rank: the generic Hilbert
+  function of m > n forms is Froberg's open conjecture (Math. Scand. 56,
+  1985).  A shorter rank is exact when its kernel, lifted off the echelon,
+  is checked over Z.
 - Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j <= dim K_j - rank
   d_{j+1} over Q, with equality exactly where the complex is exact (Eisenbud,
   Commutative Algebra, 17).  The source basis of d_j is taken in the same
@@ -133,10 +131,14 @@ class GradedIdeal:
         return self.piece_with_pivots(k)[0]
 
     def dim_piece(self, k: int) -> int:
-        """dim I_k, the rank of the product rows when no basis is cached yet.
+        """dim I_k, read off the bound below or a certified rank of the product rows.
 
-        Its certified bound is the generic rank dim S_k - h_CI(k) with n
-        generators, the full rank otherwise.
+        With n generators the bound is dim S_k - h_CI(k), h_CI(k) the
+        coefficient of t^k in ((1 - t^d)/(1 - t))^n: specialising can only
+        lower a rank, and n generic forms are a regular sequence.  Once
+        I_{nu+1} is full, so are these (is_regular_sequence): their Koszul
+        complex resolves S/I (Eisenbud, Commutative Algebra, Cor. 17.5), and
+        the bound is dim I_k, with no rows built.  With m != n it is the full rank.
         """
         if k not in self._rank_cache:
             n, d, m = self.nvars, self.d, len(self.generators)
@@ -145,7 +147,9 @@ class GradedIdeal:
                             for j in range(1, n + 1))  # dim S_k - h_CI(k)
             else:
                 bound = min(m * dim_degree(n, k - d), dim_degree(n, k))
-            self._rank_cache[k] = certified_rank(self._macaulay_rows(k), dim_degree(n, k), bound)
+            if m != n or self._rank_cache.get(self.nu + 1) != dim_degree(n, self.nu + 1):
+                bound = certified_rank(self._macaulay_rows(k), dim_degree(n, k), bound)
+            self._rank_cache[k] = bound
         return self._rank_cache[k]
 
     def contains(self, f: Polynomial) -> bool:
@@ -161,7 +165,9 @@ class GradedIdeal:
 
 
 def hilbert_function(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
-    """dim (S/I)_k for k = 0..bound."""
+    """dim (S/I)_k for k = 0..bound; I_{nu+1} first, whose full rank decides n forms."""
+    if bound > ideal.nu:
+        ideal.dim_piece(ideal.nu + 1)
     return tuple(dim_degree(ideal.nvars, k) - ideal.dim_piece(k)
                  for k in range(bound + 1))
 
@@ -290,8 +296,9 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
         above = 0  # rank of d_{j+1} in degree k; d_{min(m, k // d) + 1} is zero
         for j in range(min(m, k // d), 0, -1):
             bound = math.comb(m, j) * dim_degree(n, k - j * d) - above
-            images = _koszul_images(ideal._integer_forms, n, d, j, k,
-                                    _macaulay_order(n, d, m, j, k))
+            images = (ideal._macaulay_rows(k) if j == 1 else
+                      _koszul_images(ideal._integer_forms, n, d, j, k,
+                                     _macaulay_order(n, d, m, j, k)))
             ncols = math.comb(m, j - 1) * dim_degree(n, k - (j - 1) * d)  # dim K_{j-1}
             if certified_rank(images, ncols, bound) < bound:
                 return False

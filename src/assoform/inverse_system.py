@@ -40,7 +40,7 @@ from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, hilbert_function,
                      is_regular_sequence)
 from .linalg import QMatrix, certified_rank, null_space
 from .poly import (ZERO, Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
-                   jacobian_det, mono_factorial, monomials_of_degree, pairing)
+                   jacobian_det, mono_factorial, monomials_of_degree, pairing, partial)
 
 
 class NotRegularSequence(ValueError):
@@ -219,7 +219,6 @@ def direct_sum_assoc(gs1, gs2) -> AssociatedForm:
 
 def milnor_associated_form(F: Polynomial) -> AssociatedForm:
     """Associated form of the Milnor algebra of a smooth hypersurface form."""
-    from .poly import partial
     if F.is_zero() or not F.is_homogeneous() or F.degree() < 2:
         raise ValueError("expected a homogeneous form of degree at least 2")
     grads = [partial(F, i) for i in range(F.nvars)]

@@ -246,6 +246,12 @@ def binary_stability(f: Polynomial) -> StabilityReport:
     Stable iff every multiplicity is below deg/2; unstable iff one exceeds
     it; on the boundary, polystable exactly for two distinct roots of
     multiplicity deg/2 each.
+
+    An unstable form's witness is its one heavy root.  The 1-PS (w, -w)
+    gives z1^i z2^(deg-i) the weight w(2i - deg), so it destabilizes f
+    exactly when z1^(deg//2+1) divides f (w > 0) or z2^(deg//2+1) does
+    (w < 0): for a heavy root z1 = 0 it is (1, -1), at infinity (-1, 1),
+    and any other heavy root is a RootWitness with its linear factor.
     """
     if f.nvars != 2:
         raise ValueError("binary_stability expects a binary form")
@@ -271,13 +277,13 @@ def binary_stability(f: Polynomial) -> StabilityReport:
     multiplicities = tuple(sorted(profile.items(), reverse=True))
     max_mult = multiplicities[0][0]
 
-    if 2 * max_mult > m:
-        witness: OnePS | RootWitness | None = torus_destabilizer(f)
-        if witness is None:
-            # chain ends at g_M: a finite heavy root wins a tie with infinity
-            heavy = (_homogenize(chain[max_mult - 1], f.space) if max_mult < len(chain)
-                     else Polynomial.variable(2, 1, f.space))
-            witness = RootWitness(max_mult, heavy)
+    if 2 * max_mult > m:  # one heavy root: infinity, or g_{M-1} = t - r
+        if inf_mult == max_mult:
+            witness: OnePS | RootWitness = OnePS((-1, 1))
+        elif chain[max_mult - 1][0] == 0:
+            witness = OnePS((1, -1))
+        else:
+            witness = RootWitness(max_mult, _homogenize(chain[max_mult - 1], f.space))
         return StabilityReport(Verdict.UNSTABLE, witness, multiplicities)
     if 2 * max_mult < m:
         return StabilityReport(Verdict.STABLE, None, multiplicities)
@@ -358,11 +364,8 @@ class WeightSample:
 
 @dataclass(frozen=True)
 class AuditReport:
-    nvars: int
-    d: int
-    nu: int
-    seed: int
-    trials: int
+    """The audit's findings; dataclasses.asdict of it is the CLI's JSON result."""
+
     samples: tuple[WeightSample, ...]
     all_mins_nonpositive: bool
     min_monomial: Mono | None
@@ -387,7 +390,6 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
     if n < 2:
         raise ValueError("the audit needs at least 2 variables: the only "
                          "zero-sum weight in one variable is 0")
-    nu = assoc.nu
     rng = random.Random(seed)
 
     samples = []
@@ -412,7 +414,6 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
 
     limit_admitting = tuple(i for i, s in enumerate(samples) if s.admits_limit)
     return AuditReport(
-        nvars=n, d=d, nu=nu, seed=seed, trials=trials,
         samples=tuple(samples),
         all_mins_nonpositive=all(s.dual_min <= 0 for s in samples),
         min_monomial=mono,

@@ -120,6 +120,8 @@ def test_non_regular_sequence_is_short_at_nu_plus_one(text):
     ("vars: x1 x2\nx1^2 + x2^2\nx1^2 - x2^2\nx1*x2 + x2^2", (1, 2, 0, 0), False),
     # fewer generators than variables, a regular sequence
     ("vars: x1 x2 x3\nx1^2\nx2^2", (1, 3, 4, 4, 4), True),
+    # I_3 is full, yet dim I_2 = 2 is below the full-rank bound 3: I_2 is ranked
+    ("vars: x1 x2\nx1^2\nx2^2\nx1^2 + x2^2", (1, 2, 1, 0), False),
 ])
 def test_hilbert_with_m_not_n_is_exact(text, values, koszul):
     ideal = _ideal(text)

@@ -20,7 +20,9 @@ One function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and
 only ``GradedIdeal``, ``min_nonideal_monomial`` and ``recognize_decomposable``
 read an ideal's exact RREF pieces: the rest of the package reads membership
 in a complete intersection off its inverse system.  Only ``associated_form``
-solves for omega, through ``GradedIdeal.socle_kernel``.
+solves for omega, through ``GradedIdeal.socle_kernel``, and only the
+``stability`` command runs Wolfe's ``torus_destabilizer``:
+``binary_stability`` reads its witness off the root multiplicities.
 """
 
 import ast
@@ -256,6 +258,21 @@ def test_a_second_omega_solve_is_caught():
     assert _functions_naming({"stability": stability_tree, "inverse_system": inverse_tree},
                              "socle_kernel") == ["inverse_system.associated_form",
                                                  "stability.recognize_decomposable"]
+
+
+def test_one_wolfe_caller():
+    # binary_stability reads its witness off the heavy root's multiplicity
+    assert _functions_naming(_package_trees(), "torus_destabilizer") == ["cli._stability"]
+
+
+def test_a_binary_wolfe_call_is_caught():
+    stability_tree = ast.parse("def binary_stability(f):\n"
+                               "    return torus_destabilizer(f) or RootWitness(m, heavy)\n")
+    cli_tree = ast.parse("def _stability(system, args, out):\n"
+                         "    return torus_destabilizer(form)\n")
+    assert _functions_naming({"stability": stability_tree, "cli": cli_tree},
+                             "torus_destabilizer") == ["cli._stability",
+                                                       "stability.binary_stability"]
 
 
 def test_one_rational_to_integer_scaling():

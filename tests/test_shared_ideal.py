@@ -12,10 +12,11 @@ reduced twice shows up as a second ``reduce_rows``.
 import random
 
 import pytest
-from helpers import mixed_direct_sum, power_gens, random_form, random_regular_sequence
+from helpers import (mixed_direct_sum, power_gens, random_form, random_regular_sequence,
+                     series_hilbert)
 
 from assoform import ideals, inverse_system, linalg
-from assoform.ideals import (GradedIdeal, intersect_with_coordinates,
+from assoform.ideals import (GradedIdeal, hilbert_function, intersect_with_coordinates,
                              is_regular_sequence)
 from assoform.invariants import mather_yau_point
 from assoform.inverse_system import (associated_form, hilbert_point_functional,
@@ -60,6 +61,23 @@ def test_audit_certifies_and_reduces_once(eliminations):
     assert not [call for call in eliminations if call[0] == "rank"]
     assert eliminations.count(("lifted_kernel", 30, 28)) == 1
     assert ("reduce_rows", 30, 28) not in eliminations
+
+
+def test_hilbert_reads_the_regularity_rank(eliminations, monkeypatch):
+    gs = random_regular_sequence(random.Random(3), 3, 3)
+    built = []  # the degrees whose product rows are made
+    real = GradedIdeal._macaulay_rows
+    monkeypatch.setattr(GradedIdeal, "_macaulay_rows",
+                        lambda self, k: built.append(k) or real(self, k))
+    eliminations.clear()
+    # past the socle: the one echelon of I_7 up to rank 36 decides every degree
+    assert list(hilbert_function(GradedIdeal.of(gs), 7)) == series_hilbert(3, 3, 7)
+    assert eliminations == [("echelon_mod_p", 36)]
+    assert built == [7]
+    # capped at the socle degree: I_7 is not ranked, and every degree below is
+    built.clear()
+    assert list(hilbert_function(GradedIdeal.of(gs), 6)) == series_hilbert(3, 3, 6)
+    assert built == list(range(7))
 
 
 def test_mather_yau_certifies_the_gradient_once(eliminations):

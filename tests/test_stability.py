@@ -8,7 +8,7 @@ import pytest
 from helpers import (lift_block, mixed_direct_sum, power_gens, random_form,
                      random_regular_sequence, reference_binary_stability,
                      reference_recognize_decomposable)
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from assoform import ideals
@@ -134,6 +134,10 @@ _QUADRATIC = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
 @given(st.lists(st.tuples(st.one_of(_LINEAR, _QUADRATIC), st.integers(1, 4)),
                 min_size=1, max_size=5),
        st.sampled_from([1, -2, Fraction(1, 3)]))
+# a heavy root at z1 = 0, at infinity, and elsewhere, each beside a light one
+@example([({(1, 0): 1}, 3), ({(1, 0): 1, (0, 1): 1}, 1)], 1)
+@example([({(0, 1): 1}, 4), ({(1, 0): 2, (0, 1): -1}, 2)], -2)
+@example([({(1, 0): 1, (0, 1): 2}, 3), ({(1, 0): 1}, 1)], Fraction(1, 3))
 def test_binary_stability_matches_yun(factors, lead):
     f = D(2, {(0, 0): lead})
     for terms, e in factors:
