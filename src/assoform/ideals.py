@@ -6,6 +6,8 @@ generator scaled once to a primitive integer form (the same ideal): ideal
 pieces are canonical RREF row spaces, Hilbert functions are codimensions,
 regular sequences are certified by vanishing of the quotient one degree
 past the socle, and Koszul differentials are assembled as graded matrices.
+The RREF of a piece is built (and cached) only for the public ``graded_piece``,
+``contains`` and ``min_nonideal_monomial``; no command builds one.
 
 Every rank is a ``linalg.certified_rank`` of integer rows, given a proven
 upper bound of the rank over Q, with the rows taken Macaulay-first: for
@@ -38,8 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import (QMatrix, certified_rank, in_row_space, integer_rows, null_space,
-                     reduce_rows, unit_columns)
+from .linalg import (QMatrix, certified_rank, in_row_space, null_space, reduce_rows,
+                     unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
 
@@ -306,20 +308,19 @@ def koszul_exactness_check(gs, k_max: int) -> bool:
     return True
 
 
-def intersect_with_coordinates(basis: QMatrix, keep_cols) -> QMatrix:
-    """Canonical basis of (row space of basis) cut to a coordinate subspace.
+def intersect_with_coordinates(rows, ncols: int, keep_cols) -> QMatrix:
+    """Canonical basis of (span of integer rows) cut to a coordinate subspace.
 
-    keep_cols flags, per column, whether the corresponding coordinate may be
-    nonzero; the result is the subspace of row-space vectors supported on
-    the kept columns, again in RREF.
+    rows are sparse integer rows {column: entry}, any spanning set; keep_cols
+    flags, per column, whether the coordinate may be nonzero.  The result is
+    the subspace of the span supported on the kept columns, in RREF.
     """
     # one RREF with the dropped columns first: the rows pivoting past them
     # vanish there and span the intersection, already reduced
-    order = sorted(range(basis.cols), key=lambda c: bool(keep_cols[c]))
-    back = sorted(range(basis.cols), key=order.__getitem__)  # the inverse permutation
-    reduced, pivots = reduce_rows([{back[c]: x for c, x in row.items()}
-                                   for row in integer_rows(basis.entries)], basis.cols)
+    order = sorted(range(ncols), key=lambda c: bool(keep_cols[c]))
+    back = sorted(range(ncols), key=order.__getitem__)  # the inverse permutation
+    reduced, pivots = reduce_rows([{back[c]: x for c, x in row.items()} for row in rows], ncols)
     ndrop = sum(not keep for keep in keep_cols)
     grid = tuple(tuple(row[j] for j in back)
                  for row, pc in zip(reduced.entries, pivots) if pc >= ndrop)
-    return QMatrix(len(grid), basis.cols, grid)
+    return QMatrix(len(grid), ncols, grid)

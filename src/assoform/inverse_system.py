@@ -117,12 +117,10 @@ def associated_form(gs) -> AssociatedForm:
     scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)
     if scale == 0:
         raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
-    # A_a = (nu!/a!) omega(x^a), with omega = raw / scale
+    # A_a = (nu!/a!) omega(x^a), with omega = raw / scale: nonzero where raw is
     nu_fact = math.factorial(nu)
     form = Polynomial(n, Space.DUAL, {m: nu_fact * x / (scale * mono_factorial(m))
                                       for m, x in raw.items()})
-    if form.is_zero():
-        raise RuntimeError("associated form vanished; impossible for a regular sequence")
     if pairing(jac, form) != nu_fact:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
     return AssociatedForm(form, ideal)

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals, and the ranks certified mod p.
 
 Inside the library a matrix is a list of sparse integer rows {column:
-entry}; ``QMatrix`` (immutable Fraction rows) is met only at the public
-functions, and ``integer_rows`` is the one conversion from it.  Every
+entry}; ``QMatrix`` (immutable Fraction rows) is met only at the six public
+functions that take one; ``integer_rows`` is the one conversion from it.  Every
 result (RREF, kernel bases) is canonical: the RREF of a matrix is unique.
 
-The one exact elimination is ``reduce_rows``: it densifies integer rows
-once, runs the integer Gauss-Jordan core, and forms the canonical Fraction
-RREF of the pivot rows at the end, so the bases are those of elimination
-over Fractions.
+The one exact elimination is ``reduce_rows``, the one door into the integer
+Gauss-Jordan core: it densifies integer rows once, runs the core, and forms
+the canonical Fraction RREF of the pivot rows at the end, so the bases are
+those of elimination over Fractions.
 
 The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
 takes sparse integer rows in the caller's order, reduces each against the
@@ -18,7 +18,7 @@ one certificate, ``lifted_kernel``, lifts a kernel vector per free column
 p-adically on those factors (Dixon, Numer. Math. 40, 1982), recovers them
 by rational reconstruction (von zur Gathen and Gerhard, Modern Computer
 Algebra, 5.10) and keeps them only if they kill every row over Z.  Only
-``certified_rank`` and ``null_space`` trust the echelon; the exact core is
+``certified_rank`` and ``null_space`` trust the echelon; ``reduce_rows`` is
 their fallback.
 
 Each subspace is read off one elimination: ``kernel_of_rref`` reads a
@@ -228,7 +228,7 @@ def certified_rank(rows, ncols: int, bound: int) -> int:
     echelon = echelon_mod_p((read.append(row) or row for row in rows), bound)
     if len(echelon[1]) == bound or lifted_kernel(read, ncols, echelon) is not None:
         return len(echelon[1])
-    return len(_gauss_jordan([[row.get(c, 0) for c in range(ncols)] for row in read], ncols))
+    return len(reduce_rows(read, ncols)[1])
 
 
 def rank(m: QMatrix) -> int:

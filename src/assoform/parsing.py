@@ -100,14 +100,12 @@ def _size(f: Polynomial) -> tuple[int, int]:
 class _ExprParser:
     """Recursive descent over one polynomial line."""
 
-    def __init__(self, tokens: list[_Token], names: tuple[str, ...], line: int,
-                 space: Space):
+    def __init__(self, tokens: list[_Token], names: tuple[str, ...], line: int):
         self.tokens = tokens
         self.pos = 0
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.line = line
-        self.space = space
         self.depth = 0
 
     def peek(self) -> _Token:
@@ -215,12 +213,12 @@ class _ExprParser:
                 if den == 0:
                     self.fail("division by zero in rational literal", dtok)
                 value /= den
-            return Polynomial.constant(n, self.space, value)
+            return Polynomial.constant(n, Space.PRIMAL, value)
         if tok.kind == "ident":
             idx = self.index.get(tok.text)
             if idx is None:
                 raise ParseError(f"undeclared variable {tok.text!r}", self.line, tok.col)
-            return Polynomial.variable(n, idx, self.space)
+            return Polynomial.variable(n, idx, Space.PRIMAL)
         if tok.kind == "op" and tok.text == "(":
             inner = self.nested(self.expr, tok)
             closing = self.peek()
@@ -233,10 +231,9 @@ class _ExprParser:
         raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.col)
 
 
-def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1,
-                     space: Space = Space.PRIMAL) -> Polynomial:
-    """Parse a single expression line against declared variable names."""
-    return _ExprParser(_tokenize(text, line), names, line, space).parse()
+def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:
+    """Parse a single expression line against declared variable names, as a primal form."""
+    return _ExprParser(_tokenize(text, line), names, line).parse()
 
 
 def split_lines(text: str) -> list[str]:

@@ -316,7 +316,8 @@ def recognize_decomposable(ideal: GradedIdeal, b: int) -> DecompositionCertifica
         raise NotRegularSequence("decomposability certificate needs a balanced "
                                  "complete intersection")
     monos_d = monomials_of_degree(n, d)
-    tail = intersect_with_coordinates(ideal.graded_piece(d), [sum(m[:b]) == 0 for m in monos_d])
+    tail = intersect_with_coordinates(ideal._macaulay_rows(d), len(monos_d),
+                                      [sum(m[:b]) == 0 for m in monos_d])
     if tail.rows != n - b:
         return None
     gens = tuple(vectors_to_polynomials(tail, monos_d, n, Space.PRIMAL))

@@ -11,15 +11,17 @@ echelon, and the kernel lift that reuses its factors.  Two functions,
 ``certified_rank`` for a rank and ``null_space`` for a kernel, run the
 echelon and choose between its certified answer and the exact core, so no
 caller hand-rolls its own fallback, and one, ``reduce_rows``, is the exact
-reduction of integer rows.  One function, ``integer_vector``,
-scales a rational vector to integers, and one, ``integer_rows``, turns the
-rows of a ``QMatrix`` into the library's integer rows.  One function,
+reduction of integer rows and the only caller of the Gauss-Jordan core.  One
+function, ``integer_vector``, scales a rational vector to integers, and one,
+``integer_rows``, turns the rows of a ``QMatrix`` into the library's integer
+rows; only the six public functions that take a ``QMatrix`` call it.  One function,
 ``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
 modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
 One function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and
-only ``GradedIdeal``, ``min_nonideal_monomial`` and ``recognize_decomposable``
-read an ideal's exact RREF pieces: the rest of the package reads membership
-in a complete intersection off its inverse system.  Only ``associated_form``
+only ``GradedIdeal`` and ``min_nonideal_monomial`` read an ideal's exact
+RREF pieces: ``recognize_decomposable`` reduces the generators' own rows of
+I_d, and the rest of the package reads membership in a complete
+intersection off its inverse system.  Only ``associated_form``
 solves for omega, through ``GradedIdeal.socle_kernel``, and only the
 ``stability`` command runs Wolfe's ``torus_destabilizer``:
 ``binary_stability`` reads its witness off the root multiplicities.
@@ -174,7 +176,7 @@ def test_one_rank_decision():
     assert _rank_deciders(_package_trees()) == (
         ["linalg.certified_rank", "linalg.null_space"],
         ["linalg.certified_rank", "linalg.null_space"],
-        ["linalg.certified_rank", "linalg.reduce_rows"],
+        ["linalg.reduce_rows"],
         [])
 
 
@@ -218,16 +220,16 @@ def _membership_readers(trees: dict[str, ast.Module]) -> tuple[list[str], list[s
 def test_one_membership_rule():
     # perp and the roundtrip rank the catalecticants through apolar_hilbert,
     # and perp_piece takes a kernel; contains and graded_piece are GradedIdeal's,
-    # and recognize_decomposable reduces only I_d
+    # and recognize_decomposable reduces the generators' own rows of I_d
     assert _membership_readers(_package_trees()) == (
         ["inverse_system.apolar_hilbert", "inverse_system.perp_piece"],
-        ["ideals.contains", "ideals.graded_piece", "ideals.min_nonideal_monomial",
-         "stability.recognize_decomposable"])
+        ["ideals.contains", "ideals.graded_piece", "ideals.min_nonideal_monomial"])
 
 
 def test_a_second_membership_route_is_caught():
-    # perp ranks its own catalecticants, the roundtrip compares RREFs, and
-    # the audit reads its monomial off the RREF of I_nu
+    # perp ranks its own catalecticants, the roundtrip compares RREFs, the
+    # audit reads its monomial off the RREF of I_nu, and decomposability
+    # intersects the RREF of I_d
     cli_tree = ast.parse("def _perp(f, args, out):\n"
                          "    return [certified_rank(c, n, n) for c in catalecticants(f, top)]\n")
     inverse_tree = ast.parse("def apolar_hilbert(f, top):\n"
@@ -236,11 +238,14 @@ def test_a_second_membership_route_is_caught():
                              "    return all(null_space(c, n) == ideal.graded_piece(k)\n"
                              "               for k, c in enumerate(catalecticants(form, top)))\n")
     stability_tree = ast.parse("def semistability_audit(gs, trials, seed):\n"
-                               "    return min_nonideal_monomial(ideal, ideal.nu)\n")
+                               "    return min_nonideal_monomial(ideal, ideal.nu)\n"
+                               "def recognize_decomposable(ideal, b):\n"
+                               "    return intersect_with_coordinates(ideal.graded_piece(d), keep)\n")
     assert _membership_readers({"cli": cli_tree, "inverse_system": inverse_tree,
                                 "stability": stability_tree}) == (
         ["cli._perp", "inverse_system.apolar_hilbert", "inverse_system.macaulay_roundtrip"],
-        ["inverse_system.macaulay_roundtrip", "stability.semistability_audit"])
+        ["inverse_system.macaulay_roundtrip", "stability.recognize_decomposable",
+         "stability.semistability_audit"])
 
 
 def test_one_omega_solve():
@@ -311,6 +316,24 @@ def test_a_second_conversion_is_caught():
                             "    return integer_vector(row)[1]\n")
     assert _functions_naming({"linalg": linalg_tree}, "integer_vector") == [
         "linalg._integer_row", "linalg.integer_rows"]
+
+
+def test_one_door_from_qmatrix():
+    # only the public QMatrix functions convert their rows; inside, every
+    # elimination takes integer rows
+    assert _functions_naming(_package_trees(), "integer_rows") == [
+        "linalg.in_row_space", "linalg.kernel_basis", "linalg.rank", "linalg.row_space_basis",
+        "linalg.rref", "linalg.solve_square"]
+
+
+def test_a_second_door_from_qmatrix_is_caught():
+    linalg_tree = ast.parse("def rank(m):\n"
+                            "    return certified_rank(integer_rows(m.entries), m.cols)\n")
+    ideals_tree = ast.parse("def intersect_with_coordinates(basis, keep_cols):\n"
+                            "    return reduce_rows(integer_rows(basis.entries), basis.cols)\n")
+    assert _functions_naming({"linalg": linalg_tree, "ideals": ideals_tree},
+                             "integer_rows") == ["ideals.intersect_with_coordinates",
+                                                 "linalg.rank"]
 
 
 def test_one_koszul_basis_enumeration():

@@ -118,7 +118,7 @@ def test_roundtrip_randomized():
             poly = poly + random_form(rng, n, rng.randint(0, 4), space=space) * \
                 Fraction(rng.randint(-6, 6), rng.randint(1, 6))
         names = tuple(poly.default_names())
-        reparsed = parse_polynomial(poly.render(), names, space=space)
+        reparsed = parse_polynomial(poly.render(), names).retag(space)
         assert reparsed == poly
 
 

@@ -165,11 +165,10 @@ def test_perp_piece_reduces_once_per_degree(eliminations):
 
 def test_intersect_with_coordinates_reduces_once(eliminations):
     ideal = GradedIdeal.of(power_gens(3, [3, 3, 3]))
-    basis = ideal.graded_piece(3)
     touches_tail = [sum(m[1:]) > 0 for m in monomials_of_degree(3, 3)]
     eliminations.clear()
-    assert intersect_with_coordinates(basis, touches_tail).rows == 2
-    assert [call[0] for call in eliminations] == ["reduce_rows"]
+    assert intersect_with_coordinates(ideal._macaulay_rows(3), 10, touches_tail).rows == 2
+    assert eliminations == [("reduce_rows", 3, 10)]
 
 
 @pytest.fixture
@@ -204,14 +203,19 @@ def test_membership_reduces_only_the_generating_degree(eliminations, kernels, gs
 
 
 @pytest.mark.parametrize("gs", MEMBERSHIP_CASES, ids=["dense", "direct sum"])
-def test_decomposability_reduces_only_the_generating_degree(eliminations, kernels, gs):
-    # once regularity is certified, every split is one intersection of I_d:
-    # omega is never solved, and no piece past S_d is reduced
+def test_decomposability_reduces_only_the_generating_degree(eliminations, kernels,
+                                                           monkeypatch, gs):
+    # once regularity is certified, every split is one reduction of the n
+    # generator rows of I_d: omega is never solved, and no RREF piece is read
+    pieces = []
+    real = GradedIdeal.piece_with_pivots
+    monkeypatch.setattr(GradedIdeal, "piece_with_pivots",
+                        lambda self, k: pieces.append(k) or real(self, k))
     ideal = GradedIdeal.of(gs)
     assert is_regular_sequence(ideal)
     eliminations.clear()
     splits = [recognize_decomposable(ideal, b) is not None for b in (1, 2)]
     assert splits == [False, gs is MEMBERSHIP_CASES[1]]
     assert kernels == []
-    assert {call[0] for call in eliminations} == {"reduce_rows"}
-    assert all(ncols <= dim_degree(3, 3) for _, _, ncols in eliminations)
+    assert eliminations == [("reduce_rows", 3, dim_degree(3, 3))] * 2
+    assert pieces == []
