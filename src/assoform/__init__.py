@@ -12,11 +12,11 @@ from .invariants import (GITPoint, mather_yau_point, points_equal,
                          quartic_invariants, transvectant)
 from .linalg import QMatrix, from_rows, kernel_basis, rank, rref
 from .parsing import InputSystem, ParseError, parse_polynomial, parse_system
-from .poly import (Mono, Polynomial, Space, apolar_apply, grevlex_less,
-                   jacobian_det, pairing, partial, substitute)
+from .poly import (Mono, Polynomial, Space, apolar_apply, jacobian_det, pairing,
+                   partial, substitute)
 from .stability import (AuditReport, DecompositionCertificate, OnePS,
                         RootWitness, StabilityReport, Verdict, binary_stability,
-                        degeneration_limit, limit_exists, recognize_decomposable,
+                        degeneration_limit, recognize_decomposable,
                         semistability_audit, support_weight_range,
                         torus_destabilizer)
 
@@ -32,11 +32,11 @@ __all__ = [
     "transvectant",
     "QMatrix", "from_rows", "kernel_basis", "rank", "rref",
     "InputSystem", "ParseError", "parse_polynomial", "parse_system",
-    "Mono", "Polynomial", "Space", "apolar_apply", "grevlex_less",
+    "Mono", "Polynomial", "Space", "apolar_apply",
     "jacobian_det", "pairing", "partial", "substitute",
     "AuditReport", "DecompositionCertificate", "OnePS", "RootWitness",
     "StabilityReport", "Verdict", "binary_stability", "degeneration_limit",
-    "limit_exists", "recognize_decomposable", "semistability_audit",
+    "recognize_decomposable", "semistability_audit",
     "support_weight_range", "torus_destabilizer",
 ]
 

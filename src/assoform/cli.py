@@ -99,11 +99,10 @@ def _read_form(args):
 
 
 def _read_quartics(args):
-    if len(args.files) not in (1, 2):
-        raise ValueError("mather-yau takes one or two input files")
     # lazy: each file is read just before its point is computed, so the
     # first failing file decides the exit code
-    forms = (_single_form(_load(path), "mather-yau") for path in args.files)
+    paths = [args.file] if args.other is None else [args.file, args.other]
+    forms = (_single_form(_load(path), "mather-yau") for path in paths)
     return forms, {"nvars": 2, "d": 3, "nu": 4}
 
 
@@ -286,7 +285,8 @@ COMMANDS = {
                                  _read_form, _binary_stability),
     "mather-yau": _Command(
         "compare the invariant points of one or two quartics", _read_quartics,
-        _mather_yau, ((("files",), {"nargs": "+", "help": "input system file(s)"}),)),
+        _mather_yau,
+        (_FILE, (("other",), {"nargs": "?", "help": "a second input system file"}))),
     "audit": _Command(
         "randomized semistability audit", _read_system, _audit,
         (_FILE,

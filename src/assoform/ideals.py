@@ -121,7 +121,10 @@ class GradedIdeal:
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
     def socle_kernel(self) -> list[tuple[Fraction, ...]]:
-        """A kernel basis of the product rows of I_nu, once; the echelon stops at dim S_nu - 1."""
+        """A kernel basis of the product rows of I_nu, once, for a certified regular sequence.
+
+        The echelon stops at dim S_nu - 1, the rank of I_nu (h_CI(nu) = 1).
+        """
         if self._socle_kernel is None:  # columns reversed: null_space restores Macaulay's order
             top = dim_degree(self.nvars, self.nu) - 1
             rows = ({top - c: x for c, x in row.items()} for row in self._macaulay_rows(self.nu))

@@ -22,7 +22,7 @@ read off it on demand.
 
 Once regularity is certified, omega spans the kernel of I_nu's integer
 product rows, which GradedIdeal.socle_kernel takes from linalg.null_space:
-lifted off the echelon and checked over Z, else read off the exact RREF.
+lifted off the echelon and checked over Z, at the next prime if one fails.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is

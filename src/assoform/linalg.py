@@ -1,29 +1,35 @@
-"""Exact linear algebra over the rationals, and the ranks certified mod p.
+"""Exact linear algebra over the rationals, certified mod p.
 
 Inside the library a matrix is a list of sparse integer rows {column:
 entry}; ``QMatrix`` (immutable Fraction rows) is met only at the six public
 functions that take one; ``integer_rows`` is the one conversion from it.  Every
 result (RREF, kernel bases) is canonical: the RREF of a matrix is unique.
 
-The one exact elimination is ``reduce_rows``, the one door into the integer
-Gauss-Jordan core: it densifies integer rows once, runs the core, and forms
-the canonical Fraction RREF of the pivot rows at the end, so the bases are
-those of elimination over Fractions.
+The one elimination is ``echelon_mod_p`` at a prime p from ``_primes``
+(``_PRIME``, then each prime below it, all above 2^29).  It reduces rows in
+the caller's order against the pivot rows kept so far, records the LU
+factors of the kept rows, and stops at a target rank, so rows past it are
+never read.  Its certificate, ``lifted_kernel``, lifts a kernel vector w_f
+per free column f p-adically on those factors (Dixon, Numer. Math. 40,
+1982), recovers them by rational reconstruction (von zur Gathen and
+Gerhard, Modern Computer Algebra, 5.10) and keeps them only if they kill
+every row over Z: then the rank mod p is the rank over Q.  Where it fails,
+``certified_rank`` (a rank) and ``_canonical_kernel`` (the kernel that
+``reduce_rows``, ``null_space`` and ``kernel_basis`` read) go on to the
+next prime (Chen and Storjohann, ISSAC 2005).  ``_canonical_kernel`` also
+needs each w_f zero past f: a kernel basis with distinct last nonzero
+entries has them at the free columns of the RREF over Q, so the pivots mod
+p are those over Q, and w_f / w_f[f] is the RREF's kernel vector of f.
 
-The one elimination modulo the prime ``_PRIME`` is ``echelon_mod_p``.  It
-takes sparse integer rows in the caller's order, reduces each against the
-pivot rows kept so far, records its multipliers (the LU factors of the kept
-rows), and stops at a target rank, so rows past it are never read.  Its
-one certificate, ``lifted_kernel``, lifts a kernel vector per free column
-p-adically on those factors (Dixon, Numer. Math. 40, 1982), recovers them
-by rational reconstruction (von zur Gathen and Gerhard, Modern Computer
-Algebra, 5.10) and keeps them only if they kill every row over Z.  Only
-``certified_rank`` and ``null_space`` trust the echelon; ``reduce_rows`` is
-their fallback.
-
-Each subspace is read off one elimination: ``kernel_of_rref`` reads a
-kernel off an RREF at hand, ``null_space`` reads the canonical kernel basis
-off one echelon, and ``unit_columns`` reads unit vectors off an RREF.
+Why the loop ends.  Let M have rank r over Q, pivot columns P in its RREF,
+and r rows R with det M[R, P] != 0.  A prime not dividing it keeps the rank
+of every prefix of the columns, so the echelon pivots on P, and its kept
+rows span the row space.  By Cramer's rule their solutions x_f have
+numerators and denominator at most H, the Hadamard bound of the kept rows,
+so the lift, run until p^k > 2 H^2, recovers them, and w_f is the RREF's.
+By Hadamard's inequality |det M[R, P]| is at most the product N of the row
+norms of M, so at most log2(N) / 29 primes above 2^29 divide it; about
+2.5 * 10^7 primes lie between 2^29 and 2^30.
 """
 from __future__ import annotations
 
@@ -32,9 +38,17 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Modulus of the mod-p elimination: the largest prime below 2^30, so every
-# residue is a single-digit CPython int.
+# The first modulus of the mod-p elimination: the largest prime below 2^30,
+# so every residue is a single-digit CPython int.
 _PRIME = (1 << 30) - 35
+
+
+def _primes():
+    """_PRIME, then each prime below it in turn (by trial division), down to 2^29."""
+    yield _PRIME
+    for q in range(_PRIME - 2, 1 << 29, -2):
+        if all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            yield q
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,6 @@ def from_rows(rows, cols: int | None = None) -> QMatrix:
     return QMatrix(len(grid), ncols, grid)
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """Divide an integer row by its content (the gcd of its entries)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def integer_vector(values) -> tuple[Fraction, list[int]]:
     """(s, v): v = s * values with coprime integer entries and s > 0 (s = 1 for zero)."""
     den = math.lcm(*(x.denominator for x in values))
@@ -88,56 +96,18 @@ def integer_rows(rows) -> list[dict[int, int]]:
     return [{c: x for c, x in enumerate(integer_vector(row)[1]) if x} for row in rows]
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place integer Gauss-Jordan on the first ncols columns.
-
-    Returns the pivot columns.  Pivot row r ends with its pivot in column
-    pivots[r] and zeros in every other pivot column; rows below the rank
-    are zero on the first ncols columns.  Each update is
-    row_i = (p/g) row_i - (a/g) pivot_row with g = gcd(p, a), followed by
-    division by the row content, so entries stay integers of modest size.
-    """
-    pivots: list[int] = []
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        candidates = [i for i in range(r, nrows) if rows[i][c]]
-        if not candidates:
-            continue
-        # any pivot row gives the same RREF; a small pivot keeps rows short
-        pivot = min(candidates, key=lambda i: abs(rows[i][c]))
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][c]
-        tail = rows[r][c:]
-        for i in range(nrows):
-            a = rows[i][c]
-            if not a or i == r:
-                continue
-            g = math.gcd(p, a)
-            pg, ag = p // g, a // g
-            row = rows[i]
-            head = row[:c] if pg == 1 else [pg * x for x in row[:c]]
-            rows[i] = _primitive(head + [pg * x - ag * y for x, y in zip(row[c:], tail)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def reduce_rows(rows, ncols: int) -> tuple[QMatrix, tuple[int, ...]]:
     """Canonical RREF basis (pivot rows only) and pivot columns of integer rows.
 
-    rows are sparse integer rows {column: entry}, densified once.  The
-    elimination runs on integer rows; only each pivot row is divided by its
-    pivot, at the end, which gives the canonical RREF.
+    The RREF row of pivot c is 1 at c, 0 at the other pivots and -v_f[c] at
+    each free column f, v_f the RREF's kernel vector of f.
     """
-    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
-    pivots = _gauss_jordan(dense, ncols)
-    zero = Fraction(0)
-    grid = tuple(tuple(Fraction(x, dense[r][pc]) if x else zero for x in dense[r])
-                 for r, pc in enumerate(pivots))
-    return QMatrix(len(pivots), ncols, grid), tuple(pivots)
+    kernel = dict(zip(*_canonical_kernel(list(rows), ncols, ncols)))  # f -> v_f
+    pivots = tuple(c for c in range(ncols) if c not in kernel)
+    zero, one = Fraction(0), Fraction(1)
+    grid = tuple(tuple(-kernel[j][c] if j in kernel else one if j == c else zero
+                       for j in range(ncols)) for c in pivots)
+    return QMatrix(len(pivots), ncols, grid), pivots
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -152,8 +122,8 @@ def row_space_basis(m: QMatrix) -> QMatrix:
     return reduce_rows(integer_rows(m.entries), m.cols)[0]
 
 
-def echelon_mod_p(rows, target: int):
-    """Row echelon form over GF(_PRIME) of integer rows taken in the given order.
+def echelon_mod_p(rows, target: int, p: int):
+    """Row echelon form over GF(p) of integer rows taken in the given order.
 
     rows is an iterable of sparse integer rows {column: entry}.  Each row is
     reduced against the pivot rows kept so far, in the order they were kept;
@@ -167,7 +137,6 @@ def echelon_mod_p(rows, target: int):
     kept row k is sum_j L[k][j] U[j] mod p: on the pivot columns the kept
     rows factor as L U with U unit upper triangular.
     """
-    p = _PRIME
     where: dict[int, int] = {}  # pivot column -> its pivot row
     ids: list[int] = []
     cols: list[int] = []
@@ -221,14 +190,16 @@ def certified_rank(rows, ncols: int, bound: int) -> int:
     nonzero minor mod p is a nonzero integer minor), so a rank mod p equal
     to bound is exact: the echelon stops there, and later rows are never
     read.  A shorter rank, having read every row, is exact if
-    ``lifted_kernel`` certifies it, else the exact core runs on the same
-    rows.  The caller proves bound.
+    ``lifted_kernel`` certifies it, else the same rows go to the next prime.
+    The caller proves bound.
     """
-    read: list[dict[int, int]] = []  # the rows, as the echelon reads them
-    echelon = echelon_mod_p((read.append(row) or row for row in rows), bound)
-    if len(echelon[1]) == bound or lifted_kernel(read, ncols, echelon) is not None:
-        return len(echelon[1])
-    return len(reduce_rows(read, ncols)[1])
+    read: list[dict[int, int]] = []  # the rows, as the first echelon reads them
+    rows = (read.append(row) or row for row in rows)
+    for p in _primes():
+        echelon = echelon_mod_p(rows, bound, p)
+        if len(echelon[1]) == bound or lifted_kernel(read, ncols, echelon, p) is not None:
+            return len(echelon[1])
+        rows = read
 
 
 def rank(m: QMatrix) -> int:
@@ -257,7 +228,8 @@ def _reconstruct(vectors: list[list[int]], modulus: int) -> list[list[int]] | No
             for vec in vectors]
 
 
-def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon) -> list[list[int]] | None:
+def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon,
+                  p: int) -> list[list[int]] | None:
     """A basis W of the kernel of integer rows, lifted from their echelon mod p; or None.
 
     With B the kept rows R at the pivot columns, x_f = B^{-1}(-M[R, f]) is
@@ -269,7 +241,6 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon) -> list[list[
     Reconstruction holds once p^k > 2 H^2, H the Hadamard bound of R, which
     bounds the numerators and denominator (Cramer); past that, None.
     """
-    p = _PRIME
     ids, cols, lower, upper = echelon
     where = {c: k for k, c in enumerate(cols)}
     free = [c for c in range(ncols) if c not in where]
@@ -301,45 +272,39 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon) -> list[list[
     return None
 
 
-def kernel_of_rref(reduced: QMatrix,
-                   pivots: tuple[int, ...]) -> list[tuple[Fraction, ...]]:
-    """Null-space basis off an RREF (pivot rows suffice): one vector per free column."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(reduced.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * reduced.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.entries[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space; empty iff full column rank."""
-    return kernel_of_rref(*reduce_rows(integer_rows(m.entries), m.cols))
+    """Basis of the right null space, 1 at each free column; empty iff full column rank."""
+    return [tuple(v) for v in _canonical_kernel(integer_rows(m.entries), m.cols, m.cols)[1]]
+
+
+def _canonical_kernel(rows: list[dict[int, int]], ncols: int,
+                      target: int) -> tuple[list[int], list[list[Fraction]]]:
+    """The free columns over Q, and the RREF's kernel vector of each (1 there).
+
+    Each prime runs the echelon up to target (at least the rank over Q) and
+    its lift; the first whose W is certified, each w_f zero past f, answers.
+    """
+    zero = Fraction(0)
+    for p in _primes():
+        echelon = echelon_mod_p(rows, target, p)
+        kernel = lifted_kernel(rows, ncols, echelon, p)
+        free = sorted(set(range(ncols)).difference(echelon[1]))
+        if kernel is not None and not any(any(w[f + 1:]) for w, f in zip(kernel, free)):
+            return free, [[Fraction(x, w[f]) if x else zero for x in w]
+                          for w, f in zip(kernel, free)]
 
 
 def null_space(rows, ncols: int, target: int | None = None) -> QMatrix:
     """Canonical (RREF) basis of the right null space of integer rows.
 
-    With the columns reversed, the free-variable vectors, read back and
+    With the columns reversed, the RREF's kernel vectors, read back and
     listed last free column first, are the RREF.  The echelon stops at
-    target (default: every row); its lifted kernel is that basis if each w_f
-    is zero past f, like ``kernel_of_rref``'s, else the rows are reduced.
+    target (default: every row), which the caller proves is at least the
+    rank over Q.
     """
     flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
-    echelon = echelon_mod_p(flipped, ncols if target is None else target)
-    kernel = lifted_kernel(flipped, ncols, echelon)
-    free = sorted(set(range(ncols)).difference(echelon[1]))
-    if kernel is not None and not any(any(w[f + 1:]) for w, f in zip(kernel, free)):
-        zero = Fraction(0)
-        vectors = [[Fraction(x, w[f]) if x else zero for x in w] for w, f in zip(kernel, free)]
-    else:
-        vectors = kernel_of_rref(*reduce_rows(flipped, ncols))
-    grid = tuple(tuple(vec[::-1]) for vec in reversed(vectors))
+    vectors = _canonical_kernel(flipped, ncols, ncols if target is None else target)[1]
+    grid = tuple(tuple(v[::-1]) for v in reversed(vectors))
     return QMatrix(len(grid), ncols, grid)
 
 

@@ -31,13 +31,6 @@ class Space(Enum):
     DUAL = "z"
 
 
-def grevlex_less(a: Mono, b: Mono) -> bool:
-    """True iff a < b in grevlex order."""
-    if len(a) != len(b):
-        raise ValueError("monomials must have the same number of variables")
-    return grevlex_key(a) < grevlex_key(b)
-
-
 def grevlex_key(a: Mono):
     """Sort key: sorting ascending by this key gives ascending grevlex."""
     return (sum(a), tuple(-x for x in reversed(a)))
@@ -105,10 +98,6 @@ class Polynomial:
             raise IndexError("variable index out of range")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, space, {mono: Fraction(1)})
-
-    @classmethod
-    def from_monomial(cls, nvars: int, space: Space, mono: Mono, coeff=1) -> Polynomial:
-        return cls(nvars, space, {tuple(mono): Fraction(coeff)})
 
     # -- structure ---------------------------------------------------------
 

@@ -96,11 +96,6 @@ def support_weight_range(f: Polynomial, u: OnePS) -> tuple[int, int]:
     return min(weights), max(weights)
 
 
-def limit_exists(f: Polynomial, u: OnePS) -> bool:
-    """Whether t -> 0 under z_i -> t^{u_i} z_i has a finite limit on f."""
-    return support_weight_range(f, u)[0] >= 0
-
-
 # -- exact min-norm point and destabilizer ------------------------------------
 
 

@@ -6,14 +6,21 @@ from assoform import linalg
 
 
 @pytest.fixture
-def exact_core(monkeypatch):
-    """The shapes of the matrices the exact integer Gauss-Jordan reduces."""
-    calls = []
-    real = linalg._gauss_jordan
+def later_primes(monkeypatch):
+    """(prime, target) of every echelon run at a prime after the first, ``_PRIME``.
 
-    def spy(rows, ncols):
-        calls.append((len(rows), ncols))
-        return real(rows, ncols)
+    An echelon run twice at one prime on the same rows fails the test at
+    once: a certificate refused there would be refused again.
+    """
+    calls, seen = [], []
+    real = linalg.echelon_mod_p
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", spy)
+    def spy(rows, target, p):
+        assert not any(r is rows and q == p for r, q in seen), f"prime {p} tried twice"
+        seen.append((rows, p))
+        if p != linalg._PRIME:
+            calls.append((p, target))
+        return real(rows, target, p)
+
+    monkeypatch.setattr(linalg, "echelon_mod_p", spy)
     return calls

@@ -9,12 +9,17 @@ from fractions import Fraction
 
 from assoform.ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
                              is_regular_sequence, vectors_to_polynomials)
-from assoform.linalg import (QMatrix, from_rows, kernel_basis, kernel_of_rref, rref,
+from assoform.linalg import (QMatrix, from_rows, kernel_basis,
                              row_space_basis, solve_square, unit_columns)
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness, Verdict,
                                 torus_destabilizer)
+
+
+def from_monomial(nvars: int, space: Space, mono: Mono, coeff=1) -> Polynomial:
+    """The term coeff * x^mono (z^mono in the dual space)."""
+    return Polynomial(nvars, space, {tuple(mono): Fraction(coeff)})
 
 
 def identity(n: int) -> QMatrix:
@@ -94,6 +99,20 @@ def reference_rank(rows, ncols: int) -> int:
     return len(reference_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)[1])
 
 
+def kernel_of_rref(reduced: QMatrix, pivots) -> list[tuple[Fraction, ...]]:
+    """Null-space basis off an RREF (pivot rows suffice): one vector per free column."""
+    basis = []
+    for free in range(reduced.cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * reduced.cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced.entries[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
 def reference_null_space(rows, ncols: int) -> QMatrix:
     """Oracle for linalg.null_space: the RREF of the kernel read off the matrix's RREF."""
     reduced, pivots = reference_rref_rows([[Fraction(x) for x in row] for row in rows], ncols)
@@ -140,7 +159,7 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     if nu > DEGREE_CAP:
         raise DegreeCapError(f"form degree {nu} exceeds the supported bound {DEGREE_CAP}")
     tgt = monomials_of_degree(n, nu - k)
-    cat = [coeff_vector(apolar_apply(Polynomial.from_monomial(n, Space.PRIMAL, mono), f), tgt)
+    cat = [coeff_vector(apolar_apply(from_monomial(n, Space.PRIMAL, mono), f), tgt)
            for mono in monomials_of_degree(n, k)]
     return reference_null_space(transpose(from_rows(cat, cols=len(tgt))).entries, len(cat))
 
@@ -166,7 +185,7 @@ def reference_koszul_matrix(gs: list[Polynomial], j: int, k: int) -> QMatrix:
     grid = [[Fraction(0)] * len(sources) for _ in targets]
     for col, (wedge, b) in enumerate(sources):
         for r, i in enumerate(wedge):
-            product = Polynomial.from_monomial(n, Space.PRIMAL, b) * gs[i]
+            product = from_monomial(n, Space.PRIMAL, b) * gs[i]
             rest = wedge[:r] + wedge[r + 1:]
             for mono, c in product.terms.items():
                 grid[targets.index((rest, mono))][col] += (-1) ** r * c
@@ -212,7 +231,8 @@ def reference_associated_form(gs: list[Polynomial]) -> Polynomial:
         for g in gs:
             product = {tuple(a + b for a, b in zip(mono, gm)): c for gm, c in g.terms.items()}
             rows.append([product.get(m, Fraction(0)) for m in target])
-    (omega,) = kernel_of_rref(*rref(from_rows(rows, cols=len(target))))
+    reduced, pivots = reference_rref_rows(rows, len(target))
+    (omega,) = kernel_of_rref(from_rows(reduced, cols=len(target)), pivots)
     raw = {m: x for m, x in zip(target, omega) if x}
     jac = reference_jacobian_det(gs)
     scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), Fraction(0))
@@ -383,7 +403,7 @@ def power_gens(n: int, degrees) -> list[Polynomial]:
     gens = []
     for i, d in enumerate(degrees):
         mono = tuple(d if j == i else 0 for j in range(n))
-        gens.append(Polynomial.from_monomial(n, Space.PRIMAL, mono))
+        gens.append(from_monomial(n, Space.PRIMAL, mono))
     return gens
 
 

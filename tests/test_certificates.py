@@ -1,12 +1,12 @@
 """The mod-p certificates of regularity, omega, Hilbert functions and Koszul exactness.
 
 On a seeded dense regular sequence, ``assoc``, ``regseq``, ``hilbert`` and
-``koszul-check`` are settled mod p, so the exact integer Gauss-Jordan never
-runs.  Fixed inputs pin down what no certificate may trust: Macaulay's
+``koszul-check`` are settled at the first prime, so no echelon runs at a
+second.  Fixed inputs pin down what no certificate may trust: Macaulay's
 square matrix alone (short on the permuted squares, whose I_{nu+1} is
 full), the generic rank with m != n generators, and a Koszul degree whose
-ranks mod p fall short.  Inputs whose ranks are short mod p take the exact
-fallback and give the exact answers.  With n forms, ``koszul-check`` is
+ranks mod p fall short.  Inputs whose ranks are short mod p take a second
+prime and give the exact answers.  With n forms, ``koszul-check`` is
 the regularity verdict at every degree from nu + 1 on, and walks the
 Koszul ranks only below it on a non-regular sequence.
 """
@@ -23,7 +23,7 @@ from assoform.cli import main
 from assoform.ideals import (GradedIdeal, coeff_vector, hilbert_function,
                              is_regular_sequence, koszul_exactness_check)
 from assoform.inverse_system import associated_form
-from assoform.linalg import echelon_mod_p
+from assoform.linalg import _PRIME, echelon_mod_p
 from assoform.parsing import parse_system
 from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree
 
@@ -44,16 +44,16 @@ def _exact_hilbert(ideal: GradedIdeal, bound: int) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("n, d, seed", [(2, 5, 0), (3, 3, 1), (4, 2, 2), (3, 4, 3)])
-def test_dense_regular_sequence_needs_no_exact_core(n, d, seed, exact_core, tmp_path, capsys):
+def test_dense_regular_sequence_needs_no_exact_core(n, d, seed, later_primes, tmp_path, capsys):
     gs = random_regular_sequence(random.Random(seed), n, d)
     names = [f"x{i + 1}" for i in range(n)]
     path = tmp_path / "f.txt"
     path.write_text(f"vars: {' '.join(names)}\n"
                     + "".join(g.render(names) + "\n" for g in gs), encoding="utf-8")
-    exact_core.clear()
+    later_primes.clear()
     for command in ("assoc", "regseq", "hilbert", "koszul-check"):
         assert main([command, str(path)]) == 0, command
-        assert exact_core == [], command
+        assert later_primes == [], command
     out = capsys.readouterr().out.splitlines()
     nu = n * (d - 1)
     assert out[1:] == ["REGULAR SEQUENCE",
@@ -68,19 +68,19 @@ def test_dense_regular_sequence_needs_no_exact_core(n, d, seed, exact_core, tmp_
     ("vars: x1 x2 x3\nx2^2\nx1^2\nx3^2", 2),
     ("vars: x1 x2 x3\nx2^3\nx3^3\nx1^3", 3),
 ])
-def test_permuted_squares_need_the_other_rows(text, d, exact_core):
+def test_permuted_squares_need_the_other_rows(text, d, later_primes):
     ideal = _ideal(text)
     k = ideal.nu + 1
     dim = dim_degree(3, k)
     # Macaulay's square (one row per monomial of degree nu + 1) is short mod p
     square = list(itertools.islice(ideal._macaulay_rows(k), dim))
-    assert len(square) == dim and len(echelon_mod_p(square, dim)[1]) < dim
-    # the other product rows complete the rank, and nothing falls back
+    assert len(square) == dim and len(echelon_mod_p(square, dim, _PRIME)[1]) < dim
+    # the other product rows complete the rank at the first prime
     assert is_regular_sequence(ideal)
     assert hilbert_function(ideal, k) == tuple(series_hilbert(3, d, k))
     assert koszul_exactness_check(ideal, ideal.nu + d)
     form = associated_form(ideal).form
-    assert exact_core == []
+    assert later_primes == []
     assert form == reference_associated_form(list(ideal.generators))
 
 
@@ -90,10 +90,11 @@ def test_permuted_squares_need_the_other_rows(text, d, exact_core):
     # the prime as a coefficient: mod p the forms are x2^2, x1*x2
     "vars: x1 x2\n1073741789*x1^2 + x2^2\nx1*x2",
 ])
-def test_short_rank_mod_p_falls_back(text, exact_core):
+def test_short_rank_mod_p_falls_back(text, later_primes):
     ideal = _ideal(text)
     assert is_regular_sequence(ideal)
-    assert exact_core  # regularity was settled by the exact core
+    # regularity was settled by one echelon at the second prime
+    assert [target for _, target in later_primes] == [dim_degree(2, 3)]
     assert hilbert_function(ideal, 3) == tuple(series_hilbert(2, 2, 3))
     assert koszul_exactness_check(ideal, 4)
     assert associated_form(ideal).form == reference_associated_form(list(ideal.generators))

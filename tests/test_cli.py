@@ -300,6 +300,13 @@ def test_mather_yau_singular_exit(write, capsys):
         or "vanishes" in err.lower()
 
 
+def test_mather_yau_of_three_files_is_a_usage_error(write, capsys):
+    f = write("F.txt", "vars: x1 x2\nx1^4 + x2^4\n")
+    code, out, err = run(capsys, "mather-yau", f, f, f)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
 def test_audit_reports_are_reproducible(write, capsys):
     path = write("f.txt", SQUARES)
     code1, out1, _ = run(capsys, "--json", "audit", path, "--trials", "5",

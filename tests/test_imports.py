@@ -6,12 +6,12 @@ caller must not leave an orphan: each module-level function is used
 elsewhere in the package, exported in ``assoform.__all__`` or wrapped by
 the benchmark tracer, and each method of a library class is named as an
 attribute in the package, the tests or the tracer, or overrides a method
-of a base class.  ``linalg`` keeps one elimination modulo ``_PRIME``: the
-echelon, and the kernel lift that reuses its factors.  Two functions,
-``certified_rank`` for a rank and ``null_space`` for a kernel, run the
-echelon and choose between its certified answer and the exact core, so no
-caller hand-rolls its own fallback, and one, ``reduce_rows``, is the exact
-reduction of integer rows and the only caller of the Gauss-Jordan core.  One
+of a base class.  ``linalg`` keeps one elimination, at primes from one
+sequence, ``_primes``: the echelon mod p, and the kernel lift that reuses
+its factors.  Two functions, ``certified_rank`` for a rank and
+``_canonical_kernel`` for the kernel that ``null_space`` and ``reduce_rows``
+read, run the echelon and move to the next prime when its certificate
+fails, so no caller hand-rolls its own loop and no exact core is left.  One
 function, ``integer_vector``, scales a rational vector to integers, and one,
 ``integer_rows``, turns the rows of a ``QMatrix`` into the library's integer
 rows; only the six public functions that take a ``QMatrix`` call it.  One function,
@@ -152,61 +152,64 @@ def _package_trees() -> dict[str, ast.Module]:
 
 
 def test_one_mod_p_elimination():
-    # _PRIME is the modulus of the mod-p eliminations
-    assert _functions_naming(_package_trees(), "_PRIME") == ["linalg.echelon_mod_p",
-                                                             "linalg.lifted_kernel"]
+    # _PRIME starts the one prime sequence; the echelon and its lift take p from it
+    assert _functions_naming(_package_trees(), "_PRIME") == ["linalg._primes"]
 
 
 def test_a_second_mod_p_elimination_is_caught():
     tree = ast.parse("_PRIME = 7\n"
-                     "def echelon_mod_p(rows):\n    p = _PRIME\n"
-                     "def rank(m):\n    return [x % _PRIME for x in m]\n"
-                     "def solve(m):\n    return m\n")
-    assert _functions_naming({"linalg": tree}, "_PRIME") == ["linalg.echelon_mod_p",
-                                                             "linalg.rank"]
+                     "def _primes():\n    yield _PRIME\n"
+                     "def echelon_mod_p(rows, target, p):\n    return rows\n"
+                     "def rank(m):\n    return [x % _PRIME for x in m]\n")
+    assert _functions_naming({"linalg": tree}, "_PRIME") == ["linalg._primes", "linalg.rank"]
 
 
 def _rank_deciders(trees: dict[str, ast.Module]) -> tuple[list[str], ...]:
-    """The callers of the echelon, its lift, the exact core and the dense Koszul matrices."""
+    """The callers of the echelon, its lift, the primes, the kernel and the Koszul matrices."""
     return tuple(_functions_naming(trees, name) for name in
-                 ("echelon_mod_p", "lifted_kernel", "_gauss_jordan", "koszul_matrices"))
+                 ("echelon_mod_p", "lifted_kernel", "_primes", "_canonical_kernel",
+                  "koszul_matrices"))
 
 
 def test_one_rank_decision():
+    deciders = ["linalg._canonical_kernel", "linalg.certified_rank"]
     assert _rank_deciders(_package_trees()) == (
-        ["linalg.certified_rank", "linalg.null_space"],
-        ["linalg.certified_rank", "linalg.null_space"],
-        ["linalg.reduce_rows"],
-        [])
+        deciders, deciders, deciders,
+        ["linalg.kernel_basis", "linalg.null_space", "linalg.reduce_rows"], [])
 
 
 def test_a_hand_rolled_fallback_is_caught():
+    # reduce_rows runs the echelon and its lift itself, and trusts the first prime
     linalg_tree = ast.parse("def certified_rank(rows, ncols, bound):\n"
-                            "    echelon = echelon_mod_p(rows, bound)\n"
-                            "    if lifted_kernel(rows, ncols, echelon) is None:\n"
-                            "        return len(_gauss_jordan(rows, ncols))\n"
-                            "    return len(echelon[1])\n"
+                            "    for p in _primes():\n"
+                            "        echelon = echelon_mod_p(rows, bound, p)\n"
+                            "        if lifted_kernel(rows, ncols, echelon, p) is not None:\n"
+                            "            return len(echelon[1])\n"
+                            "def null_space(rows, ncols):\n"
+                            "    return _canonical_kernel(rows, ncols, ncols)\n"
                             "def reduce_rows(rows, ncols):\n"
-                            "    return _gauss_jordan(rows, ncols)\n")
+                            "    echelon = echelon_mod_p(rows, ncols, _PRIME)\n"
+                            "    return lifted_kernel(rows, ncols, echelon, _PRIME)\n")
     # dim_piece and the Koszul check go through certified_rank; a fourth
-    # rank hand-rolls its fallback, a fifth builds the Fraction matrices, and
+    # rank loops over the primes itself, a fifth builds the Fraction matrices, and
     # omega trusts a lift of its own
     ideals_tree = ast.parse("def dim_piece(self, k):\n"
                             "    return certified_rank(self.rows(k), self.ncols(k), self.bound)\n"
                             "def koszul_check(gs, k):\n"
                             "    return certified_rank(images(gs, k), ncols(k), bound) == bound\n"
                             "def hilbert_rank(rows, ncols, bound):\n"
-                            "    if len(echelon_mod_p(iter(rows), bound)[1]) < bound:\n"
-                            "        return len(_gauss_jordan(rows, ncols))\n"
-                            "    return bound\n"
+                            "    for p in _primes():\n"
+                            "        if len(echelon_mod_p(rows, bound, p)[1]) == bound:\n"
+                            "            return bound\n"
                             "def koszul_rank(gs, j, k):\n"
                             "    return len(rref(koszul_matrices(gs, j, k))[1])\n"
                             "def socle_kernel(self):\n"
-                            "    return lifted_kernel(self.rows, self.ncols, self.echelon)\n")
+                            "    return lifted_kernel(self.rows, self.ncols, self.echelon, p)\n")
     assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree}) == (
-        ["ideals.hilbert_rank", "linalg.certified_rank"],
-        ["ideals.socle_kernel", "linalg.certified_rank"],
         ["ideals.hilbert_rank", "linalg.certified_rank", "linalg.reduce_rows"],
+        ["ideals.socle_kernel", "linalg.certified_rank", "linalg.reduce_rows"],
+        ["ideals.hilbert_rank", "linalg.certified_rank"],
+        ["linalg.null_space"],
         ["ideals.koszul_rank"])
 
 

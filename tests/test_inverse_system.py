@@ -249,7 +249,7 @@ def test_associated_form_matches_the_exact_rref(gs):
     # a denominator equal to the prime
     "vars: x1 x2\nx1^2 + (1/1073741789)*x2^2\nx2^2 - x1*x2",
     # the prime as a coefficient: regularity's rank is short mod p and is
-    # settled by the exact fallback
+    # settled at the second prime
     "vars: x1 x2\n1073741789*x1^2 + x2^2\nx1*x2",
     # linear forms: nu = 0, and I_0 has no rows
     "vars: x1 x2\nx1 + x2\nx1 - 2*x2",

@@ -1,23 +1,26 @@
-"""The integer elimination core against a Fraction Gauss-Jordan oracle.
+"""The certified mod-p elimination against a Fraction Gauss-Jordan oracle.
 
 Every public elimination in ``linalg`` must return exactly what the plain
 Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
-``rank`` must be exact whether or not its mod-p certificate settles it.
+``rank`` must be exact whether or not its certificate holds at the first prime.
 ``echelon_mod_p`` must find the rank of any row order, stop as soon as it
 reaches its target and never before, and factor the rows it keeps.
 ``certified_rank`` must return the exact rank for every valid bound, read no
-row past the one that reaches the bound, and take the exact core only when
+row past the one that reaches the bound, and take a second prime only when
 a short rank mod p is below the rank over Q.
 ``integer_vector`` must scale a rational vector to its primitive integer
 multiple by a positive scale, as ``poly.integer_terms`` does for a dict.
 ``lifted_kernel`` must return a basis of the kernel, one vector per free
 column, exactly when the rank mod p is the rank over Q, and None otherwise;
-``null_space`` and ``certified_rank`` must equal the oracles at every
-corank, and take the exact core when the prime is unlucky.  The subspaces
-read off one elimination (``null_space``, ``unit_columns``,
-``ideals.intersect_with_coordinates``) must equal what two eliminations give.
+``null_space``, ``reduce_rows`` and ``certified_rank`` must equal the
+oracles at every corank, and take the next prime, never the same one, when
+the prime is unlucky: ``_primes`` descends from ``_PRIME`` through
+successive primes.  The subspaces read off one elimination (``null_space``,
+``unit_columns``, ``ideals.intersect_with_coordinates``) must equal what
+two eliminations give.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,10 +31,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, certified_rank, echelon_mod_p, from_rows, in_row_space,
-                             integer_rows, integer_vector, kernel_basis, lifted_kernel,
-                             null_space, rank, row_space_basis, rref, solve_square,
-                             unit_columns)
+from assoform.linalg import (_PRIME, _primes, certified_rank, echelon_mod_p, from_rows,
+                             in_row_space, integer_rows, integer_vector, kernel_basis,
+                             lifted_kernel, null_space, rank, reduce_rows, row_space_basis,
+                             rref, solve_square, unit_columns)
 from assoform.poly import integer_terms
 
 ENTRIES = st.one_of(
@@ -183,7 +186,7 @@ def test_against_sympy(rows):
 
 
 def _mod_p_rank(m):
-    return len(echelon_mod_p(integer_rows(m.entries), m.rows + 1)[1])
+    return len(echelon_mod_p(integer_rows(m.entries), m.rows + 1, _PRIME)[1])
 
 
 def test_certificate_settles_full_rank():
@@ -255,7 +258,7 @@ def _check_factors(rows, ncols, ids, cols, lower, upper):
 @given(matrices())
 def test_lu_factors_reproduce_the_pivot_block(m):
     rows = integer_rows(m.entries)
-    ids, cols, lower, upper = echelon_mod_p(rows, m.rows + 1)
+    ids, cols, lower, upper = echelon_mod_p(rows, m.rows + 1, _PRIME)
     assert len(cols) <= rank(m)
     assert len(set(cols)) == len(cols)
     _check_factors(rows, m.cols, ids, cols, lower, upper)
@@ -293,13 +296,13 @@ def test_echelon_rank_in_any_row_order(matrix, data):
 
     # a target above the rank reads every row and finds the whole rank
     above = true_rank + data.draw(st.integers(1, 3))
-    ids, cols, lower, upper = echelon_mod_p(reader(), above)
+    ids, cols, lower, upper = echelon_mod_p(reader(), above, _PRIME)
     assert len(cols) == true_rank and len(read) == len(rows)
     _check_factors(rows, ncols, ids, cols, lower, upper)
     # a target within the rank stops at the row that reaches it
     target = data.draw(st.integers(0, true_rank))
     read.clear()
-    ids, cols, _, _ = echelon_mod_p(reader(), target)
+    ids, cols, _, _ = echelon_mod_p(reader(), target, _PRIME)
     assert len(cols) == target
     assert len(read) == (ids[-1] + 1 if target else 0)
 
@@ -313,7 +316,7 @@ def test_certified_rank_is_exact_for_every_bound(matrix, data):
     true_rank = reference_rank(grid, ncols)
     order = data.draw(st.permutations(range(len(grid))))
     rows = [{c: x for c, x in enumerate(grid[i]) if x} for i in order]
-    short = len(echelon_mod_p(rows, len(rows) + 1)[1]) < true_rank
+    short = len(echelon_mod_p(rows, len(rows) + 1, _PRIME)[1]) < true_rank
     for bound in range(true_rank, min(len(rows), ncols) + 1):
         read = []
 
@@ -325,16 +328,16 @@ def test_certified_rank_is_exact_for_every_bound(matrix, data):
         assert certified_rank(reader(), ncols, bound) == true_rank
         if bound == true_rank and not short:
             # the echelon stops at the row that reaches the bound
-            ids = echelon_mod_p(rows, bound)[0]
+            ids = echelon_mod_p(rows, bound, _PRIME)[0]
             assert len(read) == (ids[-1] + 1 if bound else 0)
         else:
             assert len(read) == len(rows)
 
 
 def test_certified_rank_of_a_short_rank_mod_p_is_exact():
-    # rank 1 mod p, 2 over Q: a bound of 2 takes the exact core
+    # rank 1 mod p, 2 over Q: a bound of 2 takes a second prime
     rows = [{0: _PRIME, 1: 1}, {1: 1}]
-    assert len(echelon_mod_p(rows, 2)[1]) == 1
+    assert len(echelon_mod_p(rows, 2, _PRIME)[1]) == 1
     assert certified_rank(iter(rows), 2, 2) == 2
     assert certified_rank(iter([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]), 2, 2) == 2
 
@@ -355,7 +358,8 @@ def corank_one_matrices(draw):
 def _lift(m, target=None):
     """lifted_kernel of m's integer rows, on their echelon up to target (default: every row)."""
     rows = integer_rows(m.entries)
-    return lifted_kernel(rows, m.cols, echelon_mod_p(rows, m.cols if target is None else target))
+    target = m.cols if target is None else target
+    return lifted_kernel(rows, m.cols, echelon_mod_p(rows, target, _PRIME), _PRIME)
 
 
 @settings(max_examples=300, deadline=None)
@@ -365,7 +369,7 @@ def test_lifted_kernel_is_certified(m):
     # kernel's basis with unit vectors (times one denominator) at the free columns
     kernel = _reference_kernel(m)
     rows = integer_rows(m.entries)
-    cols = echelon_mod_p(rows, m.cols)[1]
+    cols = echelon_mod_p(rows, m.cols, _PRIME)[1]
     w = _lift(m)
     if len(cols) == m.cols - len(kernel):
         free = [c for c in range(m.cols) if c not in cols]
@@ -428,6 +432,12 @@ def unlucky_matrices(draw):
     return grid, ncols
 
 
+def _reference_reduced(grid, ncols):
+    """Oracle for reduce_rows: the pivot rows of the Fraction RREF, and the pivots."""
+    reduced, pivots = reference_rref_rows([[Fraction(x) for x in row] for row in grid], ncols)
+    return from_rows(reduced[:len(pivots)], cols=ncols), tuple(pivots)
+
+
 @settings(max_examples=300, deadline=None)
 @given(unlucky_matrices())
 def test_null_space_and_rank_match_the_oracles_at_every_corank(matrix):
@@ -436,6 +446,20 @@ def test_null_space_and_rank_match_the_oracles_at_every_corank(matrix):
     assert null_space(rows, ncols) == reference_null_space(grid, ncols)
     assert (certified_rank(iter(rows), ncols, min(len(rows), ncols))
             == reference_rank(grid, ncols))
+    assert reduce_rows(rows, ncols) == _reference_reduced(grid, ncols)
+
+
+SECOND_PRIME = next(itertools.islice(_primes(), 1, None))
+
+
+def test_the_primes_descend_through_successive_primes():
+    sympy = pytest.importorskip("sympy")
+    primes = list(itertools.islice(_primes(), 12))
+    expected = [int(sympy.prevprime(1 << 30))]
+    while len(expected) < len(primes):
+        expected.append(int(sympy.prevprime(expected[-1])))
+    assert primes == expected and primes[0] == _PRIME
+    assert len(set(primes)) == len(primes) and min(primes) > 1 << 29
 
 
 @pytest.mark.parametrize("grid, ncols", [
@@ -444,19 +468,33 @@ def test_null_space_and_rank_match_the_oracles_at_every_corank(matrix):
     ([[1, 1, 1], [1, 1 + _PRIME, 1 + 2 * _PRIME]], 3),  # corank 2 mod p, 1 over Q
     ([[2, 2, 4], [1, 1 + _PRIME, 2 + _PRIME], [0, _PRIME, 0]], 3),
 ])
-def test_unlucky_prime_takes_the_fallback(grid, ncols, exact_core):
+def test_unlucky_prime_takes_the_fallback(grid, ncols, later_primes):
+    # short mod _PRIME: each answer is the oracle's, from one echelon at the second prime
     rows = [{c: x for c, x in enumerate(row) if x} for row in grid]
-    assert certified_rank(iter(rows), ncols, min(len(rows), ncols)) == reference_rank(grid, ncols)
-    assert len(exact_core) == 1
+    bound = min(len(rows), ncols)
+    assert certified_rank(iter(rows), ncols, bound) == reference_rank(grid, ncols)
+    assert later_primes == [(SECOND_PRIME, bound)]
     assert null_space(rows, ncols) == reference_null_space(grid, ncols)
-    assert len(exact_core) == 2
+    assert reduce_rows(rows, ncols) == _reference_reduced(grid, ncols)
+    assert later_primes == [(SECOND_PRIME, bound)] + [(SECOND_PRIME, ncols)] * 2
 
 
-def test_null_space_refuses_a_lift_off_the_canonical_pivots(exact_core):
+def test_null_space_refuses_a_lift_off_the_canonical_pivots(later_primes):
     # mod p the row [1, p] is [1, 0]: the lift (1, -p) on the reversed columns
-    # is a kernel over Z, but not the RREF, whose 1 leads at column 0
+    # is a kernel over Z, but not the RREF, whose 1 leads at column 0; the
+    # second prime gives the RREF
     assert null_space([{0: 1, 1: _PRIME}], 2) == from_rows([[1, Fraction(-1, _PRIME)]])
-    assert len(exact_core) == 1
-    # the same row reversed: the lift is the RREF, and nothing is reduced exactly
+    assert later_primes == [(SECOND_PRIME, 2)]
+    # the same row reversed: the lift is the RREF at the first prime
     assert null_space([{0: _PRIME, 1: 1}], 2) == from_rows([[1, -_PRIME]])
-    assert len(exact_core) == 1
+    assert later_primes == [(SECOND_PRIME, 2)]
+
+
+def test_reduce_rows_refuses_a_lift_off_the_canonical_pivots(later_primes):
+    # mod p the row [p, 1] is [0, 1]: its lift (1, -p) is a kernel over Z, but
+    # nonzero at the pivot 1 past its free column 0; the second prime pivots at 0
+    assert reduce_rows([{0: _PRIME, 1: 1}], 2) == (from_rows([[1, Fraction(1, _PRIME)]]), (0,))
+    assert later_primes == [(SECOND_PRIME, 2)]
+    # the same row reversed pivots at 0 mod p: the RREF is read at the first prime
+    assert reduce_rows([{0: 1, 1: _PRIME}], 2) == (from_rows([[1, _PRIME]]), (0,))
+    assert later_primes == [(SECOND_PRIME, 2)]

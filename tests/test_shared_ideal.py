@@ -1,7 +1,7 @@
 """One validated ideal per operation: each elimination of an intersection runs once.
 
 The spies record the shape of every matrix passed to ``rank``,
-``reduce_rows`` (the one exact reduction) and ``lifted_kernel`` (the
+``reduce_rows`` (the one RREF of integer rows) and ``lifted_kernel`` (the
 certified kernel), and the target rank of every ``echelon_mod_p``, at
 every module that binds them (``ideals`` binds its own ``reduce_rows``;
 the echelon and the lift are called only inside ``linalg``), so a second
@@ -28,8 +28,8 @@ from assoform.stability import recognize_decomposable, semistability_audit
 SHAPES = {  # name: (the call's shape, the modules binding the name)
     "rank": (lambda m: (m.rows, m.cols), (linalg,)),
     "reduce_rows": (lambda rows, ncols: (len(rows), ncols), (linalg, ideals)),
-    "lifted_kernel": (lambda rows, ncols, echelon: (len(rows), ncols), (linalg,)),
-    "echelon_mod_p": (lambda rows, target: (target,), (linalg,)),
+    "lifted_kernel": (lambda rows, ncols, echelon, p: (len(rows), ncols), (linalg,)),
+    "echelon_mod_p": (lambda rows, target, p: (target,), (linalg,)),
 }
 
 
@@ -56,7 +56,7 @@ def test_audit_certifies_and_reduces_once(eliminations):
     semistability_audit(gs, trials=4, seed=0)
     # regularity: one echelon of the 45 product rows of I_7 up to rank 36;
     # omega (whose support gives the grevlex monomial): the certified kernel
-    # of the 30x28 rows of I_6, which are never reduced exactly
+    # of the 30x28 rows of I_6, which never go through reduce_rows
     assert eliminations.count(("echelon_mod_p", 36)) == 1
     assert not [call for call in eliminations if call[0] == "rank"]
     assert eliminations.count(("lifted_kernel", 30, 28)) == 1
@@ -124,17 +124,20 @@ def test_of_reads_n_and_d_from_the_forms():
         GradedIdeal.of([Polynomial.zero(2, Space.PRIMAL)])
 
 
-def test_associated_form_reads_omega_off_the_cached_piece(eliminations, monkeypatch):
+def test_associated_form_reads_omega_off_the_cached_piece(eliminations, later_primes,
+                                                         monkeypatch):
     gs = random_regular_sequence(random.Random(3), 3, 3)
     expected = associated_form(gs).form
-    # without a kernel certificate, omega is read off the exact RREF of I_6
-    monkeypatch.setattr(linalg, "lifted_kernel", lambda rows, ncols, echelon: None)
+    # without a kernel certificate at the first prime, omega is read at the second
+    real = linalg.lifted_kernel
+    monkeypatch.setattr(linalg, "lifted_kernel", lambda rows, ncols, echelon, p:
+                        None if p == linalg._PRIME else real(rows, ncols, echelon, p))
     eliminations.clear()
     assoc = associated_form(gs)
-    # the 30x28 product rows of I_6 are reduced once; its 27x28 RREF basis
-    # is not reduced again to find the kernel
-    assert eliminations.count(("reduce_rows", 30, 28)) == 1
-    assert ("reduce_rows", 27, 28) not in eliminations
+    # the 30x28 product rows of I_6 are echelonned once more, at the second
+    # prime, up to rank 27; nothing goes through reduce_rows
+    assert [target for _, target in later_primes] == [27]
+    assert not [call for call in eliminations if call[0] == "reduce_rows"]
     assert assoc.form == expected
     assert assoc.omega(assoc.ideal.generators[0] * assoc.ideal.generators[1]) == 0
 
@@ -145,7 +148,7 @@ def test_associated_form_makes_no_rref_call(eliminations, n, d, seed):
     eliminations.clear()
     associated_form(gs)
     # one echelon certifies regularity at nu + 1; omega is the certified
-    # kernel at nu, whose echelon stops at corank one; nothing is reduced exactly
+    # kernel at nu, whose echelon stops at corank one; nothing goes through reduce_rows
     nu = n * (d - 1)
     cols = len(monomials_of_degree(n, nu))
     assert eliminations == [("echelon_mod_p", len(monomials_of_degree(n, nu + 1))),
@@ -159,7 +162,7 @@ def test_perp_piece_reduces_once_per_degree(eliminations):
         eliminations.clear()
         perp_piece(form, k)
         # one echelon of the catalecticant, whose lifted kernel is the basis:
-        # nothing is reduced exactly
+        # nothing goes through reduce_rows
         assert [call[0] for call in eliminations] == ["echelon_mod_p", "lifted_kernel"], k
 
 
@@ -168,7 +171,9 @@ def test_intersect_with_coordinates_reduces_once(eliminations):
     touches_tail = [sum(m[1:]) > 0 for m in monomials_of_degree(3, 3)]
     eliminations.clear()
     assert intersect_with_coordinates(ideal._macaulay_rows(3), 10, touches_tail).rows == 2
-    assert eliminations == [("reduce_rows", 3, 10)]
+    # one reduction: one echelon of the 3 rows and its lifted kernel, at one prime
+    assert eliminations == [("reduce_rows", 3, 10), ("echelon_mod_p", 10),
+                            ("lifted_kernel", 3, 10)]
 
 
 @pytest.fixture
@@ -189,7 +194,7 @@ MEMBERSHIP_CASES = [random_regular_sequence(random.Random(3), 3, 3),
 
 @pytest.mark.parametrize("gs", MEMBERSHIP_CASES, ids=["dense", "direct sum"])
 def test_membership_reduces_only_the_generating_degree(eliminations, kernels, gs):
-    # with every certificate holding, the exact core sees no piece past I_d,
+    # with every certificate holding, reduce_rows sees no piece past I_d,
     # and omega is the one kernel: the roundtrip compares ranks
     ideal = GradedIdeal.of(gs)
     assert macaulay_roundtrip(ideal)
@@ -217,5 +222,7 @@ def test_decomposability_reduces_only_the_generating_degree(eliminations, kernel
     splits = [recognize_decomposable(ideal, b) is not None for b in (1, 2)]
     assert splits == [False, gs is MEMBERSHIP_CASES[1]]
     assert kernels == []
-    assert eliminations == [("reduce_rows", 3, dim_degree(3, 3))] * 2
+    dim = dim_degree(3, 3)
+    assert eliminations == [("reduce_rows", 3, dim), ("echelon_mod_p", dim),
+                            ("lifted_kernel", 3, dim)] * 2
     assert pieces == []

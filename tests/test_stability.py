@@ -19,7 +19,7 @@ from assoform.linalg import from_rows, row_space_basis, unit_columns
 from assoform.poly import Polynomial, Space, dim_degree, monomials_of_degree, substitute
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness,
                                 Verdict, binary_stability, degeneration_limit,
-                                limit_exists, recognize_decomposable,
+                                recognize_decomposable,
                                 semistability_audit, support_weight_range,
                                 torus_destabilizer)
 
@@ -52,9 +52,10 @@ def test_support_weight_range_examples():
 
 
 def test_limit_exists_examples():
-    assert limit_exists(D(2, {(1, 1): 1}), OnePS((-1, 1)))  # weight 0 fixed point
-    assert limit_exists(D(2, {(2, 0): 1}), OnePS((1, -1)))  # limit is 0
-    assert not limit_exists(D(2, {(2, 0): 1, (0, 2): 1}), OnePS((1, -1)))
+    # the t -> 0 limit exists iff the minimum support weight is >= 0
+    assert support_weight_range(D(2, {(1, 1): 1}), OnePS((-1, 1)))[0] == 0  # fixed point
+    assert support_weight_range(D(2, {(2, 0): 1}), OnePS((1, -1)))[0] > 0  # limit is 0
+    assert support_weight_range(D(2, {(2, 0): 1, (0, 2): 1}), OnePS((1, -1)))[0] < 0
 
 
 # -- torus destabilizer -----------------------------------------------------------
