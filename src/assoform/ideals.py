@@ -6,7 +6,7 @@ generator scaled once to a primitive integer form (the same ideal): ideal
 pieces are canonical RREF row spaces, Hilbert functions are codimensions,
 regular sequences are certified by vanishing of the quotient one degree
 past the socle, and Koszul differentials are assembled as graded matrices.
-The RREF of a piece is built (and cached) only for the public ``graded_piece``,
+The RREF of a piece is built, uncached, only for the public ``graded_piece``,
 ``contains`` and ``min_nonideal_monomial``; no command builds one.
 
 Every rank is a ``linalg.certified_rank`` of integer rows, given a proven
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .linalg import (QMatrix, certified_rank, in_row_space, null_space, reduce_rows,
+from .linalg import (QMatrix, canonical_kernel, certified_rank, in_row_space, reduce_rows,
                      unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
                    integer_terms, monomials_of_degree)
@@ -62,11 +62,11 @@ def vectors_to_polynomials(m: QMatrix, basis: tuple[Mono, ...], nvars: int,
 
 
 class GradedIdeal:
-    """Ideal generated by homogeneous degree-d forms, with cached graded pieces.
+    """Ideal generated by homogeneous degree-d forms, with cached ranks.
 
     The constructor is the one place where input forms are validated; every
     operation that takes forms builds (or is handed) one ideal and computes
-    each graded piece and rank on it at most once.
+    each rank on it at most once.
     """
 
     def __init__(self, nvars: int, d: int, generators):
@@ -88,15 +88,13 @@ class GradedIdeal:
         self.d = d
         self.generators = gens
         self._integer_forms = tuple(integer_terms(g.terms)[1] for g in gens)
-        self._piece_cache: dict[int, tuple[QMatrix, tuple[int, ...]]] = {}
         self._rank_cache: dict[int, int] = {}
-        self._socle_kernel: list[tuple[Fraction, ...]] | None = None
 
     @classmethod
     def of(cls, forms) -> GradedIdeal:
         """The ideal of a non-empty list of forms, reading n and d off the first.
 
-        An ideal passed in is returned as it is, with its caches.
+        An ideal passed in is returned as it is, with its cached ranks.
         """
         if isinstance(forms, cls):
             return forms
@@ -107,29 +105,21 @@ class GradedIdeal:
         return cls(first.nvars, 0 if first.is_zero() else first.degree(), gens)
 
     def piece_with_pivots(self, k: int) -> tuple[QMatrix, tuple[int, ...]]:
-        """Canonical RREF basis of I_k and its pivot columns, reduced once."""
-        cached = self._piece_cache.get(k)
-        if cached is None:
-            cached = reduce_rows(self._macaulay_rows(k), dim_degree(self.nvars, k))
-            self._piece_cache[k] = cached
-            self._rank_cache[k] = len(cached[1])
-        return cached
+        """Canonical RREF basis of I_k and its pivot columns."""
+        return reduce_rows(self._macaulay_rows(k), dim_degree(self.nvars, k))
 
     def _macaulay_rows(self, k: int):
         """The product rows of I_k as {column: coefficient}, Macaulay's first, made as read."""
         order = _macaulay_order(self.nvars, self.d, len(self.generators), 1, k)
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
-    def socle_kernel(self) -> list[tuple[Fraction, ...]]:
-        """A kernel basis of the product rows of I_nu, once, for a certified regular sequence.
+    def socle_kernel(self) -> list[list[Fraction]]:
+        """The RREF's kernel vectors of I_nu's product rows, for a certified regular sequence.
 
         The echelon stops at dim S_nu - 1, the rank of I_nu (h_CI(nu) = 1).
         """
-        if self._socle_kernel is None:  # columns reversed: null_space restores Macaulay's order
-            top = dim_degree(self.nvars, self.nu) - 1
-            rows = ({top - c: x for c, x in row.items()} for row in self._macaulay_rows(self.nu))
-            self._socle_kernel = [v[::-1] for v in null_space(rows, top + 1, top).entries]
-        return self._socle_kernel
+        ncols = dim_degree(self.nvars, self.nu)
+        return canonical_kernel(list(self._macaulay_rows(self.nu)), ncols, ncols - 1)[1]
 
     def graded_piece(self, k: int) -> QMatrix:
         """Canonical RREF basis of I_k inside S_k; empty for k < d."""

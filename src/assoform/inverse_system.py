@@ -21,7 +21,7 @@ other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
 read off it on demand.
 
 Once regularity is certified, omega spans the kernel of I_nu's integer
-product rows, which GradedIdeal.socle_kernel takes from linalg.null_space:
+product rows, which GradedIdeal.socle_kernel takes from linalg.canonical_kernel:
 lifted off the echelon and checked over Z, at the next prime if one fails.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
@@ -73,8 +73,8 @@ class HilbertPointFunctional:
 class AssociatedForm:
     """The dual form A(g_1..g_n) and its ideal.
 
-    ideal is the GradedIdeal the form was solved on; its cached graded
-    pieces and ranks serve later questions about the same intersection.
+    ideal is the GradedIdeal the form was solved on; its cached ranks
+    serve later questions about the same intersection.
     """
 
     form: Polynomial

@@ -14,12 +14,13 @@ per free column f p-adically on those factors (Dixon, Numer. Math. 40,
 1982), recovers them by rational reconstruction (von zur Gathen and
 Gerhard, Modern Computer Algebra, 5.10) and keeps them only if they kill
 every row over Z: then the rank mod p is the rank over Q.  Where it fails,
-``certified_rank`` (a rank) and ``_canonical_kernel`` (the kernel that
-``reduce_rows``, ``null_space`` and ``kernel_basis`` read) go on to the
-next prime (Chen and Storjohann, ISSAC 2005).  ``_canonical_kernel`` also
-needs each w_f zero past f: a kernel basis with distinct last nonzero
-entries has them at the free columns of the RREF over Q, so the pivots mod
-p are those over Q, and w_f / w_f[f] is the RREF's kernel vector of f.
+``certified_rank`` (a rank) and ``canonical_kernel`` (the one kernel
+reader: ``reduce_rows``, ``null_space``, ``kernel_basis``, omega and
+Wolfe's minor cycle take their vectors from it) go on to the next prime
+(Chen and Storjohann, ISSAC 2005).  ``canonical_kernel`` also needs each
+w_f zero past f: a kernel basis with distinct last nonzero entries has
+them at the free columns of the RREF over Q, so the pivots mod p are those
+over Q, and w_f / w_f[f] is the RREF's kernel vector of f.
 
 Why the loop ends.  Let M have rank r over Q, pivot columns P in its RREF,
 and r rows R with det M[R, P] != 0.  A prime not dividing it keeps the rank
@@ -102,7 +103,7 @@ def reduce_rows(rows, ncols: int) -> tuple[QMatrix, tuple[int, ...]]:
     The RREF row of pivot c is 1 at c, 0 at the other pivots and -v_f[c] at
     each free column f, v_f the RREF's kernel vector of f.
     """
-    kernel = dict(zip(*_canonical_kernel(list(rows), ncols, ncols)))  # f -> v_f
+    kernel = dict(zip(*canonical_kernel(list(rows), ncols, ncols)))  # f -> v_f
     pivots = tuple(c for c in range(ncols) if c not in kernel)
     zero, one = Fraction(0), Fraction(1)
     grid = tuple(tuple(-kernel[j][c] if j in kernel else one if j == c else zero
@@ -274,11 +275,11 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon,
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, 1 at each free column; empty iff full column rank."""
-    return [tuple(v) for v in _canonical_kernel(integer_rows(m.entries), m.cols, m.cols)[1]]
+    return [tuple(v) for v in canonical_kernel(integer_rows(m.entries), m.cols, m.cols)[1]]
 
 
-def _canonical_kernel(rows: list[dict[int, int]], ncols: int,
-                      target: int) -> tuple[list[int], list[list[Fraction]]]:
+def canonical_kernel(rows: list[dict[int, int]], ncols: int,
+                     target: int) -> tuple[list[int], list[list[Fraction]]]:
     """The free columns over Q, and the RREF's kernel vector of each (1 there).
 
     Each prime runs the echelon up to target (at least the rank over Q) and
@@ -294,16 +295,14 @@ def _canonical_kernel(rows: list[dict[int, int]], ncols: int,
                           for w, f in zip(kernel, free)]
 
 
-def null_space(rows, ncols: int, target: int | None = None) -> QMatrix:
+def null_space(rows, ncols: int) -> QMatrix:
     """Canonical (RREF) basis of the right null space of integer rows.
 
     With the columns reversed, the RREF's kernel vectors, read back and
-    listed last free column first, are the RREF.  The echelon stops at
-    target (default: every row), which the caller proves is at least the
-    rank over Q.
+    listed last free column first, are the RREF.
     """
     flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
-    vectors = _canonical_kernel(flipped, ncols, ncols if target is None else target)[1]
+    vectors = canonical_kernel(flipped, ncols, ncols)[1]
     grid = tuple(tuple(v[::-1]) for v in reversed(vectors))
     return QMatrix(len(grid), ncols, grid)
 

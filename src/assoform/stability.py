@@ -34,7 +34,7 @@ from fractions import Fraction
 from .ideals import (GradedIdeal, intersect_with_coordinates, is_regular_sequence,
                      vectors_to_polynomials)
 from .inverse_system import NotRegularSequence, associated_form
-from .linalg import integer_vector, reduce_rows
+from .linalg import canonical_kernel, integer_vector
 from .poly import Mono, Polynomial, Space, grevlex_key, monomials_of_degree
 
 
@@ -128,12 +128,12 @@ def _min_norm_point(points: list[tuple[int, ...]]):
             m = len(corral)  # the Gram matrix bordered by ones, with the right side (0..0, 1)
             bordered = [dict(enumerate([_dot(points[i], points[k]) for k in corral] + [1]))
                         for i in corral] + [dict(enumerate([1] * m + [0, 1]))]
-            reduced, pivots = reduce_rows(bordered, m + 2)
-            if pivots != tuple(range(m + 1)):
+            free, kernel = canonical_kernel(bordered, m + 2, m + 2)
+            if free != [m + 1]:  # the solution is minus the kernel vector of the right side
                 raise ArithmeticError("Wolfe corral lost affine independence")
-            alpha = [row[m + 1] for row in reduced.entries[:m]]
+            alpha = [-a for a in kernel[0][:m]]
             if all(a > 0 for a in alpha):
-                weights = list(alpha)
+                weights = alpha
                 break
             theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
             weights = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]

@@ -71,20 +71,30 @@ def test_edge_cases(monos, expected):
 ])
 def test_minor_cycle_drop(monkeypatch, monos, expected):
     solutions = []
-    reduce = stability.reduce_rows
+    kernel_of = stability.canonical_kernel
 
-    def spy(rows, ncols):  # the bordered Gram system; its last column is the solution
-        reduced, pivots = reduce(rows, ncols)
-        solutions.append([row[-1] for row in reduced.entries[:-1]])
-        return reduced, pivots
+    def spy(rows, ncols, target):  # the bordered Gram system; minus its kernel is the solution
+        free, kernel = kernel_of(rows, ncols, target)
+        solutions.append([-a for a in kernel[0][:ncols - 2]])
+        return free, kernel
 
-    monkeypatch.setattr(stability, "reduce_rows", spy)
+    monkeypatch.setattr(stability, "canonical_kernel", spy)
     f = D(3, monos)
     want = None if expected is None else OnePS(expected)
     assert torus_destabilizer(f) == want
     assert any(a <= 0 for alpha in solutions for a in alpha)  # a point was dropped
     monkeypatch.undo()
     assert reference_destabilizer(f) == want
+
+
+def test_a_second_free_column_is_refused(monkeypatch):
+    # a zero column appended to the bordered system is free besides its right
+    # side; the right side's kernel vector is unchanged, so only the check refuses it
+    kernel_of = stability.canonical_kernel
+    monkeypatch.setattr(stability, "canonical_kernel",
+                        lambda rows, ncols, target: kernel_of(rows, ncols + 1, target + 1))
+    with pytest.raises(ArithmeticError, match="affine independence"):
+        torus_destabilizer(D(3, [(6, 0, 0), (4, 1, 1), (3, 2, 1), (1, 3, 2)]))
 
 
 def _fake(x, corral, weights):

@@ -9,22 +9,26 @@ attribute in the package, the tests or the tracer, or overrides a method
 of a base class.  ``linalg`` keeps one elimination, at primes from one
 sequence, ``_primes``: the echelon mod p, and the kernel lift that reuses
 its factors.  Two functions, ``certified_rank`` for a rank and
-``_canonical_kernel`` for the kernel that ``null_space`` and ``reduce_rows``
-read, run the echelon and move to the next prime when its certificate
-fails, so no caller hand-rolls its own loop and no exact core is left.  One
-function, ``integer_vector``, scales a rational vector to integers, and one,
-``integer_rows``, turns the rows of a ``QMatrix`` into the library's integer
-rows; only the six public functions that take a ``QMatrix`` call it.  One function,
+``canonical_kernel`` for a kernel, run the echelon and move to the next
+prime when its certificate fails, so no caller hand-rolls its own loop and
+no exact core is left.  ``canonical_kernel`` is the one kernel reader:
+``null_space``, ``reduce_rows``, ``kernel_basis``, omega's
+``GradedIdeal.socle_kernel`` and Wolfe's ``_min_norm_point`` take their
+vectors from it, in their own columns.  One function, ``integer_vector``,
+scales a rational vector to integers, and one, ``integer_rows``, turns the
+rows of a ``QMatrix`` into the library's integer rows; only the six public
+functions that take a ``QMatrix`` call it.  One function,
 ``ideals._koszul_basis``, enumerates and indexes the bases of the Koszul
-modules; it and ``poly.monomials_of_degree`` hold the package's only caches.
-One function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and
-only ``GradedIdeal`` and ``min_nonideal_monomial`` read an ideal's exact
-RREF pieces: ``recognize_decomposable`` reduces the generators' own rows of
-I_d, and the rest of the package reads membership in a complete
-intersection off its inverse system.  Only ``associated_form``
-solves for omega, through ``GradedIdeal.socle_kernel``, and only the
-``stability`` command runs Wolfe's ``torus_destabilizer``:
-``binary_stability`` reads its witness off the root multiplicities.
+modules; it and ``poly.monomials_of_degree`` hold the package's only
+module-level caches, and ``GradedIdeal`` caches only its ranks.  One
+function, ``inverse_system.apolar_hilbert``, ranks catalecticants, and only
+``GradedIdeal`` and ``min_nonideal_monomial`` read an ideal's exact RREF
+pieces: ``recognize_decomposable`` reduces the generators' own rows of I_d,
+and the rest of the package reads membership in a complete intersection
+off its inverse system.  Only ``associated_form`` solves for omega, through
+``GradedIdeal.socle_kernel``, and only the ``stability`` command runs
+Wolfe's ``torus_destabilizer``: ``binary_stability`` reads its witness off
+the root multiplicities.
 """
 
 import ast
@@ -167,15 +171,16 @@ def test_a_second_mod_p_elimination_is_caught():
 def _rank_deciders(trees: dict[str, ast.Module]) -> tuple[list[str], ...]:
     """The callers of the echelon, its lift, the primes, the kernel and the Koszul matrices."""
     return tuple(_functions_naming(trees, name) for name in
-                 ("echelon_mod_p", "lifted_kernel", "_primes", "_canonical_kernel",
+                 ("echelon_mod_p", "lifted_kernel", "_primes", "canonical_kernel",
                   "koszul_matrices"))
 
 
 def test_one_rank_decision():
-    deciders = ["linalg._canonical_kernel", "linalg.certified_rank"]
+    deciders = ["linalg.canonical_kernel", "linalg.certified_rank"]
     assert _rank_deciders(_package_trees()) == (
         deciders, deciders, deciders,
-        ["linalg.kernel_basis", "linalg.null_space", "linalg.reduce_rows"], [])
+        ["ideals.socle_kernel", "linalg.kernel_basis", "linalg.null_space",
+         "linalg.reduce_rows", "stability._min_norm_point"], [])
 
 
 def test_a_hand_rolled_fallback_is_caught():
@@ -186,7 +191,7 @@ def test_a_hand_rolled_fallback_is_caught():
                             "        if lifted_kernel(rows, ncols, echelon, p) is not None:\n"
                             "            return len(echelon[1])\n"
                             "def null_space(rows, ncols):\n"
-                            "    return _canonical_kernel(rows, ncols, ncols)\n"
+                            "    return canonical_kernel(rows, ncols, ncols)\n"
                             "def reduce_rows(rows, ncols):\n"
                             "    echelon = echelon_mod_p(rows, ncols, _PRIME)\n"
                             "    return lifted_kernel(rows, ncols, echelon, _PRIME)\n")
@@ -205,11 +210,15 @@ def test_a_hand_rolled_fallback_is_caught():
                             "    return len(rref(koszul_matrices(gs, j, k))[1])\n"
                             "def socle_kernel(self):\n"
                             "    return lifted_kernel(self.rows, self.ncols, self.echelon, p)\n")
-    assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree}) == (
+    # Wolfe reads the certified kernel of its bordered system
+    stability_tree = ast.parse("def _min_norm_point(points):\n"
+                               "    return canonical_kernel(bordered, m + 2, m + 2)\n")
+    assert _rank_deciders({"linalg": linalg_tree, "ideals": ideals_tree,
+                           "stability": stability_tree}) == (
         ["ideals.hilbert_rank", "linalg.certified_rank", "linalg.reduce_rows"],
         ["ideals.socle_kernel", "linalg.certified_rank", "linalg.reduce_rows"],
         ["ideals.hilbert_rank", "linalg.certified_rank"],
-        ["linalg.null_space"],
+        ["linalg.null_space", "stability._min_norm_point"],
         ["ideals.koszul_rank"])
 
 

@@ -10,12 +10,13 @@ reduced twice shows up as a second ``reduce_rows``.
 """
 
 import random
+import sys
 
 import pytest
 from helpers import (mixed_direct_sum, power_gens, random_form, random_regular_sequence,
                      series_hilbert)
 
-from assoform import ideals, inverse_system, linalg
+from assoform import ideals, linalg, stability
 from assoform.ideals import (GradedIdeal, hilbert_function, intersect_with_coordinates,
                              is_regular_sequence)
 from assoform.invariants import mather_yau_point
@@ -104,9 +105,10 @@ def test_associated_form_keeps_its_ideal(eliminations):
     assert assoc.ideal is ideal and assoc.source == tuple(gs)
     assert is_regular_sequence(ideal)
     assert hilbert_point_functional(ideal) == assoc.omega
-    # the regularity echelon of I_7 (rank 36) and the 30x28 product rows of I_6
+    # the regularity echelon of I_7 (rank 36), read off the ideal's rank cache
+    # after, and the 30x28 product rows of I_6, whose kernel each solve reads
     assert eliminations.count(("echelon_mod_p", 36)) == 1
-    assert eliminations.count(("lifted_kernel", 30, 28)) == 1
+    assert eliminations.count(("lifted_kernel", 30, 28)) == 2
     assert ("reduce_rows", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
 
@@ -178,12 +180,22 @@ def test_intersect_with_coordinates_reduces_once(eliminations):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The module of every null_space call, at each module that binds it."""
+    """The function behind every certified kernel read, at each module binding canonical_kernel.
+
+    ``reduce_rows`` reads its RREF off the kernel too; ``eliminations``
+    records those calls, so they are left out here.
+    """
     calls = []
-    for module in (ideals, inverse_system):
-        monkeypatch.setattr(module, "null_space",
-                            lambda *args, _module=module: calls.append(_module.__name__)
-                            or linalg.null_space(*args))
+    real = linalg.canonical_kernel
+
+    def spy(*args):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "reduce_rows":
+            calls.append(caller)
+        return real(*args)
+
+    for module in (linalg, ideals, stability):
+        monkeypatch.setattr(module, "canonical_kernel", spy)
     return calls
 
 
@@ -195,14 +207,15 @@ MEMBERSHIP_CASES = [random_regular_sequence(random.Random(3), 3, 3),
 @pytest.mark.parametrize("gs", MEMBERSHIP_CASES, ids=["dense", "direct sum"])
 def test_membership_reduces_only_the_generating_degree(eliminations, kernels, gs):
     # with every certificate holding, reduce_rows sees no piece past I_d,
-    # and omega is the one kernel: the roundtrip compares ranks
+    # and omega is the one kernel: the roundtrip compares ranks, and the
+    # audit solves omega once more on the same ideal
     ideal = GradedIdeal.of(gs)
     assert macaulay_roundtrip(ideal)
-    assert kernels == ["assoform.ideals"]
+    assert kernels == ["socle_kernel"]
     semistability_audit(ideal, trials=3, seed=0)
     splits = [recognize_decomposable(ideal, b) is not None for b in (1, 2)]
     assert splits == [False, gs is MEMBERSHIP_CASES[1]]
-    assert kernels == ["assoform.ideals"]
+    assert kernels == ["socle_kernel"] * 2
     assert not [call for call in eliminations
                 if call[0] == "reduce_rows" and call[2] > dim_degree(3, 3)]
 
