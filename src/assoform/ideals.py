@@ -202,6 +202,7 @@ def _koszul_basis(n: int, m: int, j: int, e: int):
                            for bi, b in enumerate(monos)}
 
 
+@lru_cache(maxsize=None)
 def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
     """The source basis of d_j in degree k (see _koszul_images), Macaulay's elements first.
 

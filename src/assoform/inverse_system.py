@@ -127,7 +127,10 @@ def associated_form(gs) -> AssociatedForm:
 
 
 def hilbert_point_functional(gs) -> HilbertPointFunctional:
-    """The unique functional killing I_nu with omega(det Jac) = 1."""
+    """The unique functional killing I_nu with omega(det Jac) = 1.
+
+    Solved again on every call; an AssociatedForm holds it as .omega.
+    """
     return associated_form(gs).omega
 
 
@@ -175,7 +178,8 @@ def macaulay_roundtrip(gs) -> bool:
     """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1.
 
     It contains (gs) if each g_i kills A, and then equals it where the
-    Hilbert functions agree.
+    Hilbert functions agree.  Omega is solved again on every call, also on
+    a GradedIdeal; a caller who holds the AssociatedForm should pass it on.
     """
     assoc = associated_form(gs)
     top = assoc.nu + 1

@@ -62,15 +62,11 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", line,
-                             match.start() + 1)
-        tokens.append(_Token(kind, match.group(), match.start() + 1))
-    tokens.append(_Token("end", "", len(text) + 1))
-    return tokens
+    tokens = [_Token(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    bad = next((tok for tok in tokens if tok.kind == "bad"), None)
+    if bad:
+        raise ParseError(f"unexpected character {bad.text!r}", line, bad.col)
+    return tokens + [_Token("end", "", len(text) + 1)]
 
 
 def _int(tok: _Token, line: int) -> int:
@@ -87,9 +83,6 @@ def _size(f: Polynomial) -> tuple[int, int]:
     The bits are those of the common denominator L plus those of the
     largest |c * L|; both parts only add up under products.
     """
-    if len(f.terms) == 1:  # the common case, kept cheap
-        ((mono, c),) = f.terms.items()
-        return sum(mono), c.numerator.bit_length() + c.denominator.bit_length()
     if not f.terms:
         return 0, 0
     den = math.lcm(*(c.denominator for c in f.terms.values()))
@@ -116,8 +109,7 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
+    def fail(self, message: str, tok: _Token):
         raise ParseError(message, self.line, tok.col)
 
     def nested(self, parse, tok: _Token) -> Polynomial:
@@ -131,8 +123,6 @@ class _ExprParser:
 
     def check(self, tok: _Token, degree: int, bits: int = 0, products: int = 0):
         """Fail at operator tok if its result would pass one of the size bounds."""
-        if degree <= MAX_DEGREE and bits <= MAX_COEFF_BITS and products <= MAX_TERM_PRODUCTS:
-            return
         for what, value, limit in (("degree", degree, MAX_DEGREE),
                                    ("coefficient bits", bits, MAX_COEFF_BITS),
                                    ("term products", products, MAX_TERM_PRODUCTS)):
@@ -163,68 +153,112 @@ class _ExprParser:
         result = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            self.fail(f"unexpected token {tok.text!r}")
+            self.fail(f"unexpected token {tok.text!r}", tok)
         return result
 
     def expr(self) -> Polynomial:
         first = self.term()
         # one dict for the whole sum: each '+' would copy the partial sum
         total = dict(first.terms)
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            sign = 1 if self.advance().text == "+" else -1
+        while self.peek().text in ("+", "-"):
+            plus = self.advance().text == "+"
             for m, c in self.term().terms.items():
-                total[m] = total.get(m, ZERO) + sign * c
+                total[m] = total.get(m, ZERO) + c if plus else total.get(m, ZERO) - c
         return Polynomial(first.nvars, first.space, total)
 
     def term(self) -> Polynomial:
-        total = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
+        """A product, its leading run of simple factors folded into one term.
+
+        The run's '*'s pass product()'s checks, which the summed degree and the
+        unreduced num/den bound; the general path parses the rest as before.
+        """
+        num = den = 1
+        start = pos = self.pos
+        degree, exps = 0, [0] * len(self.names)
+        found = self.simple(self.depth)
+        while found:
+            fnum, fden, var, e = found
+            if (degree + e > MAX_DEGREE or num.bit_length() + den.bit_length()
+                    + fnum.bit_length() + fden.bit_length() > MAX_COEFF_BITS):
+                break
+            num, den, degree, pos = num * fnum, den * fden, degree + e, self.pos
+            if e:
+                exps[var] += e
+            found = self.advance().text == "*" and self.simple(self.depth)
+        self.pos = pos
+        total = (self.factor() if pos == start else
+                 Polynomial(len(self.names), Space.PRIMAL, {tuple(exps): Fraction(num, den)}))
+        while self.peek().text == "*":
             tok = self.advance()
             total = self.product(total, self.factor(), tok)
         return total
 
+    def simple(self, depth: int) -> tuple[int, int, int, int] | None:
+        """(num, den, var, e) if the factor at the cursor, depth levels deep, is
+        num/den * x_var^e: a literal or variable^literal under '-' and '('; else None."""
+        tok = self.advance()
+        if tok.text in ("-", "("):
+            inner = depth < MAX_NESTING and self.simple(depth + 1)
+            if not inner or tok.text == "(" and (self.advance().text != ")"
+                                                 or self.peek().text == "^"):
+                return None
+            num, den, var, e = inner
+            return -num if tok.text == "-" else num, den, var, e
+        if tok.kind == "num":
+            num, den = self.literal(tok)
+            return None if self.peek().text == "^" else (num, den, 0, 0)
+        var = self.index.get(tok.text)
+        if var is None or self.peek().text != "^":
+            return None if var is None else (1, 1, var, 1)
+        self.advance()
+        return 1, 1, var, self.exponent()
+
     def factor(self) -> Polynomial:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if tok.text == "-":
             self.advance()
             return -self.nested(self.factor, tok)
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek().text == "^":
             tok = self.advance()
-            etok = self.peek()
-            if etok.kind != "num":
-                self.fail("exponent must be a non-negative integer", etok)
-            self.advance()
-            return self.power(base, _int(etok, self.line), tok)
+            return self.power(base, self.exponent(), tok)
         return base
+
+    def exponent(self) -> int:
+        etok = self.advance()
+        if etok.kind != "num":
+            self.fail("exponent must be a non-negative integer", etok)
+        return _int(etok, self.line)
+
+    def literal(self, tok: _Token) -> tuple[int, int]:
+        """Numerator and denominator of the literal tok starts, 'num' or 'num/num'."""
+        num = _int(tok, self.line)
+        if self.peek().text != "/":
+            return num, 1
+        self.advance()
+        dtok = self.advance()
+        if dtok.kind != "num":
+            self.fail("expected an integer denominator", dtok)
+        den = _int(dtok, self.line)
+        if den == 0:
+            self.fail("division by zero in rational literal", dtok)
+        return num, den
 
     def atom(self) -> Polynomial:
         tok = self.advance()
         n = len(self.names)
         if tok.kind == "num":
-            value = Fraction(_int(tok, self.line))
-            if self.peek().kind == "op" and self.peek().text == "/":
-                self.advance()
-                dtok = self.peek()
-                if dtok.kind != "num":
-                    self.fail("expected an integer denominator", dtok)
-                self.advance()
-                den = _int(dtok, self.line)
-                if den == 0:
-                    self.fail("division by zero in rational literal", dtok)
-                value /= den
-            return Polynomial.constant(n, Space.PRIMAL, value)
+            return Polynomial.constant(n, Space.PRIMAL, Fraction(*self.literal(tok)))
         if tok.kind == "ident":
             idx = self.index.get(tok.text)
             if idx is None:
                 raise ParseError(f"undeclared variable {tok.text!r}", self.line, tok.col)
             return Polynomial.variable(n, idx, Space.PRIMAL)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.text == "(":
             inner = self.nested(self.expr, tok)
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
+            closing = self.advance()
+            if closing.text != ")":
                 self.fail("expected ')'", closing)
-            self.advance()
             return inner
         if tok.kind == "end":
             raise ParseError("unexpected end of line", self.line, tok.col)

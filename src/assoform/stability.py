@@ -378,7 +378,8 @@ def semistability_audit(gs, trials: int, seed: int) -> AuditReport:
     must satisfy the partial-sum inequalities; when no decomposition split
     is certified in the given coordinates, samples admitting a limit are
     recorded (for an indecomposable intersection none should, over the
-    closure).
+    closure).  Omega is solved again on every call, also on a GradedIdeal;
+    a caller who holds the AssociatedForm should pass its form on.
     """
     assoc = associated_form(gs)  # raises NotRegularSequence if not regular
     ideal = assoc.ideal

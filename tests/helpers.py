@@ -11,6 +11,7 @@ from assoform.ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vect
                              is_regular_sequence, vectors_to_polynomials)
 from assoform.linalg import (QMatrix, from_rows, kernel_basis,
                              row_space_basis, solve_square, unit_columns)
+from assoform.parsing import _ExprParser, _tokenize
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness, Verdict,
@@ -482,6 +483,21 @@ def reference_recognize_decomposable(gs, b: int) -> DecompositionCertificate | N
     extracted = reference_intersect_with_coordinates(basis, [sum(m[:b]) == 0 for m in monos_d])
     return DecompositionCertificate(
         b, tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL)))
+
+
+# Oracle for parsing.parse_polynomial: its earlier term loop, with one
+# Polynomial per atom and one checked product per '*'.
+class _FactorByFactor(_ExprParser):
+    def term(self) -> Polynomial:
+        total = self.factor()
+        while self.peek().text == "*":
+            tok = self.advance()
+            total = self.product(total, self.factor(), tok)
+        return total
+
+
+def reference_parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:
+    return _FactorByFactor(_tokenize(text, line), names, line).parse()
 
 
 # Oracle for Polynomial.__pow__: its earlier binary-powering loop.

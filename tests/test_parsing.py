@@ -9,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import from_monomial, random_form
+from helpers import from_monomial, random_form, reference_parse_polynomial
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import assoform
-from assoform.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERM_PRODUCTS,
+from assoform.parsing import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING, MAX_TERM_PRODUCTS,
                               ParseError, parse_polynomial, parse_system)
 from assoform.poly import Polynomial, Space, monomials_of_degree
 
@@ -181,17 +183,107 @@ def test_zeroth_powers_are_one():
 
 
 def test_a_power_of_a_monomial_multiplies_nothing(monkeypatch):
-    calls = []
-    real = Polynomial.__mul__
+    # a power of a monomial is never built by repeated multiplication: a
+    # folded term adds exponents, and the general path raises a monomial
+    # directly
+    calls, powers = [], []
+    real_mul, real_pow = Polynomial.__mul__, Polynomial.__pow__
 
-    def spy(self, other):
+    def mul(self, other):
         calls.append(other)
-        return real(self, other)
+        return real_mul(self, other)
 
-    monkeypatch.setattr(Polynomial, "__mul__", spy)
-    f = parse_polynomial("x1^13*x2^7", ("x1", "x2"))
-    assert f == from_monomial(2, Space.PRIMAL, (13, 7))
-    assert len(calls) == 1  # the '*'
+    def power(self, e):
+        powers.append(e)
+        return real_pow(self, e)
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__pow__", power)
+    names = ("x1", "x2")
+    assert parse_polynomial("x1^13*x2^7", names) == from_monomial(2, Space.PRIMAL, (13, 7))
+    assert (calls, powers) == ([], [])
+    assert parse_polynomial("(2*x1)^13", names) == from_monomial(2, Space.PRIMAL, (13, 0),
+                                                                 2 ** 13)
+    assert (calls, powers) == ([], [13])
+
+
+def test_a_folded_term_builds_one_polynomial(monkeypatch):
+    # a rational (4,3) line, (a/b)*x1^2*x2 per term: one Polynomial per term
+    # and one for the sum, with no Polynomial per atom and no product per '*'
+    rng = random.Random(23)
+    monos = monomials_of_degree(4, 3)
+    terms = ["(%d/%d)*%s" % (rng.randint(1, 10 ** 12), rng.randint(2, 10 ** 12),
+                             "*".join(f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+                                      for i, e in enumerate(m) if e))
+             for m in monos]
+    text = "-" + "".join(t + rng.choice([" + ", " - "]) for t in terms[:-1]) + terms[-1]
+    names = ("x1", "x2", "x3", "x4")
+    built = []
+    real = Polynomial.__init__
+
+    def spy(self, nvars, space, terms=None):
+        built.append(len(terms or {}))
+        real(self, nvars, space, terms)
+
+    expected = reference_parse_polynomial(text, names)
+    monkeypatch.setattr(Polynomial, "__init__", spy)
+    assert parse_polynomial(text, names) == expected
+    assert len(expected.terms) == len(monos)
+    assert len(built) <= len(monos) + 1
+
+
+def _literal():
+    # integers up to a few bits past half of MAX_COEFF_BITS, zero among them,
+    # and one with more decimal digits than int() reads
+    big = st.integers(0, MAX_COEFF_BITS // 2 + 40).map(lambda k: str(2 ** k - 1))
+    return st.one_of(st.integers(0, 12).map(str), big, st.just("1" + "0" * 4400))
+
+
+@st.composite
+def _factor(draw):
+    kind = draw(st.sampled_from(["num", "num", "rat", "var", "var", "power", "power", "other"]))
+    if kind == "num":
+        text = draw(_literal())
+    elif kind == "rat":
+        text = f"{draw(_literal())}/{draw(_literal())}"
+    elif kind == "var":
+        text = draw(st.sampled_from(["x1", "x2", "x3", "x4"]))
+    elif kind == "power":
+        e = draw(st.one_of(st.integers(0, 3), st.integers(MAX_DEGREE // 2 - 2, MAX_DEGREE + 2)))
+        text = f"{draw(st.sampled_from(['x1', 'x2', 'x3']))}^{e}"
+    else:
+        text = draw(st.sampled_from(["(x1+x2)", "2^3", "(1/2)^2", "(x2)^2", "x1^x2", "1/x1",
+                                     "(x1", "x1^", "", "(2*x3)", "x1^2^2", "0000000201"]))
+    if draw(st.booleans()):
+        text = f"({text})"
+    return "-" * draw(st.integers(0, 2)) + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(factors=st.lists(_factor(), min_size=1, max_size=7),
+       joins=st.lists(st.sampled_from(["*"] * 6 + [" + ", " - "]), min_size=6, max_size=6),
+       depth=st.sampled_from([0, 0, 0, 1, MAX_NESTING - 2, MAX_NESTING - 1, MAX_NESTING]),
+       line=st.integers(1, 9))
+@example(factors=[str(2 ** 4999), str(2 ** 5000), "x1"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=[f"(1/{2 ** 4998})", f"{2 ** 4999}/3", "x2"], joins=["*"] * 6, depth=0,
+         line=1)
+@example(factors=["x1^150", "x2^50", "x3"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=["x1", "-2"], joins=["*"] * 6, depth=MAX_NESTING - 1, line=1)
+def test_a_folded_product_matches_the_factor_by_factor_parse(factors, joins, depth, line):
+    # the same polynomial as the general path, or the same error at the
+    # same line and column, also for a product nested up to MAX_NESTING
+    text = factors[0] + "".join(j + f for j, f in zip(joins, factors[1:]))
+    text = "(" * depth + text + ")" * depth
+    names = ("x1", "x2", "x3")
+    try:
+        expected = reference_parse_polynomial(text, names, line)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_polynomial(text, names, line)
+        assert str(got.value) == str(err)
+        assert (got.value.line, got.value.col) == (err.line, err.col)
+    else:
+        assert parse_polynomial(text, names, line) == expected
 
 
 def test_a_huge_power_of_zero_is_zero():
