@@ -12,8 +12,9 @@ factors of the kept rows, and stops at a target rank, so rows past it are
 never read.  Its certificate, ``lifted_kernel``, lifts a kernel vector w_f
 per free column f p-adically on those factors (Dixon, Numer. Math. 40,
 1982), recovers them by rational reconstruction (von zur Gathen and
-Gerhard, Modern Computer Algebra, 5.10) and keeps them only if they kill
-every row over Z: then the rank mod p is the rank over Q.  Where it fails,
+Gerhard, Modern Computer Algebra, 5.10) after lift steps 1, 2 and 3, then
+every 4th and the last, and keeps them only if they kill every row over Z:
+then the rank mod p is the rank over Q.  Where it fails,
 ``certified_rank`` (a rank) and ``canonical_kernel`` (the one kernel
 reader: ``reduce_rows``, ``null_space``, ``kernel_basis``, omega and
 Wolfe's minor cycle take their vectors from it) go on to the next prime
@@ -235,9 +236,11 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon,
 
     With B the kept rows R at the pivot columns, x_f = B^{-1}(-M[R, f]) is
     lifted on the LU factors for each free column f, and all are
-    reconstructed with one denominator every 4 steps.  w_f is x_f at the
-    pivot columns, 1 at f and 0 at the other free columns, times it.  W
-    (by f) is returned only if M w_f = 0 over Z on every row: independent
+    reconstructed with one denominator after steps 1, 2 and 3, then every
+    4 steps and the last, so a system with small solutions stops at the
+    first step that certifies it.  w_f is x_f at the pivot columns, 1 at f
+    and 0 at the other free columns, times it.  W (by f) is returned only
+    if M w_f = 0 over Z on every row: independent
     kernel vectors, they cap the rank over Q at the rank mod p, its floor.
     Reconstruction holds once p^k > 2 H^2, H the Hadamard bound of R, which
     bounds the numerators and denominator (Cramer); past that, None.
@@ -264,7 +267,8 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon,
             residual[:] = [(b - sum(a * x[j] for j, a in pivotal[i])) // p
                            for b, i in zip(residual, ids)]
         modulus *= p
-        kernel = _reconstruct(lifted, modulus) if step % 4 == 0 or step == steps else None
+        kernel = (_reconstruct(lifted, modulus) if step < 4 or step % 4 == 0 or step == steps
+                  else None)
         if kernel is not None and not any(sum(a * w[k] for k, a in at) + w[-1] * row.get(f, 0)
                                           for at, row in zip(pivotal, rows)
                                           for w, f in zip(kernel, free)):

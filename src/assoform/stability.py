@@ -14,11 +14,14 @@ lies outside the convex hull of the support exponents.  One exact run of
 Wolfe's min-norm-point algorithm (Math. Programming 11 (1976) 128-149)
 decides both questions: with p the point of conv{a - c} nearest the origin,
 p = 0 iff c is in the hull, and otherwise p/|p|^2 is the minimum-norm point
-of {u . a >= 1, sum u = 0}, the returned certificate.  Every answer is
-checked exactly: p is a positive convex combination of the support, and
-every support point lies on the far side of the hyperplane through p
-normal to it.  Uniqueness of p makes the output deterministic and
-equivariant under simultaneous permutation of variables.
+of {u . a >= 1, sum u = 0}, the returned certificate.  The run is on the
+integer points b = n(a - c) and holds their nearest point n p as X/s, X an
+integer vector and s > 0 an integer, so each major cycle searches the
+support in integers.  Every answer is checked exactly on X and s: the
+weights are positive, sum to 1 and combine the b's to X/s, and every b
+lies on the far side of the hyperplane through X/s normal to it, (b.X) s
+>= X.X.  Uniqueness of p makes the output deterministic and equivariant
+under simultaneous permutation of variables.
 
 Membership in I follows inverse_system's duality rule: the audit's
 grevlex-least monomial outside I_nu is that of A.
@@ -26,6 +29,7 @@ grevlex-least monomial outside I_nu is that of A.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -103,7 +107,7 @@ def _dot(p, q):
     return sum(a * b for a, b in zip(p, q))
 
 
-def _combine(points, corral, weights) -> list[Fraction]:
+def _combine(points, corral, weights) -> list:
     return [sum(w * points[i][k] for i, w in zip(corral, weights))
             for k in range(len(points[0]))]
 
@@ -111,16 +115,18 @@ def _combine(points, corral, weights) -> list[Fraction]:
 def _min_norm_point(points: list[tuple[int, ...]]):
     """Wolfe's algorithm in exact arithmetic: the point of conv(points) nearest 0.
 
-    Returns (x, corral, weights) with x = sum weights[k] * points[corral[k]],
-    every weight positive.  Ties go to the lowest index, so the run is
+    Returns (X, s, corral, weights): the nearest point x = X/s, X integer and
+    s > 0, is sum weights[k] * points[corral[k]], every weight positive.
+    Each major cycle scales the minor cycle's weights to integers once, so
+    its search runs in integers.  Ties go to the lowest index, so the run is
     deterministic; the nearest point itself is unique.
     """
     start = min(range(len(points)), key=lambda i: _dot(points[i], points[i]))
     corral, weights = [start], [Fraction(1)]
-    x = list(points[start])
-    while any(x):
-        j = min(range(len(points)), key=lambda i: _dot(points[i], x))
-        if _dot(points[j], x) >= _dot(x, x):
+    X, s = list(points[start]), 1
+    while any(X):
+        j = min(range(len(points)), key=lambda i: _dot(points[i], X))
+        if _dot(points[j], X) * s >= _dot(X, X):  # b_j.x >= |x|^2, times s^2
             break
         corral.append(j)
         weights.append(Fraction(0))
@@ -139,8 +145,9 @@ def _min_norm_point(points: list[tuple[int, ...]]):
             weights = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
             corral = [i for i, w in zip(corral, weights) if w > 0]
             weights = [w for w in weights if w > 0]
-        x = _combine(points, corral, weights)
-    return x, corral, weights
+        scaled = integer_vector(weights)[1]  # s * weights; they sum to 1, so to s
+        X, s = _combine(points, corral, scaled), sum(scaled)
+    return X, s, corral, weights
 
 
 def torus_destabilizer(f: Polynomial) -> OnePS | None:
@@ -152,25 +159,27 @@ def torus_destabilizer(f: Polynomial) -> OnePS | None:
 
     Wolfe's algorithm runs on the integer points b = n*a - deg*(1..1), the
     support shifted by the balanced point and scaled by n.  Their nearest
-    point x is 0 iff the balanced point is in the hull; otherwise x points
-    the same way as the minimum-norm separating weight.  Both outcomes are
-    checked exactly: x is a positive convex combination of the b's, and
-    b.x >= |x|^2 for every b.
+    point x = X/s (X integer, s > 0) is 0 iff the balanced point is in the
+    hull; otherwise X points the same way as the minimum-norm separating
+    weight.  Both outcomes are checked exactly: the weights are positive,
+    sum to 1 and combine the b's to X/s, and (b.X) s >= X.X for every b.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no destabilizer")
     n = f.nvars
     deg = f.degree()
     points = [tuple(n * e - deg for e in mono) for mono in f.terms]
-    x, corral, weights = _min_norm_point(points)
-    if min(weights) <= 0 or sum(weights) != 1 or _combine(points, corral, weights) != x:
+    X, s, corral, weights = _min_norm_point(points)
+    if (min(weights) <= 0 or sum(weights) != 1
+            or [s * v for v in _combine(points, corral, weights)] != X):
         raise ArithmeticError("min-norm point is not a convex combination of the support")
-    norm = _dot(x, x)
-    if any(_dot(p, x) < norm for p in points):
+    norm = _dot(X, X)
+    if s <= 0 or any(_dot(p, X) * s < norm for p in points):
         raise ArithmeticError("min-norm point does not separate the support")
-    if not any(x):
+    if not any(X):
         return None
-    result = OnePS(tuple(integer_vector(x)[1]))
+    g = math.gcd(*X)
+    result = OnePS(tuple(v // g for v in X))
     if any(_dot(result.weights, mono) <= 0 for mono in f.terms):
         raise ArithmeticError("destabilizer certificate failed verification")
     return result

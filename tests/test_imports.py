@@ -314,9 +314,9 @@ def test_a_second_scaling_is_caught():
 
 def test_one_conversion_to_integer_rows():
     # integer_rows is the one conversion of QMatrix rows; poly.integer_terms
-    # scales a polynomial's terms, and torus_destabilizer its weight vector
+    # scales a polynomial's terms, and Wolfe's major cycle its corral weights
     assert _functions_naming(_package_trees(), "integer_vector") == [
-        "linalg.integer_rows", "poly.integer_terms", "stability.torus_destabilizer"]
+        "linalg.integer_rows", "poly.integer_terms", "stability._min_norm_point"]
 
 
 def test_a_second_conversion_is_caught():

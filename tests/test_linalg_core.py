@@ -399,8 +399,9 @@ def test_corank_one_kernel_refuses_a_short_rank():
 
 
 def test_corank_one_kernel_lifts_past_a_wrong_first_reconstruction():
-    # after 4 steps the reconstruction of -b/a succeeds with a wrong fraction
-    # of 60 bits; the row check rejects it and the lift goes on to step 8
+    # after steps 1, 3 and 4 the reconstruction of -b/a succeeds with a wrong
+    # fraction (numerator and denominator of at most 15, 45 and 58 bits); the row
+    # check rejects each, and the lift goes on to step 8
     a, b = 2 ** 100 + 277, 3 ** 70 + 5
     assert _kernel([[a, b]]) == [[-b, a]]
     assert _kernel([[Fraction(a, 7), Fraction(b, 7)], [a, b]]) == [[-b, a]]
