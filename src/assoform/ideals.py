@@ -6,6 +6,8 @@ generator scaled once to a primitive integer form (the same ideal): ideal
 pieces are canonical RREF row spaces, Hilbert functions are codimensions,
 regular sequences are certified by vanishing of the quotient one degree
 past the socle, and Koszul differentials are assembled as graded matrices.
+Monomials multiply by adding packed codes (Kronecker substitution,
+``poly.mono_code``), which ``_koszul_basis`` keeps beside each basis.
 The RREF of a piece is built, uncached, only for the public ``graded_piece``,
 ``contains`` and ``min_nonideal_monomial``; no command builds one.
 
@@ -38,12 +40,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .linalg import (QMatrix, canonical_kernel, certified_rank, in_row_space, reduce_rows,
                      unit_columns)
 from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
-                   integer_terms, monomials_of_degree)
+                   integer_terms, mono_code, monomials_of_degree)
 
 DEGREE_CAP = 24
 
@@ -191,15 +192,17 @@ def min_nonideal_monomial(ideal: GradedIdeal, k: int) -> Mono | None:
 
 
 @lru_cache(maxsize=None)
-def _koszul_basis(n: int, m: int, j: int, e: int):
+def _koszul_basis(n: int, m: int, j: int, e: int, bits: int):
     """The basis e_W x^b of K_j with deg x^b = e, for m generators in n variables.
 
     Wedge-major: e_W x^b is at wedge index * dim S_e + monomial index.
-    Returns the wedges W, the monomials x^b and the index (W, x^b) -> position.
+    Returns the wedges W, the monomials x^b, their codes (poly.mono_code at
+    bits) and the index (wedge index << n * bits) + code -> position.
     """
     wedges, monos = tuple(itertools.combinations(range(m), j)), monomials_of_degree(n, e)
-    return wedges, monos, {(w, b): len(monos) * wi + bi for wi, w in enumerate(wedges)
-                           for bi, b in enumerate(monos)}
+    codes = tuple(mono_code(b, bits) for b in monos)
+    return wedges, monos, codes, {(wi << n * bits) + c: len(monos) * wi + bi
+                                  for wi in range(len(wedges)) for bi, c in enumerate(codes)}
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +217,16 @@ def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
     monomial x^a of degree k, and the others follow, x^b g_1 .. x^b g_m for
     each monomial x^b in turn.
     """
-    src_wedges, src_monos, src_index = _koszul_basis(n, m, j, k - j * d)
+    bits = k.bit_length()
+    src_wedges, src_monos, _, src_index = _koszul_basis(n, m, j, k - j * d, bits)
+    tgt_wedges, tgt_monos, tgt_codes, _ = _koszul_basis(n, m, j - 1, k - (j - 1) * d, bits)
+    src_keys = {w: wi << n * bits for wi, w in enumerate(src_wedges)}
     first = {}  # an ordered set
-    for rest, a in _koszul_basis(n, m, j - 1, k - (j - 1) * d)[2]:
+    for rest, (a, code) in itertools.product(tgt_wedges, zip(tgt_monos, tgt_codes)):
         i = next((i for i in range(min(m, n)) if a[i] >= d and i not in rest), None)
         if i is not None:
-            wedge = tuple(sorted(rest + (i,)))
-            first[src_index[(wedge, a[:i] + (a[i] - d,) + a[i + 1:])]] = None
-    others = (src_index[(w, b)] for b in src_monos for w in src_wedges)
+            first[src_index[src_keys[tuple(sorted(rest + (i,)))] + code - (d << bits * i)]] = None
+    others = sorted(src_index.values(), key=lambda s: (s % len(src_monos), s))
     return tuple(first) + tuple(s for s in others if s not in first)
 
 
@@ -233,17 +238,21 @@ def _koszul_images(forms, n: int, d: int, j: int, k: int, order):
     basis that of K_{j-1} (see _koszul_basis).  d_j sends e_I to the signed
     sum of g_{i_r} times e_{I minus i_r}.  For j = 1 the images are the
     product rows x^b g_i of I_k, with the monomials of S_k as columns.
+    Monomials are mono_codes of k.bit_length() bits a field: no exponent in degree k fills one.
     """
-    src_wedges, src_monos, _ = _koszul_basis(n, len(forms), j, k - j * d)
-    tgt_index = _koszul_basis(n, len(forms), j - 1, k - (j - 1) * d)[2]
+    bits = k.bit_length()
+    src_wedges, _, src_codes, _ = _koszul_basis(n, len(forms), j, k - j * d, bits)
+    tgt_wedges, _, _, tgt_index = _koszul_basis(n, len(forms), j - 1, k - (j - 1) * d, bits)
+    rest_keys = {w: wi << n * bits for wi, w in enumerate(tgt_wedges)}
+    coded = [[(mono_code(gm, bits), c) for gm, c in form.items()] for form in forms]
     for s in order:
-        wedge, mono = src_wedges[s // len(src_monos)], src_monos[s % len(src_monos)]
+        wedge, code = src_wedges[s // len(src_codes)], src_codes[s % len(src_codes)]
         image = {}
         for r, gen_index in enumerate(wedge):
             sign = -1 if r % 2 else 1
-            rest = wedge[:r] + wedge[r + 1:]
-            for gm, c in forms[gen_index].items():
-                image[tgt_index[(rest, tuple(map(add, mono, gm)))]] = sign * c
+            key = rest_keys[wedge[:r] + wedge[r + 1:]] + code
+            for gc, c in coded[gen_index]:
+                image[tgt_index[key + gc]] = sign * c
         yield image
 
 

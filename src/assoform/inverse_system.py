@@ -27,7 +27,8 @@ lifted off the echelon and checked over Z, at the next prime if one fails.
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
 nu! omega(x^b): nu! times the Hankel matrix of omega, built as sparse
-integer rows, like the ideal's product rows; its ranks are apolar_hilbert.
+integer rows on packed monomial codes (poly.mono_code), like the ideal's
+product rows; its ranks are apolar_hilbert.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, hilbert_function,
-                     is_regular_sequence)
+from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, _koszul_basis,
+                     hilbert_function, is_regular_sequence)
 from .linalg import QMatrix, certified_rank, null_space
 from .poly import (ZERO, Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
-                   jacobian_det, mono_factorial, monomials_of_degree, pairing, partial)
+                   jacobian_det, mono_code, mono_factorial, monomials_of_degree, pairing,
+                   partial)
 
 
 class NotRegularSequence(ValueError):
@@ -139,7 +141,8 @@ def catalecticants(f: Polynomial, degrees) -> list[list[dict[int, int]]]:
 
     Cat_{nu-k} = Cat_k^T.  f is checked and its integer weights computed
     once for all degrees.  Refused for deg f > DEGREE_CAP.  See the module
-    docstring for the rows.
+    docstring for the rows.  Monomials are mono_codes of nu.bit_length()
+    bits a field: no exponent in degree nu fills one.
     """
     if f.is_zero():
         raise ValueError("catalecticants: the zero form has no apolar ideal piece")
@@ -149,15 +152,17 @@ def catalecticants(f: Polynomial, degrees) -> list[list[dict[int, int]]]:
     if nu > DEGREE_CAP:
         raise DegreeCapError(f"catalecticants: form degree {nu} exceeds the supported "
                              f"bound {DEGREE_CAP}")
-    weighted = integer_terms({b: c * mono_factorial(b) for b, c in f.terms.items()})[1]
+    bits = nu.bit_length()
+    weighted = integer_terms({mono_code(b, bits): c * mono_factorial(b)
+                              for b, c in f.terms.items()})[1]
     matrices = []
     for k in degrees:
         if k < 0:
             raise ValueError("catalecticants: degree must be non-negative")
-        src = monomials_of_degree(n, k)
-        matrices.append([{j: w for j, c in enumerate(src)
-                          if (w := weighted.get(tuple(x + y for x, y in zip(a, c))))}
-                         for a in monomials_of_degree(n, nu - k)])
+        rows = _koszul_basis(n, 0, 0, nu - k, bits)[2]  # K_0 = S: the codes of D_{nu-k}
+        src = _koszul_basis(n, 0, 0, k, bits)[2] if rows else ()
+        matrices.append([{j: w for j, c in enumerate(src) if (w := weighted.get(a + c))}
+                         for a in rows])
     return matrices
 
 

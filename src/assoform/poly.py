@@ -60,6 +60,11 @@ def dim_degree(nvars: int, k: int) -> int:
     return math.comb(k + nvars - 1, nvars - 1)
 
 
+def mono_code(a: Mono, bits: int) -> int:
+    """The code sum a_i 2^(bits i) of x^a: while no exponent fills its field, codes add."""
+    return sum(e << bits * i for i, e in enumerate(a))
+
+
 def mono_factorial(a: Mono) -> int:
     out = 1
     for e in a:
@@ -296,8 +301,9 @@ def integer_terms(terms: dict[Mono, Fraction]) -> tuple[Fraction, dict[Mono, int
 def jacobian_det(gs: list[Polynomial]) -> Polynomial:
     """Determinant of the Jacobian matrix (dg_i/dx_j), expanded exactly.
 
-    The Laplace minors are int dicts of the integer forms s_i g_i (see
-    integer_terms); the determinant is divided once by prod s_i.
+    The Laplace minors are {mono_code: int} dicts of the integer forms s_i g_i
+    (integer_terms) with D.bit_length() bits a field, D = sum max(deg g_i - 1, 0)
+    >= any minor's degree; the determinant is decoded, then divided by prod s_i.
     """
     if not gs:
         raise ValueError("empty polynomial list")
@@ -308,11 +314,12 @@ def jacobian_det(gs: list[Polynomial]) -> Polynomial:
         if g.nvars != n or g.space is not Space.PRIMAL:
             raise ValueError("jacobian_det expects primal polynomials in n variables")
     scales, forms = zip(*(integer_terms(g.terms) for g in gs))
-    jac = [[{m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j] for m, c in form.items() if m[j]}
+    bits = sum(max(max(map(sum, form), default=0) - 1, 0) for form in forms).bit_length()
+    jac = [[{mono_code(m, bits) - (1 << bits * j): c * m[j] for m, c in form.items() if m[j]}
             for j in range(n)] for form in forms]
-    memo: dict[tuple[int, ...], dict[Mono, int]] = {(): {(0,) * n: 1}}
+    memo: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
 
-    def minor(rows: tuple[int, ...]) -> dict[Mono, int]:
+    def minor(rows: tuple[int, ...]) -> dict[int, int]:
         if rows not in memo:
             col, acc = n - len(rows), {}
             for pos, r in enumerate(rows):
@@ -320,13 +327,13 @@ def jacobian_det(gs: list[Polynomial]) -> Polynomial:
                 sub = minor(rows[:pos] + rows[pos + 1:]) if entry else {}
                 for ma, ca in entry.items():
                     for mb, cb in sub.items():
-                        key = tuple(x + y for x, y in zip(ma, mb))
-                        acc[key] = acc.get(key, 0) + (-ca if pos % 2 else ca) * cb
+                        acc[ma + mb] = acc.get(ma + mb, 0) + (-ca if pos % 2 else ca) * cb
             memo[rows] = {m: c for m, c in acc.items() if c}
         return memo[rows]
 
-    scale = math.prod(scales)
-    return Polynomial(n, Space.PRIMAL, {m: c / scale for m, c in minor(tuple(range(n))).items()})
+    scale, mask = math.prod(scales), (1 << bits) - 1
+    return Polynomial(n, Space.PRIMAL, {tuple(code >> bits * i & mask for i in range(n)): c / scale
+                                        for code, c in minor(tuple(range(n))).items()})
 
 
 def substitute(f: Polynomial, m: QMatrix) -> Polynomial:

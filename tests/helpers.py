@@ -165,6 +165,30 @@ def reference_perp_piece(f: Polynomial, k: int) -> QMatrix:
     return reference_null_space(transpose(from_rows(cat, cols=len(tgt))).entries, len(cat))
 
 
+# Oracle for inverse_system.catalecticants, from the definition with tuple keys.
+def reference_catalecticants(f: Polynomial, k: int) -> list[dict[int, int]]:
+    """Integer rows of Cat_k: row z^a, scaled by a!, holds b! f_b at b = a + c in column x^c.
+
+    The whole matrix is scaled by the one positive rational that makes the
+    weights b! f_b of f coprime integers, as the library scales them once.
+    """
+    n, nu = f.nvars, f.degree()
+    weights = {b: c * mono_factorial(b) for b, c in f.terms.items()}
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    scale = Fraction(den, math.gcd(*(w.numerator * (den // w.denominator)
+                                     for w in weights.values())))
+    rows = []
+    for a in monomials_of_degree(n, nu - k):
+        row = {}
+        for col, c in enumerate(monomials_of_degree(n, k)):
+            b = tuple(x + y for x, y in zip(a, c))
+            if b in weights:
+                row[col] = weights[b] * scale
+        rows.append(row)
+    assert all(x.denominator == 1 for row in rows for x in row.values())
+    return [{col: int(x) for col, x in row.items()} for row in rows]
+
+
 # Oracle for the Koszul complex of forms g_1..g_m of degree d in n variables:
 # its own basis and matrices, built from Polynomial products and the sign rule.
 def reference_koszul_basis(n: int, m: int, j: int, e: int) -> list[tuple]:

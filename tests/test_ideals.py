@@ -266,13 +266,20 @@ GRID = [(n, d, m, j, k) for n in range(1, 5) for d in range(1, 4) for m in range
 
 
 def test_koszul_basis_is_indexed_wedge_major():
+    # the index keys decode, field by field, to the reference basis in order
     for n, d, m, j, k in GRID:
+        bits = k.bit_length()
         for i in (j - 1, j):
             e = k - i * d
-            wedges, monos, index = ideals._koszul_basis(n, m, i, e)
-            assert list(index) == reference_koszul_basis(n, m, i, e)
+            wedges, monos, codes, index = ideals._koszul_basis(n, m, i, e, bits)
+            reference = reference_koszul_basis(n, m, i, e)
+            assert [(w, b) for w in wedges for b in monos] == reference
             assert list(index.values()) == list(range(math.comb(m, i) * dim_degree(n, e)))
-            assert [(w, b) for w in wedges for b in monos] == list(index)
+            decoded = [(wedges[key >> n * bits],
+                        tuple(key >> bits * t & ((1 << bits) - 1) for t in range(n)))
+                       for key in index]
+            assert decoded == reference
+            assert list(index)[:len(monos)] == list(codes)  # wedge 0 adds nothing
 
 
 def test_macaulay_order_permutes_the_source_basis():
