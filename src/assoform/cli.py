@@ -29,7 +29,7 @@ from .ideals import (GradedIdeal, hilbert_function, is_regular_sequence,
                      koszul_exactness_check)
 from .inverse_system import apolar_hilbert, associated_form
 from .invariants import mather_yau_point, points_equal
-from .parsing import MAX_TRIALS, InputSystem, ParseError, parse_system, split_lines
+from .parsing import InputSystem, ParseError, parse_system, split_lines
 from .poly import Polynomial, Space, dim_degree
 from .stability import (OnePS, RootWitness, binary_stability,
                         recognize_decomposable, degeneration_limit,
@@ -37,6 +37,8 @@ from .stability import (OnePS, RootWitness, binary_stability,
 
 USAGE_EXIT = 1
 PRECONDITION_EXIT = 2
+# Most one-parameter subgroups an audit samples (each is a line of its report).
+MAX_TRIALS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):

@@ -183,8 +183,7 @@ def macaulay_roundtrip(gs) -> bool:
     """Whether the apolar ideal of A(gs) reproduces (gs) in all degrees <= nu+1.
 
     It contains (gs) if each g_i kills A, and then equals it where the
-    Hilbert functions agree.  Omega is solved again on every call, also on
-    a GradedIdeal; a caller who holds the AssociatedForm should pass it on.
+    Hilbert functions agree.  Each call solves omega, also on a GradedIdeal.
     """
     assoc = associated_form(gs)
     top = assoc.nu + 1

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .poly import ZERO, Polynomial, Space
@@ -51,8 +52,6 @@ MAX_NESTING = 100
 MAX_DEGREE = 200
 MAX_COEFF_BITS = 10_000
 MAX_TERM_PRODUCTS = 100_000
-# Most one-parameter subgroups an audit samples (each is a line of its report).
-MAX_TRIALS = 10_000
 
 
 class _Token(NamedTuple):
@@ -91,13 +90,18 @@ def _size(f: Polynomial) -> tuple[int, int]:
 
 
 class _ExprParser:
-    """Recursive descent over one polynomial line."""
+    """Recursive descent over one polynomial line.
+
+    Each factor is read once, as a Polynomial or as a term (num, den,
+    exponents, degree): num/den * x^exponents, num and den unreduced.
+    """
 
     def __init__(self, tokens: list[_Token], names: tuple[str, ...], line: int):
         self.tokens = tokens
         self.pos = 0
-        self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        self.nvars = n = len(names)
+        self.units = {name: (1, 1, (0,) * i + (1,) + (0,) * (n - 1 - i), 1)
+                      for i, name in enumerate(names)}
         self.line = line
         self.depth = 0
 
@@ -112,7 +116,7 @@ class _ExprParser:
     def fail(self, message: str, tok: _Token):
         raise ParseError(message, self.line, tok.col)
 
-    def nested(self, parse, tok: _Token) -> Polynomial:
+    def nested(self, parse, tok: _Token):
         """Run parse one nesting level deeper; tok opened the level."""
         if self.depth == MAX_NESTING:
             self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
@@ -149,111 +153,99 @@ class _ExprParser:
                    m * math.comb(m + e - 1, e - 1) if e else 0)
         return base ** e
 
+    @staticmethod
+    def pairs(value):
+        """The (monomial, coefficient) pairs of a term or a Polynomial."""
+        if type(value) is tuple:
+            num, den, mono, _ = value
+            return ((mono, Fraction(num, den)),)
+        return value.terms.items()
+
+    def polynomial(self, value) -> Polynomial:
+        """value as a Polynomial; a term becomes one of a single term."""
+        if type(value) is tuple:
+            return Polynomial(self.nvars, Space.PRIMAL, dict(self.pairs(value)))
+        return value
+
     def parse(self) -> Polynomial:
-        result = self.expr()
+        result = self.polynomial(self.expr())
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected token {tok.text!r}", tok)
         return result
 
-    def expr(self) -> Polynomial:
+    def expr(self):
         first = self.term()
+        if self.peek().text not in ("+", "-"):
+            return first  # a lone term stays a term, also inside '(' ... ')'
         # one dict for the whole sum: each '+' would copy the partial sum
-        total = dict(first.terms)
+        total = dict(self.pairs(first))
         while self.peek().text in ("+", "-"):
             plus = self.advance().text == "+"
-            for m, c in self.term().terms.items():
+            for m, c in self.pairs(self.term()):
                 total[m] = total.get(m, ZERO) + c if plus else total.get(m, ZERO) - c
-        return Polynomial(first.nvars, first.space, total)
+        return Polynomial(self.nvars, Space.PRIMAL, total)
 
-    def term(self) -> Polynomial:
-        """A product, its leading run of simple factors folded into one term.
-
-        The run's '*'s pass product()'s checks, which the summed degree and the
-        unreduced num/den bound; the general path parses the rest as before.
-        """
-        num = den = 1
-        start = pos = self.pos
-        degree, exps = 0, [0] * len(self.names)
-        found = self.simple(self.depth)
-        while found:
-            fnum, fden, var, e = found
-            if (degree + e > MAX_DEGREE or num.bit_length() + den.bit_length()
-                    + fnum.bit_length() + fden.bit_length() > MAX_COEFF_BITS):
-                break
-            num, den, degree, pos = num * fnum, den * fden, degree + e, self.pos
-            if e:
-                exps[var] += e
-            found = self.advance().text == "*" and self.simple(self.depth)
-        self.pos = pos
-        total = (self.factor() if pos == start else
-                 Polynomial(len(self.names), Space.PRIMAL, {tuple(exps): Fraction(num, den)}))
+    def term(self):
+        """A product; its factors fold into one term while both are terms."""
+        total = self.factor()
         while self.peek().text == "*":
             tok = self.advance()
-            total = self.product(total, self.factor(), tok)
+            right = self.factor()
+            if type(total) is tuple and type(right) is tuple:
+                (num, den, mono, degree), (rnum, rden, rmono, rdegree) = total, right
+                # bounds on what product() checks, so a fold never skips its error
+                if (degree + rdegree <= MAX_DEGREE
+                        and num.bit_length() + den.bit_length() + rnum.bit_length()
+                        + rden.bit_length() <= MAX_COEFF_BITS):
+                    total = (num * rnum, den * rden, tuple(map(add, mono, rmono)),
+                             degree + rdegree)
+                    continue
+            total = self.product(self.polynomial(total), self.polynomial(right), tok)
         return total
 
-    def simple(self, depth: int) -> tuple[int, int, int, int] | None:
-        """(num, den, var, e) if the factor at the cursor, depth levels deep, is
-        num/den * x_var^e: a literal or variable^literal under '-' and '('; else None."""
-        tok = self.advance()
-        if tok.text in ("-", "("):
-            inner = depth < MAX_NESTING and self.simple(depth + 1)
-            if not inner or tok.text == "(" and (self.advance().text != ")"
-                                                 or self.peek().text == "^"):
-                return None
-            num, den, var, e = inner
-            return -num if tok.text == "-" else num, den, var, e
-        if tok.kind == "num":
-            num, den = self.literal(tok)
-            return None if self.peek().text == "^" else (num, den, 0, 0)
-        var = self.index.get(tok.text)
-        if var is None or self.peek().text != "^":
-            return None if var is None else (1, 1, var, 1)
-        self.advance()
-        return 1, 1, var, self.exponent()
-
-    def factor(self) -> Polynomial:
+    def factor(self):
         tok = self.peek()
         if tok.text == "-":
             self.advance()
-            return -self.nested(self.factor, tok)
+            value = self.nested(self.factor, tok)
+            if type(value) is tuple:
+                num, den, mono, degree = value
+                return -num, den, mono, degree
+            return -value
         base = self.atom()
-        if self.peek().text == "^":
-            tok = self.advance()
-            return self.power(base, self.exponent(), tok)
-        return base
-
-    def exponent(self) -> int:
-        etok = self.advance()
+        if self.peek().text != "^":
+            return base
+        tok, etok = self.advance(), self.advance()
         if etok.kind != "num":
             self.fail("exponent must be a non-negative integer", etok)
-        return _int(etok, self.line)
+        e = _int(etok, self.line)
+        if type(base) is tuple and base[0] == base[1] and base[3] == 1:
+            # a variable: power() checks the degree e first, and within that bound
+            # its bits (2e) and term products (e) are within theirs
+            if e > MAX_DEGREE:
+                self.check(tok, e)
+            return 1, 1, tuple([e * x for x in base[2]]), e
+        return self.power(self.polynomial(base), e, tok)
 
-    def literal(self, tok: _Token) -> tuple[int, int]:
-        """Numerator and denominator of the literal tok starts, 'num' or 'num/num'."""
-        num = _int(tok, self.line)
-        if self.peek().text != "/":
-            return num, 1
-        self.advance()
-        dtok = self.advance()
-        if dtok.kind != "num":
-            self.fail("expected an integer denominator", dtok)
-        den = _int(dtok, self.line)
-        if den == 0:
-            self.fail("division by zero in rational literal", dtok)
-        return num, den
-
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.advance()
-        n = len(self.names)
-        if tok.kind == "num":
-            return Polynomial.constant(n, Space.PRIMAL, Fraction(*self.literal(tok)))
+        if tok.kind == "num":  # 'num' or 'num/num'
+            num, den = _int(tok, self.line), 1
+            if self.peek().text == "/":
+                self.advance()
+                dtok = self.advance()
+                if dtok.kind != "num":
+                    self.fail("expected an integer denominator", dtok)
+                den = _int(dtok, self.line)
+                if den == 0:
+                    self.fail("division by zero in rational literal", dtok)
+            return num, den, (0,) * self.nvars, 0
         if tok.kind == "ident":
-            idx = self.index.get(tok.text)
-            if idx is None:
-                raise ParseError(f"undeclared variable {tok.text!r}", self.line, tok.col)
-            return Polynomial.variable(n, idx, Space.PRIMAL)
+            unit = self.units.get(tok.text)
+            if unit is None:
+                self.fail(f"undeclared variable {tok.text!r}", tok)
+            return unit
         if tok.text == "(":
             inner = self.nested(self.expr, tok)
             closing = self.advance()
@@ -261,8 +253,8 @@ class _ExprParser:
                 self.fail("expected ')'", closing)
             return inner
         if tok.kind == "end":
-            raise ParseError("unexpected end of line", self.line, tok.col)
-        raise ParseError(f"unexpected token {tok.text!r}", self.line, tok.col)
+            self.fail("unexpected end of line", tok)
+        self.fail(f"unexpected token {tok.text!r}", tok)
 
 
 def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:

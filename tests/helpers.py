@@ -509,15 +509,76 @@ def reference_recognize_decomposable(gs, b: int) -> DecompositionCertificate | N
         b, tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL)))
 
 
-# Oracle for parsing.parse_polynomial: its earlier term loop, with one
-# Polynomial per atom and one checked product per '*'.
+# Oracle for parsing.parse_polynomial: its earlier general path, with one
+# Polynomial per atom, one checked product per '*' and one checked power
+# per '^'.  Only the token cursor, the nesting, the bounds (nested, check,
+# product, power) and parse's end-of-line check come from the parser it
+# checks.
 class _FactorByFactor(_ExprParser):
+    def __init__(self, tokens, names: tuple[str, ...], line: int):
+        super().__init__(tokens, names, line)
+        self.names = names
+
+    def expr(self) -> Polynomial:
+        total = self.term()
+        while self.peek().text in ("+", "-"):
+            plus = self.advance().text == "+"
+            total = total + self.term() if plus else total - self.term()
+        return total
+
     def term(self) -> Polynomial:
         total = self.factor()
         while self.peek().text == "*":
             tok = self.advance()
             total = self.product(total, self.factor(), tok)
         return total
+
+    def factor(self) -> Polynomial:
+        tok = self.peek()
+        if tok.text == "-":
+            self.advance()
+            return -self.nested(self.factor, tok)
+        base = self.atom()
+        if self.peek().text != "^":
+            return base
+        tok = self.advance()
+        return self.power(base, self.integer(self.advance(), "exponent must be a "
+                                             "non-negative integer"), tok)
+
+    def integer(self, tok, message: str = "") -> int:
+        """The value of a number token; message is the error for any other token."""
+        if tok.kind != "num":
+            self.fail(message, tok)
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
+
+    def atom(self) -> Polynomial:
+        tok = self.advance()
+        n = len(self.names)
+        if tok.kind == "num":
+            value = Fraction(self.integer(tok))
+            if self.peek().text == "/":
+                self.advance()
+                dtok = self.advance()
+                den = self.integer(dtok, "expected an integer denominator")
+                if den == 0:
+                    self.fail("division by zero in rational literal", dtok)
+                value /= den
+            return Polynomial.constant(n, Space.PRIMAL, value)
+        if tok.kind == "ident":
+            if tok.text not in self.names:
+                self.fail(f"undeclared variable {tok.text!r}", tok)
+            return Polynomial.variable(n, self.names.index(tok.text), Space.PRIMAL)
+        if tok.text == "(":
+            inner = self.nested(self.expr, tok)
+            closing = self.advance()
+            if closing.text != ")":
+                self.fail("expected ')'", closing)
+            return inner
+        self.fail("unexpected end of line" if tok.kind == "end"
+                  else f"unexpected token {tok.text!r}", tok)
 
 
 def reference_parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:

@@ -208,8 +208,8 @@ def test_a_power_of_a_monomial_multiplies_nothing(monkeypatch):
 
 
 def test_a_folded_term_builds_one_polynomial(monkeypatch):
-    # a rational (4,3) line, (a/b)*x1^2*x2 per term: one Polynomial per term
-    # and one for the sum, with no Polynomial per atom and no product per '*'
+    # a rational (4,3) line, (a/b)*x1^2*x2 per term: every term folds, so the
+    # sum is the only Polynomial, with none per atom, term or '*'
     rng = random.Random(23)
     monos = monomials_of_degree(4, 3)
     terms = ["(%d/%d)*%s" % (rng.randint(1, 10 ** 12), rng.randint(2, 10 ** 12),
@@ -229,7 +229,7 @@ def test_a_folded_term_builds_one_polynomial(monkeypatch):
     monkeypatch.setattr(Polynomial, "__init__", spy)
     assert parse_polynomial(text, names) == expected
     assert len(expected.terms) == len(monos)
-    assert len(built) <= len(monos) + 1
+    assert built == [len(monos)]
 
 
 def _literal():
@@ -269,6 +269,12 @@ def _factor(draw):
          line=1)
 @example(factors=["x1^150", "x2^50", "x3"], joins=["*"] * 6, depth=0, line=1)
 @example(factors=["x1", "-2"], joins=["*"] * 6, depth=MAX_NESTING - 1, line=1)
+@example(factors=["(x1)^201"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=["2", "-(x2)^200"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=["((x3))^200", "x1"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=["((x3))^201"], joins=["*"] * 6, depth=MAX_NESTING - 2, line=1)
+@example(factors=["(-x1)^2", "x2^199"], joins=["*"] * 6, depth=0, line=1)
+@example(factors=["2", "(x1+x2)", "x3", "(x2-x3)^2"], joins=["*"] * 6, depth=0, line=1)
 def test_a_folded_product_matches_the_factor_by_factor_parse(factors, joins, depth, line):
     # the same polynomial as the general path, or the same error at the
     # same line and column, also for a product nested up to MAX_NESTING
