@@ -4,8 +4,8 @@ Everything is degree-by-degree linear algebra in the monomial basis
 (descending grevlex column order) on integer product rows, built from each
 generator scaled once to a primitive integer form (the same ideal): ideal
 pieces are canonical RREF row spaces, Hilbert functions are codimensions,
-regular sequences are certified by vanishing of the quotient one degree
-past the socle, and Koszul differentials are assembled as graded matrices.
+regular sequences are read off a full I_{nu+1}, ranked or recorded by
+omega (record_regular), and Koszul differentials are assembled as graded matrices.
 Monomials multiply by adding packed codes (Kronecker substitution,
 ``poly.mono_code``), which ``_koszul_basis`` keeps beside each basis.
 The RREF of a piece is built, uncached, only for the public ``graded_piece``,
@@ -115,12 +115,13 @@ class GradedIdeal:
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
     def socle_kernel(self) -> list[list[Fraction]]:
-        """The RREF's kernel vectors of I_nu's product rows, for a certified regular sequence.
-
-        The echelon stops at dim S_nu - 1, the rank of I_nu (h_CI(nu) = 1).
-        """
+        """The RREF's kernel vectors of I_nu's rows, n forms: rank I_nu <= dim S_nu - 1."""
         ncols = dim_degree(self.nvars, self.nu)
         return canonical_kernel(list(self._macaulay_rows(self.nu)), ncols, ncols - 1)[1]
+
+    def record_regular(self) -> None:
+        """Record rank I_{nu+1} = dim S_{nu+1}, for n forms proven regular by omega."""
+        self._rank_cache[self.nu + 1] = dim_degree(self.nvars, self.nu + 1)
 
     def graded_piece(self, k: int) -> QMatrix:
         """Canonical RREF basis of I_k inside S_k; empty for k < d."""
@@ -131,8 +132,8 @@ class GradedIdeal:
 
         With n generators the bound is dim S_k - h_CI(k), h_CI(k) the
         coefficient of t^k in ((1 - t^d)/(1 - t))^n: specialising can only
-        lower a rank, and n generic forms are a regular sequence.  Once
-        I_{nu+1} is full, so are these (is_regular_sequence): their Koszul
+        lower a rank, and n generic forms are a regular sequence.  Once I_{nu+1}
+        is full (is_regular_sequence, record_regular), so are these: their Koszul
         complex resolves S/I (Eisenbud, Commutative Algebra, Cor. 17.5), and
         the bound is dim I_k, with no rows built.  With m != n it is the full rank.
         """

@@ -20,9 +20,14 @@ equals nu!, asserted at construction time.  A and omega determine each
 other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
 read off it on demand.
 
-Once regularity is certified, omega spans the kernel of I_nu's integer
-product rows, which GradedIdeal.socle_kernel takes from linalg.canonical_kernel:
-lifted off the echelon and checked over Z, at the next prime if one fails.
+omega alone decides regularity: n forms of degree d in n variables are a
+regular sequence exactly when ker I_nu is one line and omega(det Jac) != 0.
+(=>) is the line above (Scheja and Storch, J. Reine Angew. Math. 278/279,
+1975).  (<=) One nonzero form is regular; linear forms are when det Jac, their
+coefficient determinant, is not 0.  For n, d >= 2, I_{nu+1} = S_1 I_nu, so a
+psi != 0 killing I_{nu+1} has psi(x_i f) = c_i omega(f), c != 0.  Then c_i
+omega(x_j x^e) = c_j omega(x_i x^e): omega is a multiple of evaluation at c,
+every g_i(c) = 0, and Euler's J(c) c = d g(c) = 0 gives omega(det Jac) = 0.
 
 The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
@@ -37,8 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, _koszul_basis,
-                     hilbert_function, is_regular_sequence)
+from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, _koszul_basis, hilbert_function
 from .linalg import QMatrix, certified_rank, null_space
 from .poly import (ZERO, Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
                    jacobian_det, mono_code, mono_factorial, monomials_of_degree, pairing,
@@ -102,23 +106,18 @@ class AssociatedForm:
 def associated_form(gs) -> AssociatedForm:
     """The associated form of a regular sequence, via the multinomial expansion.
 
-    gs is a list of forms or a GradedIdeal; regularity is certified and
-    omega solved for on that one ideal.
+    gs is a list of forms or a GradedIdeal; omega decides regularity on it (module docstring).
     """
     ideal = GradedIdeal.of(gs)
-    if not is_regular_sequence(ideal):
+    n, nu = ideal.nvars, ideal.nu
+    jac = jacobian_det(ideal.generators)  # first: it refuses all but n forms
+    kernel = ideal.socle_kernel()
+    raw = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
+    scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)
+    if len(kernel) != 1 or scale == 0:
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
-    n, nu = ideal.nvars, ideal.nu
-    kernel = ideal.socle_kernel()
-    if len(kernel) != 1:
-        raise RuntimeError(
-            f"I_nu has codimension {len(kernel)}, expected 1 for a complete intersection")
-    raw = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
-    jac = jacobian_det(ideal.generators)
-    scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)
-    if scale == 0:
-        raise RuntimeError("det Jac lies in I_nu; impossible for a regular sequence")
+    ideal.record_regular()
     # A_a = (nu!/a!) omega(x^a), with omega = raw / scale: nonzero where raw is
     nu_fact = math.factorial(nu)
     form = Polynomial(n, Space.DUAL, {m: nu_fact * x / (scale * mono_factorial(m))

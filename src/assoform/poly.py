@@ -309,7 +309,7 @@ def jacobian_det(gs: list[Polynomial]) -> Polynomial:
         raise ValueError("empty polynomial list")
     n = gs[0].nvars
     if len(gs) != n:
-        raise ValueError("need exactly as many polynomials as variables")
+        raise ValueError(f"need exactly {n} forms in {n} variables, got {len(gs)}")
     for g in gs:
         if g.nvars != n or g.space is not Space.PRIMAL:
             raise ValueError("jacobian_det expects primal polynomials in n variables")

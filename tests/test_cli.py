@@ -355,6 +355,27 @@ def test_inhomogeneous_input_is_precondition_failure(write, capsys):
     assert "homogeneous" in err
 
 
+@pytest.mark.parametrize("command", ["assoc", "stability", "audit"])
+@pytest.mark.parametrize("text", [
+    "vars: x1 x2\nx1^2\nx1*x2\n",  # h(nu) = 1; omega is evaluation at (0, 1)
+    "vars: x1 x2 x3\nx1^2 - x2*x3\nx2^2 + x1*x3\nx1^2 - x2*x3\n",  # a duplicate
+])
+def test_omega_refuses_a_common_zero(write, capsys, command, text):
+    code, out, err = run(capsys, command, write("f.txt", text))
+    assert (code, out) == (2, "")
+    assert err == ("assoform: the forms have a non-trivial common zero "
+                   "(not a regular sequence)\n")
+
+
+@pytest.mark.parametrize("command", ["assoc", "stability", "audit"])
+@pytest.mark.parametrize("text, m", [("vars: x1 x2\nx1^2\nx2^2\nx1*x2\n", 3),
+                                     ("vars: x1 x2\nx1^2\n", 1)])
+def test_only_n_forms_in_n_variables_are_read(write, capsys, command, text, m):
+    code, out, err = run(capsys, command, write("f.txt", text))
+    assert (code, out) == (2, "")
+    assert err == f"assoform: need exactly 2 forms in 2 variables, got {m}\n"
+
+
 def test_audit_one_variable_is_precondition_failure(write):
     # a separate process, so that a hang fails the test instead of the suite
     path = write("f.txt", "vars: x1\nx1^3\n")

@@ -1,5 +1,6 @@
 """Tests for associated forms, apolar ideals, and the Milnor pipeline."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -258,6 +259,89 @@ def test_associated_form_matches_the_exact_rref(gs):
 def test_associated_form_at_the_prime(text):
     gs = list(parse_system(text).polynomials)
     assert associated_form(gs).form == reference_associated_form(gs)
+
+
+# -- omega decides regularity ---------------------------------------------------------
+
+
+def _planted(rng, n, d, point):
+    """A form vanishing at point: sum over j < k of (p_j x_k - p_k x_j) h_jk."""
+    g = Polynomial.zero(n, Space.PRIMAL)
+    for j, k in itertools.combinations(range(n), 2):
+        minor = P(n, {tuple(int(i == k) for i in range(n)): point[j],
+                      tuple(int(i == j) for i in range(n)): -point[k]})
+        g = g + minor * random_form(rng, n, d - 1)
+    return g
+
+
+@st.composite
+def square_systems(draw):
+    """n forms of degree d in n variables, regular or not, from one of six families.
+
+    Dense forms; forms vanishing at a planted rational point; a duplicated
+    generator (h(nu) >= 2); forms of one or two terms; one form (n = 1);
+    linear forms (d = 1), whose coefficient matrix may be singular.
+    """
+    family = draw(st.sampled_from(["dense", "planted", "duplicate", "sparse", "one", "linear"]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    n, d = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]))
+    if family == "one":
+        n, d = 1, draw(st.integers(1, 6))
+    elif family == "linear":
+        n, d = draw(st.integers(2, 4)), 1
+    if family == "planted":
+        point = [rng.randint(-2, 2) for _ in range(n)]
+        point[rng.randrange(n)] = rng.choice([-1, 1])
+        gs = [_planted(rng, n, d, point) for _ in range(n)]
+    elif family == "sparse":
+        monos = monomials_of_degree(n, d)
+        gs = [P(n, {rng.choice(monos): rng.choice([-2, -1, 1, 3])
+                    for _ in range(rng.randint(1, 2))}) for _ in range(n)]
+    else:
+        lo, hi = (-1, 1) if family == "linear" else (-3, 3)
+        gs = [random_form(rng, n, d, lo=lo, hi=hi) for _ in range(n)]
+        if family == "duplicate":
+            gs[-1] = gs[0] * rng.choice([1, -2])
+    assume(not any(g.is_zero() for g in gs))
+    return gs
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_omega_decides_regularity(gs):
+    # the verdict of omega agrees with the rank of I_{nu+1} on a fresh ideal
+    regular = is_regular_sequence(GradedIdeal.of(gs))
+    try:
+        assoc = associated_form(gs)
+    except NotRegularSequence:
+        assert not regular
+        return
+    assert regular
+    assert hilbert_function(assoc.ideal, assoc.nu + 1) == hilbert_function(
+        GradedIdeal.of(gs), assoc.nu + 1)
+
+
+def test_omega_at_a_common_zero_kills_det_jac():
+    # I_2 = (x1^2, x1*x2)_2 leaves one line: omega is evaluation at (0, 1),
+    # which kills det Jac = 2*x1^2
+    gs = [P(2, {(2, 0): 1}), P(2, {(1, 1): 1})]
+    ideal = GradedIdeal.of(gs)
+    assert ideal.socle_kernel() == [[0, 0, 1]]
+    assert jacobian_det(gs) == P(2, {(2, 0): 2})
+    with pytest.raises(NotRegularSequence, match="non-trivial common zero"):
+        associated_form(ideal)
+    assert not is_regular_sequence(ideal)
+
+
+def test_omega_must_be_the_one_kernel_vector(monkeypatch):
+    # a second kernel vector refuses the verdict, even where the first pairs
+    # with det Jac to a nonzero value
+    gs = power_gens(2, [2, 2])
+    real = GradedIdeal.socle_kernel
+    monkeypatch.setattr(GradedIdeal, "socle_kernel",
+                        lambda self: real(self) + [[Fraction(1), 0, 0]])
+    with pytest.raises(NotRegularSequence):
+        associated_form(gs)
 
 
 # -- the Macaulay round trip -------------------------------------------------------

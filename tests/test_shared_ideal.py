@@ -55,10 +55,11 @@ def test_audit_certifies_and_reduces_once(eliminations):
     gs = random_regular_sequence(random.Random(3), 3, 3)
     eliminations.clear()
     semistability_audit(gs, trials=4, seed=0)
-    # regularity: one echelon of the 45 product rows of I_7 up to rank 36;
-    # omega (whose support gives the grevlex monomial): the certified kernel
-    # of the 30x28 rows of I_6, which never go through reduce_rows
-    assert eliminations.count(("echelon_mod_p", 36)) == 1
+    # omega certifies regularity, and its support gives the grevlex monomial:
+    # one echelon of the 30x28 rows of I_6 up to rank 27 and its certified
+    # kernel, never through reduce_rows; no echelon of I_7 (dim S_7 = 36)
+    assert eliminations.count(("echelon_mod_p", 27)) == 1
+    assert ("echelon_mod_p", 36) not in eliminations
     assert not [call for call in eliminations if call[0] == "rank"]
     assert eliminations.count(("lifted_kernel", 30, 28)) == 1
     assert ("reduce_rows", 30, 28) not in eliminations
@@ -81,6 +82,23 @@ def test_hilbert_reads_the_regularity_rank(eliminations, monkeypatch):
     assert built == list(range(7))
 
 
+def test_omega_records_the_regularity_rank(monkeypatch):
+    # after associated_form, the audit's splits and the roundtrip's Hilbert
+    # function read I_7 full from the rank cache: no row of I_7 is built
+    ideal = GradedIdeal.of(random_regular_sequence(random.Random(3), 3, 3))
+    built = []  # the degrees whose product rows are made
+    real = GradedIdeal._macaulay_rows
+    monkeypatch.setattr(GradedIdeal, "_macaulay_rows",
+                        lambda self, k: built.append(k) or real(self, k))
+    associated_form(ideal)
+    assert built == [6]
+    semistability_audit(ideal, trials=3, seed=0)
+    assert built == [6, 6, 3, 3]  # omega once more, then I_3 for each split
+    assert macaulay_roundtrip(ideal)
+    assert built == [6, 6, 3, 3, 6]
+    assert hilbert_function(ideal, 7) == tuple(series_hilbert(3, 3, 7))
+
+
 def test_mather_yau_certifies_the_gradient_once(eliminations):
     rng = random.Random(7)
     quartics = []
@@ -94,8 +112,10 @@ def test_mather_yau_certifies_the_gradient_once(eliminations):
     eliminations.clear()
     for F in quartics:
         mather_yau_point(F)
-    # the gradient's regularity: dim S_2 * 2 = 6 rows up to rank dim S_5 = 6
-    assert eliminations.count(("echelon_mod_p", 6)) == len(quartics)
+    # omega certifies the gradient's regularity: its 2 * dim S_1 = 4 rows of
+    # I_4 up to rank dim S_4 - 1 = 4, once each; I_5 (dim S_5 = 6) is never ranked
+    assert eliminations.count(("echelon_mod_p", 4)) == len(quartics)
+    assert ("echelon_mod_p", 6) not in eliminations
 
 
 def test_associated_form_keeps_its_ideal(eliminations):
@@ -105,9 +125,10 @@ def test_associated_form_keeps_its_ideal(eliminations):
     assert assoc.ideal is ideal and assoc.source == tuple(gs)
     assert is_regular_sequence(ideal)
     assert hilbert_point_functional(ideal) == assoc.omega
-    # the regularity echelon of I_7 (rank 36), read off the ideal's rank cache
-    # after, and the 30x28 product rows of I_6, whose kernel each solve reads
-    assert eliminations.count(("echelon_mod_p", 36)) == 1
+    # each solve reads the kernel of the 30x28 product rows of I_6 up to rank
+    # 27; the first records I_7 full, so regularity ranks no row of I_7 (36)
+    assert eliminations.count(("echelon_mod_p", 27)) == 2
+    assert ("echelon_mod_p", 36) not in eliminations
     assert eliminations.count(("lifted_kernel", 30, 28)) == 2
     assert ("reduce_rows", 30, 28) not in eliminations
     assert macaulay_roundtrip(gs)
@@ -149,12 +170,12 @@ def test_associated_form_makes_no_rref_call(eliminations, n, d, seed):
     gs = random_regular_sequence(random.Random(seed), n, d)
     eliminations.clear()
     associated_form(gs)
-    # one echelon certifies regularity at nu + 1; omega is the certified
-    # kernel at nu, whose echelon stops at corank one; nothing goes through reduce_rows
+    # omega, which also certifies regularity, is the certified kernel at nu,
+    # whose echelon stops at corank one; nothing is ranked at nu + 1, and
+    # nothing goes through reduce_rows
     nu = n * (d - 1)
     cols = len(monomials_of_degree(n, nu))
-    assert eliminations == [("echelon_mod_p", len(monomials_of_degree(n, nu + 1))),
-                            ("echelon_mod_p", cols - 1),
+    assert eliminations == [("echelon_mod_p", cols - 1),
                             ("lifted_kernel", n * len(monomials_of_degree(n, nu - d)), cols)]
 
 
