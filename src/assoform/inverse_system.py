@@ -110,7 +110,7 @@ def associated_form(gs) -> AssociatedForm:
     """
     ideal = GradedIdeal.of(gs)
     n, nu = ideal.nvars, ideal.nu
-    jac = jacobian_det(ideal.generators)  # first: it refuses all but n forms
+    jac = jacobian_det(ideal.generators)
     kernel = ideal.socle_kernel()
     raw = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
     scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)

@@ -7,21 +7,21 @@ result (RREF, kernel bases) is canonical: the RREF of a matrix is unique.
 
 The one elimination is ``echelon_mod_p`` at a prime p from ``_primes``
 (``_PRIME``, then each prime below it, all above 2^29).  It reduces rows in
-the caller's order against the pivot rows kept so far, records the LU
-factors of the kept rows, and stops at a target rank, so rows past it are
-never read.  Its certificate, ``lifted_kernel``, lifts a kernel vector w_f
-per free column f p-adically on those factors (Dixon, Numer. Math. 40,
-1982), recovers them by rational reconstruction (von zur Gathen and
-Gerhard, Modern Computer Algebra, 5.10) after lift steps 1, 2 and 3, then
-every 4th and the last, and keeps them only if they kill every row over Z:
-then the rank mod p is the rank over Q.  Where it fails,
-``certified_rank`` (a rank) and ``canonical_kernel`` (the one kernel
-reader: ``reduce_rows``, ``null_space``, ``kernel_basis``, omega and
-Wolfe's minor cycle take their vectors from it) go on to the next prime
+the caller's order against the pivot rows kept so far, taking an entry mod
+p only where it reads it, records the LU factors of the kept rows, and
+stops at a target rank, so rows past it are never read.  Its certificate,
+``lifted_kernel``, lifts a kernel vector w_f per free column f p-adically
+on those factors (Dixon, Numer. Math. 40, 1982), recovers them by rational
+reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra, 5.10)
+after lift steps 1, 2 and 3, then every 4th and the last, and keeps them
+only if they kill every row over Z: then the rank mod p is the rank over Q.
+Where it fails, ``certified_rank`` (a rank) and ``canonical_kernel`` (the
+one kernel reader: ``reduce_rows``, ``null_space``, ``kernel_basis``, omega
+and Wolfe's minor cycle take their vectors from it) go on to the next prime
 (Chen and Storjohann, ISSAC 2005).  ``canonical_kernel`` also needs each
-w_f zero past f: a kernel basis with distinct last nonzero entries has
-them at the free columns of the RREF over Q, so the pivots mod p are those
-over Q, and w_f / w_f[f] is the RREF's kernel vector of f.
+w_f zero past f: a kernel basis with distinct last nonzero entries has them
+at the free columns of the RREF over Q, so the pivots mod p are those over
+Q, and w_f / w_f[f] is the RREF's kernel vector of f.
 
 Why the loop ends.  Let M have rank r over Q, pivot columns P in its RREF,
 and r rows R with det M[R, P] != 0.  A prime not dividing it keeps the rank
@@ -36,9 +36,9 @@ norms of M, so at most log2(N) / 29 primes above 2^29 divide it; about
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 # The first modulus of the mod-p elimination: the largest prime below 2^30,
 # so every residue is a single-digit CPython int.
@@ -128,7 +128,8 @@ def echelon_mod_p(rows, target: int, p: int):
     """Row echelon form over GF(p) of integer rows taken in the given order.
 
     rows is an iterable of sparse integer rows {column: entry}.  Each row is
-    reduced against the pivot rows kept so far, in the order they were kept;
+    reduced against the pivot rows kept so far, in the order they were kept,
+    taking an entry mod p where it is read (at a pivot, and once at the end);
     a row with an entry left is kept, pivoting in its first nonzero column.
     The echelon stops once target rows are kept, so later rows are not read.
 
@@ -148,27 +149,23 @@ def echelon_mod_p(rows, target: int, p: int):
         return ids, cols, lower, upper
     for i, row in enumerate(rows):
         v = {c: x % p for c, x in row.items() if x % p}
-        # U[k] has zeros at cols[:k], so pivot rows are subtracted in order:
-        # pending holds -k for each pivot row k left to subtract, largest last
-        pending = sorted(-where[c] for c in v if c in where)
+        # U[k] is 0 at cols[:k]: rows go smallest k first, each k once (no entry is deleted)
+        heap = sorted(where[c] for c in v if c in where)  # a sorted list is a heap
         low = []
-        while pending:
-            k = -pending.pop()
-            a = v.pop(cols[k], 0)
+        while heap:
+            k = heappop(heap)
+            a = v.pop(cols[k]) % p
             if not a:
                 continue
             low.append((k, a))
             for c, u in upper[k].items():
                 if c in v:
-                    x = (v[c] - a * u) % p
-                    if x:
-                        v[c] = x
-                    else:
-                        del v[c]
+                    v[c] -= a * u
                 else:
-                    v[c] = -a * u % p
+                    v[c] = -a * u
                     if c in where:
-                        insort(pending, -where[c])
+                        heappush(heap, where[c])
+        v = {c: x % p for c, x in v.items() if x % p}
         if not v:
             continue
         c = min(v)

@@ -66,10 +66,7 @@ def mono_code(a: Mono, bits: int) -> int:
 
 
 def mono_factorial(a: Mono) -> int:
-    out = 1
-    for e in a:
-        out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, a))
 
 
 class Polynomial:

@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (det, identity, inverse_transpose, mat_mul, power_gens, random_form,
@@ -342,6 +346,22 @@ def test_omega_must_be_the_one_kernel_vector(monkeypatch):
                         lambda self: real(self) + [[Fraction(1), 0, 0]])
     with pytest.raises(NotRegularSequence):
         associated_form(gs)
+
+
+@pytest.mark.parametrize("monos", [[(2, 0), (0, 2), (1, 1)], [(2, 0)]])
+def test_omega_refuses_all_but_n_forms(monos):
+    # in a separate process with a timeout: on three forms the echelon once
+    # stopped below the rank, and no prime's lift was ever certified
+    code = ("from assoform.ideals import GradedIdeal\n"
+            "from assoform.poly import Polynomial, Space\n"
+            f"ideal = GradedIdeal.of([Polynomial(2, Space.PRIMAL, {{m: 1}}) for m in {monos}])\n"
+            "try:\n    ideal.socle_kernel()\nexcept ValueError as exc:\n    print(exc)\n")
+    src = str(Path(inverse_system.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert proc.stdout == f"need exactly 2 forms in 2 variables, got {len(monos)}\n"
 
 
 # -- the Macaulay round trip -------------------------------------------------------

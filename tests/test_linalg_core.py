@@ -244,7 +244,12 @@ def test_integer_vector_is_the_primitive_multiple(values):
 
 
 def _check_factors(rows, ncols, ids, cols, lower, upper):
-    """Kept row k is sum_j L[k][j] U[j] mod p, with U[j] 1 at cols[j] and 0 at cols[:j]."""
+    """Kept row k is sum_j L[k][j] U[j] mod p, with U[j] 1 at cols[j] and 0 at cols[:j].
+
+    Every entry of L and U is a nonzero residue, in [1, p).
+    """
+    assert all(0 < a < _PRIME for low in lower for _, a in low)
+    assert all(0 < u < _PRIME for up in upper for u in up.values())
     units = [{**up, c: 1} for c, up in zip(cols, upper)]
     for k, (i, low) in enumerate(zip(ids, lower)):
         assert [j for j, _ in low][-1] == k and all(j < k for j, _ in low[:-1])
@@ -262,6 +267,17 @@ def test_lu_factors_reproduce_the_pivot_block(m):
     assert len(cols) <= rank(m)
     assert len(set(cols)) == len(cols)
     _check_factors(rows, m.cols, ids, cols, lower, upper)
+
+
+def test_a_cancelled_entry_refilled_by_a_later_pivot():
+    # in the last row column 2 cancels after pivot 0 and pivot 1 fills it
+    # again: pivot 2 is subtracted once, at the residue of what is left
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 1: 1, 2: 1, 3: 5}]
+    ids, cols, lower, upper = echelon_mod_p(rows, 5, _PRIME)
+    assert ids == cols == [0, 1, 2, 3]
+    assert lower[3] == [(0, 1), (1, 1), (2, _PRIME - 1), (3, 6)]
+    assert upper == [{2: 1}, {2: 1}, {3: 1}, {}]
+    _check_factors(rows, 4, ids, cols, lower, upper)
 
 
 @st.composite
