@@ -20,18 +20,17 @@ these rows are nearly triangular, so the echelon has little fill-in and
 stops after few of the others.  The square alone does not suffice: for
 x2^2, x1^2, x3^2 it is short while I_{nu+1} is full.  The bounds:
 
-- dim I_k with n generators: dim S_k - h_CI(k), attained by a regular
-  sequence (GradedIdeal.dim_piece).  This bounds regularity (at nu + 1,
-  where h_CI = 0), Hilbert functions and omega's echelon at nu (h_CI = 1).
-  With m != n generators the bound is the full rank: the generic Hilbert
+- dim I_k with m <= n generators: dim S_k - c_k, c_k the coefficient of
+  t^k in (1 - t^d)^m / (1 - t)^n, attained by a regular sequence
+  (GradedIdeal.dim_piece).  With n generators this bounds regularity (at
+  nu + 1, where c = 0), Hilbert functions and omega's echelon at nu (c = 1).
+  With m > n generators the bound is the full rank: the generic Hilbert
   function of m > n forms is Froberg's open conjecture (Math. Scand. 56,
   1985).  A shorter rank is exact when its kernel, lifted off the echelon,
   is checked over Z.
-- Koszul exactness.  d_j d_{j+1} = 0 gives rank d_j <= dim K_j - rank
-  d_{j+1} over Q, with equality exactly where the complex is exact (Eisenbud,
-  Commutative Algebra, 17).  The source basis of d_j is taken in the same
-  Macaulay-first order.  With n generators regularity decides it from
-  degree nu + 1 on, so the ranks are walked only below it.
+- Koszul exactness.  No Koszul homology lives below the lowest degree of
+  H_1, so the complex is exact up to degree k exactly when each dim I_k
+  reaches the same dim S_k - c_k, for any m (koszul_exactness_check).
 """
 
 from __future__ import annotations
@@ -60,6 +59,12 @@ def coeff_vector(f: Polynomial, basis: tuple[Mono, ...]) -> list[Fraction]:
 def vectors_to_polynomials(m: QMatrix, basis: tuple[Mono, ...], nvars: int,
                            space: Space) -> list[Polynomial]:
     return [Polynomial(nvars, space, dict(zip(basis, row))) for row in m.entries]
+
+
+def _koszul_bound(n: int, d: int, m: int, k: int) -> int:
+    """dim S_k - c_k, c_k the coefficient of t^k in (1 - t^d)^m / (1 - t)^n."""
+    return sum((-1) ** (j + 1) * math.comb(m, j) * dim_degree(n, k - j * d)
+               for j in range(1, m + 1))
 
 
 class GradedIdeal:
@@ -111,7 +116,7 @@ class GradedIdeal:
 
     def _macaulay_rows(self, k: int):
         """The product rows of I_k as {column: coefficient}, Macaulay's first, made as read."""
-        order = _macaulay_order(self.nvars, self.d, len(self.generators), 1, k)
+        order = _macaulay_order(self.nvars, self.d, len(self.generators), k)
         return _koszul_images(self._integer_forms, self.nvars, self.d, 1, k, order)
 
     def _n_forms(self) -> int:
@@ -137,18 +142,17 @@ class GradedIdeal:
     def dim_piece(self, k: int) -> int:
         """dim I_k, read off the bound below or a certified rank of the product rows.
 
-        With n generators the bound is dim S_k - h_CI(k), h_CI(k) the
-        coefficient of t^k in ((1 - t^d)/(1 - t))^n: specialising can only
-        lower a rank, and n generic forms are a regular sequence.  Once I_{nu+1}
-        is full (is_regular_sequence, record_regular), so are these: their Koszul
-        complex resolves S/I (Eisenbud, Commutative Algebra, Cor. 17.5), and
-        the bound is dim I_k, with no rows built.  With m != n it is the full rank.
+        With m <= n generators the bound is dim S_k - c_k (_koszul_bound):
+        specialising can only lower a rank, and m <= n generic forms are a
+        regular sequence.  Once I_{nu+1} is full for n forms (is_regular_sequence,
+        record_regular), so are these: their Koszul complex resolves S/I (Eisenbud,
+        Commutative Algebra, Cor. 17.5), and the bound is dim I_k, with no rows
+        built.  With m > n it is the full rank.
         """
         if k not in self._rank_cache:
             n, d, m = self.nvars, self.d, len(self.generators)
-            if m == n:
-                bound = sum((-1) ** (j + 1) * math.comb(n, j) * dim_degree(n, k - j * d)
-                            for j in range(1, n + 1))  # dim S_k - h_CI(k)
+            if m <= n:
+                bound = _koszul_bound(n, d, m, k)
             else:
                 bound = min(m * dim_degree(n, k - d), dim_degree(n, k))
             if m != n or self._rank_cache.get(self.nu + 1) != dim_degree(n, self.nu + 1):
@@ -212,28 +216,25 @@ def _koszul_basis(n: int, m: int, j: int, e: int, bits: int):
 
 
 @lru_cache(maxsize=None)
-def _macaulay_order(n: int, d: int, m: int, j: int, k: int) -> tuple[int, ...]:
-    """The source basis of d_j in degree k (see _koszul_images), Macaulay's elements first.
+def _macaulay_order(n: int, d: int, m: int, k: int) -> tuple[int, ...]:
+    """The product rows of I_k (see _koszul_images), Macaulay's square first.
 
-    For each target basis element x^a e_J in order, with i the first index
-    outside J such that a_i >= d: the source element x^(a - d e_i) e_(J+i),
-    whose image holds the x_i^d coefficient of g_i at x^a e_J; then every
-    other source element, monomial by monomial.  For j = 1 the first ones
-    are Macaulay's square matrix, the row x^(a - d e_i) g_i for each
-    monomial x^a of degree k, and the others follow, x^b g_1 .. x^b g_m for
-    each monomial x^b in turn.
+    Row x^b g_i is source element i * dim S_(k-d) + (index of x^b).  For
+    each monomial x^a of degree k in order, with i the first index such that
+    a_i >= d: the row x^(a - d e_i) g_i, which holds the x_i^d coefficient
+    of g_i at x^a; then the others, x^b g_1 .. x^b g_m for each x^b in turn.
     """
     bits = k.bit_length()
-    src_wedges, src_monos, _, src_index = _koszul_basis(n, m, j, k - j * d, bits)
-    tgt_wedges, tgt_monos, tgt_codes, _ = _koszul_basis(n, m, j - 1, k - (j - 1) * d, bits)
-    src_keys = {w: wi << n * bits for wi, w in enumerate(src_wedges)}
-    first = {}  # an ordered set
-    for rest, (a, code) in itertools.product(tgt_wedges, zip(tgt_monos, tgt_codes)):
-        i = next((i for i in range(min(m, n)) if a[i] >= d and i not in rest), None)
+    _, _, _, src_index = _koszul_basis(n, m, 1, k - d, bits)
+    _, monos, codes, _ = _koszul_basis(n, m, 0, k, bits)
+    first = []
+    for a, code in zip(monos, codes):
+        i = next((i for i in range(min(m, n)) if a[i] >= d), None)
         if i is not None:
-            first[src_index[src_keys[tuple(sorted(rest + (i,)))] + code - (d << bits * i)]] = None
-    others = sorted(src_index.values(), key=lambda s: (s % len(src_monos), s))
-    return tuple(first) + tuple(s for s in others if s not in first)
+            first.append(src_index[(i << n * bits) + code - (d << bits * i)])
+    size, square = dim_degree(n, k - d), set(first)
+    others = (i * size + b for b in range(size) for i in range(m))
+    return tuple(first) + tuple(s for s in others if s not in square)
 
 
 def _koszul_images(forms, n: int, d: int, j: int, k: int, order):
@@ -283,37 +284,31 @@ def koszul_matrices(gs, j: int, k: int) -> QMatrix:
 
 
 def koszul_exactness_check(gs, k_max: int) -> bool:
-    """Exactness of the Koszul complex away from homological degree 0.
+    """Exactness of the Koszul complex K away from homological degree 0, up to degree k_max.
 
-    Checks rank d_j + rank d_{j+1} = dim K_j in every graded degree k <= k_max
-    and every 1 <= j <= m; true for regular sequences, where the complex is
-    a minimal free resolution.  No d_j is built below degree j*d, where K_j = 0.
+    Let a_j be the lowest degree of H_j(K); then a_j >= a_1 + (j - 1) d.  By
+    induction on m: for m = 1, H_1 = ann g_1 = 0, and K(g) = K(g') (x) K(g_m)
+    gives 0 -> coker(g_m: H_j(g')_(k-d) -> H_j(g')_k) -> H_j(g)_k -> ker(g_m:
+    H_(j-1)(g')_(k-d) -> H_(j-1)(g')_k) -> 0.  In the lowest degree of H_1(g')
+    the cokernel is all of H_1(g'), so a_1 <= a'_1; and a_j >= min(a'_j,
+    a'_(j-1) + d) >= a'_1 + (j - 1) d.  So where homology first appears only
+    H_1 lives, and the Euler characteristic reads dim (S/I)_k = c_k + dim
+    H_1(K)_k (_koszul_bound).  K is exact up to k_max iff every d <= k <= k_max
+    has dim I_k = dim S_k - c_k, a proven bound of the rank while the lower
+    degrees are exact; c_k < 0 fails at once.
 
-    d_j d_{j+1} = 0 gives rank d_j + rank d_{j+1} <= dim K_j over Q.  So
-    each degree k is checked from j = min(m, k // d) down, on d_j of
-    the primitive generators (the same ranks), with rank d_{j+1} already
-    proven equal to its bound: dim K_j - rank d_{j+1} bounds the certified
-    rank of d_j's source images.
-
-    With m = n it is exact iff the forms are a regular sequence (Eisenbud,
-    17.5), the cached rank of I_{nu+1}.  If not, H_0 = (S/I)_{nu+1} != 0 and
-    sum_j (-1)^j dim H_j(K)_{nu+1} = h_CI(nu + 1) = 0: it fails by nu + 1.
+    With m = n and k_max > nu it is exact iff the forms are a regular sequence
+    (Eisenbud, Commutative Algebra, 17.5), the cached rank of I_{nu+1}: if not,
+    H_0 = (S/I)_{nu+1} != 0 and sum_j (-1)^j dim H_j(K)_{nu+1} = c_{nu+1} = 0.
     """
     ideal = GradedIdeal.of(gs)
     n, d, m = ideal.nvars, ideal.d, len(ideal.generators)
-    if m == n and (is_regular_sequence(ideal) or k_max > ideal.nu):
+    if m == n and k_max > ideal.nu:
         return is_regular_sequence(ideal)  # the cached rank
-    for k in range(k_max + 1):
-        above = 0  # rank of d_{j+1} in degree k; d_{min(m, k // d) + 1} is zero
-        for j in range(min(m, k // d), 0, -1):
-            bound = math.comb(m, j) * dim_degree(n, k - j * d) - above
-            images = (ideal._macaulay_rows(k) if j == 1 else
-                      _koszul_images(ideal._integer_forms, n, d, j, k,
-                                     _macaulay_order(n, d, m, j, k)))
-            ncols = math.comb(m, j - 1) * dim_degree(n, k - (j - 1) * d)  # dim K_{j-1}
-            if certified_rank(images, ncols, bound) < bound:
-                return False
-            above = bound
+    for k in range(d, k_max + 1):
+        bound, dim = _koszul_bound(n, d, m, k), dim_degree(n, k)
+        if bound > dim or certified_rank(ideal._macaulay_rows(k), dim, bound) < bound:
+            return False
     return True
 
 

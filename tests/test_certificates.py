@@ -4,11 +4,12 @@ On a seeded dense regular sequence, ``assoc``, ``regseq``, ``hilbert`` and
 ``koszul-check`` are settled at the first prime, so no echelon runs at a
 second.  Fixed inputs pin down what no certificate may trust: Macaulay's
 square matrix alone (short on the permuted squares, whose I_{nu+1} is
-full), the generic rank with m != n generators, and a Koszul degree whose
+full), the generic rank of n forms with m > n generators, and a Koszul degree whose
 ranks mod p fall short.  Inputs whose ranks are short mod p take a second
 prime and give the exact answers.  With n forms, ``koszul-check`` is
-the regularity verdict at every degree from nu + 1 on, and walks the
-Koszul ranks only below it on a non-regular sequence.
+the regularity verdict at every degree from nu + 1 on; below it, and for
+any other number of forms, it ranks only the pieces I_k against
+dim S_k - c_k, c_k the coefficient of t^k in (1 - t^d)^m / (1 - t)^n.
 """
 
 import itertools
@@ -143,13 +144,13 @@ def test_koszul_check_of_a_regular_sequence_walks_no_differential(monkeypatch):
     monkeypatch.setattr(ideals, "_koszul_images", spy)
     for k_max in (0, ideal.nu, ideal.nu + 1, ideal.nu + ideal.d):
         assert koszul_exactness_check(ideal, k_max)
-    # only the product rows of I_{nu+1}, for the cached regularity rank
+    # only product rows: of I_d .. I_nu up to nu, and of I_{nu+1} for the regularity rank
     assert degrees and set(degrees) == {1}
 
 
 @pytest.mark.parametrize("text, first_failure", [
     ("vars: x1 x2\nx1^2\nx1*x2", 3),  # nu = 2: the syzygy x2 g_1 - x1 g_2 in degree 3
-    ("vars: x1 x2 x3\nx1^3\nx1^2*x2\nx3^3", 4),  # nu = 6: the walk fails below nu + 1
+    ("vars: x1 x2 x3\nx1^3\nx1^2*x2\nx3^3", 4),  # nu = 6: it fails below nu + 1
 ])
 def test_non_regular_koszul_check_walks_below_nu_plus_one(text, first_failure, tmp_path):
     ideal = _ideal(text)

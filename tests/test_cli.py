@@ -477,6 +477,21 @@ def test_koszul_check_on_many_linear_forms_finishes(write):
     assert "up to graded degree 1: NO" in proc.stdout
 
 
+def test_capped_koszul_check_of_a_dense_non_regular_system_finishes(write):
+    # in a separate process with a timeout: deciding it by the short rank of I_8
+    # took minutes.  The forms are random_regular_sequence(Random(901), 7, 2), its
+    # first draw, taken without its regularity check, which alone takes over a minute
+    rng = random.Random(901)
+    gs = [random_form(rng, 7, 2) for _ in range(7)]
+    factor, a, b = (random_form(rng, 7, 1) for _ in range(3))
+    gs[:2] = [factor * a, factor * b]  # H_1 != 0 in degree 2d - 1 = 3
+    names = [f"x{i}" for i in range(1, 8)]
+    text = f"vars: {' '.join(names)}\n" + "".join(g.render(names) + "\n" for g in gs)
+    proc = _cli_process("koszul-check", write("f.txt", text), "--degree-cap", "7", timeout=10)
+    assert proc.returncode == 2
+    assert "up to graded degree 7: NO" in proc.stdout
+
+
 @pytest.mark.parametrize("command, line", [
     ("regseq", "REGULAR SEQUENCE"),
     ("assoc", "(315/2)*z1*z2*z3*z4*z5*z6*z7*z8"),

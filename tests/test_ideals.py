@@ -7,7 +7,7 @@ import pytest
 from helpers import (from_monomial, mat_mul, power_gens, random_form, random_regular_sequence,
                      reference_koszul_basis, reference_koszul_matrix, reference_rank,
                      series_hilbert, zero_matrix)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform import ideals
@@ -255,9 +255,12 @@ def test_koszul_check_builds_no_matrix_of_a_zero_module(monkeypatch):
 
     monkeypatch.setattr(ideals, "_koszul_images", spy)
     gs = [P(2, {(1, 0): 1, (0, 1): c}) for c in range(1, 7)]
-    # K_j vanishes below degree j*d = j, so no d_j is built there
+    # c_1 = 2 - 6 < 0: six linear forms in two variables fail with nothing built
     assert not koszul_exactness_check(gs, 3)
-    assert built and all(j * d <= k for j, d, k in built)
+    assert built == []
+    # two squares in three variables: only the product rows of I_2 .. I_5, no d_j with j >= 2
+    assert koszul_exactness_check(squares(3)[:2], 5)
+    assert built and all(j == 1 and k >= d for j, d, k in built)
 
 
 # every n <= 4, d <= 3, m <= 5, 1 <= j <= m and 0 <= k <= n(d-1) + d
@@ -283,29 +286,37 @@ def test_koszul_basis_is_indexed_wedge_major():
 
 
 def test_macaulay_order_permutes_the_source_basis():
-    # a dropped or repeated source would make certified_rank read the wrong rows
-    for n, d, m, j, k in GRID:
-        order = ideals._macaulay_order(n, d, m, j, k)
-        assert sorted(order) == list(range(math.comb(m, j) * dim_degree(n, k - j * d)))
+    # a dropped or repeated row would make certified_rank read the wrong rows
+    for n, d, m, k in sorted({(n, d, m, k) for n, d, m, _, k in GRID}):
+        order = ideals._macaulay_order(n, d, m, k)
+        assert sorted(order) == list(range(m * dim_degree(n, k - d)))
 
 
 @st.composite
 def koszul_systems(draw):
-    """m in {n-1, n, n+1} nonzero forms of degree d in n variables, small coefficients."""
+    """m in n-1 .. n+2 nonzero forms of degree d in n variables, small coefficients.
+
+    The last form may repeat the first, so H_2 can be nonzero: x1, x1, x1 in
+    one variable has H_2 != 0 in degree 2.
+    """
     n, d = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1),
                                  (3, 2)]))
-    m = draw(st.sampled_from([m for m in (n - 1, n, n + 1) if m]))
+    m = draw(st.sampled_from([m for m in range(n - 1, n + 3) if m]))
     monos = monomials_of_degree(n, d)
     coeffs = st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))
-    return [P(n, dict(zip(monos, draw(coeffs.filter(any))))) for _ in range(m)]
+    gs = [P(n, dict(zip(monos, draw(coeffs.filter(any))))) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        gs[-1] = gs[0]
+    return gs
 
 
 @settings(max_examples=60, deadline=None)
 @given(koszul_systems())
+@example([P(1, {(1,): 1})] * 3)
 def test_koszul_matrices_and_exactness_match_the_reference(gs):
     n, d, m = gs[0].nvars, gs[0].degree(), len(gs)
     k_max = n * (d - 1) + d
-    exact = True
+    exact, prefix = True, []  # prefix[k]: exactness of the reference up to degree k
     for k in range(k_max + 1):
         ranks = []
         for j in range(1, m + 1):
@@ -314,7 +325,9 @@ def test_koszul_matrices_and_exactness_match_the_reference(gs):
             ranks.append(reference_rank(mat.entries, mat.cols))
         dims = [math.comb(m, j) * dim_degree(n, k - j * d) for j in range(1, m + 1)]
         exact &= all(a + b == dim for a, b, dim in zip(ranks, ranks[1:] + [0], dims))
-    assert koszul_exactness_check(gs, k_max) == exact
+        prefix.append(exact)
+    for top in range(k_max + 1):
+        assert koszul_exactness_check(gs, top) == prefix[top], top
 
 
 def test_koszul_exactness_examples():

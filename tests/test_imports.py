@@ -351,7 +351,7 @@ def test_a_second_door_from_qmatrix_is_caught():
 def test_one_koszul_basis_enumeration():
     # each basis of a Koszul module is enumerated and indexed in one place and
     # cached there; the package's other caches are monomials_of_degree and the
-    # Macaulay order, a pure function of five small ints read off those bases
+    # Macaulay order, a pure function of four small ints read off those bases
     trees = _package_trees()
     assert _functions_naming(trees, "combinations") == ["ideals._koszul_basis"]
     assert _functions_naming(trees, "lru_cache") == ["ideals._koszul_basis",
