@@ -60,8 +60,8 @@ def _non_negative(text: str, most: int | None = None) -> int:
 
 
 def _load(path: str) -> InputSystem:
-    with open(path, "rb") as handle:
-        data = handle.read()
+    with open(path, "rb") as handle:  # a leading UTF-8 byte-order mark is no text
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
     try:
         return parse_system(data.decode("utf-8"))
     except UnicodeDecodeError as exc:  # the bad byte's place, as parse_system counts lines

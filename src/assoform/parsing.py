@@ -5,8 +5,11 @@ polynomial per non-blank line.  Expressions use integer and rational
 literals, declared variable names, ``+ - * ^`` and parentheses; implicit
 multiplication is not allowed and whitespace is insignificant within a
 line.  Lines end at \\n, \\r\\n or \\r, as in text-mode reading; other line
-breaks (\\f, \\v, \\u2028, ...) are whitespace.  All errors carry a line and
-column.
+breaks (\\f, \\v, \\u2028, ...) are whitespace.  One regular-expression pass
+cuts a line into tokens; the line is scanned again only to place an error's
+column.  All errors carry a line and column.  The CLI skips a leading UTF-8
+byte-order mark when it decodes a file; any other U+FEFF is an unexpected
+character.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple
 
-from .poly import ZERO, Polynomial, Space
+from .poly import Polynomial, Space
 
 
 class ParseError(ValueError):
@@ -35,9 +37,10 @@ class InputSystem:
     polynomials: tuple[Polynomial, ...]
 
 
-# finditer skips whitespace, which no alternative matches; 'bad' is any other character
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-                       r"|(?P<bad>\S)")
+# a token is a number, a name or an operator; whitespace (re's \s, str.isspace)
+# separates tokens, and _BAD_RE finds the first character that is neither
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_+*/^()-]")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Deepest nesting of '(' and unary '-' in one expression; the recursive
@@ -54,26 +57,18 @@ MAX_COEFF_BITS = 10_000
 MAX_TERM_PRODUCTS = 100_000
 
 
-class _Token(NamedTuple):
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    col: int
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
-    tokens = [_Token(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
-    bad = next((tok for tok in tokens if tok.kind == "bad"), None)
+def _tokenize(text: str, line: int) -> list[str]:
+    """The tokens of text, then "" for its end."""
+    bad = _BAD_RE.search(text)
     if bad:
-        raise ParseError(f"unexpected character {bad.text!r}", line, bad.col)
-    return tokens + [_Token("end", "", len(text) + 1)]
+        raise ParseError(f"unexpected character {bad.group()!r}", line, bad.start() + 1)
+    return _TOKEN_RE.findall(text) + [""]
 
 
-def _int(tok: _Token, line: int) -> int:
-    try:
-        return int(tok.text)
-    except ValueError:  # past the interpreter's limit on decimal digits
-        raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                         line, tok.col) from None
+def _column(text: str, i: int) -> int:
+    """The column of token i of text; that of the end is one past the line."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return (starts[i] if i < len(starts) else len(text)) + 1
 
 
 def _size(f: Polynomial) -> tuple[int, int]:
@@ -94,9 +89,11 @@ class _ExprParser:
 
     Each factor is read once, as a Polynomial or as a term (num, den,
     exponents, degree): num/den * x^exponents, num and den unreduced.
+    Tokens are passed by index; an error finds its column from the index.
     """
 
-    def __init__(self, tokens: list[_Token], names: tuple[str, ...], line: int):
+    def __init__(self, text: str, tokens: list[str], names: tuple[str, ...], line: int):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.nvars = n = len(names)
@@ -105,53 +102,62 @@ class _ExprParser:
         self.line = line
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> int:
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def fail(self, message: str, tok: _Token):
-        raise ParseError(message, self.line, tok.col)
+    def fail(self, message: str, i: int):
+        raise ParseError(message, self.line, _column(self.text, i))
 
-    def nested(self, parse, tok: _Token):
-        """Run parse one nesting level deeper; tok opened the level."""
+    def nested(self, parse, i: int):
+        """Run parse one nesting level deeper; token i opened the level."""
         if self.depth == MAX_NESTING:
-            self.fail(f"expression nested deeper than {MAX_NESTING} levels", tok)
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels", i)
         self.depth += 1
         result = parse()
         self.depth -= 1
         return result
 
-    def check(self, tok: _Token, degree: int, bits: int = 0, products: int = 0):
-        """Fail at operator tok if its result would pass one of the size bounds."""
+    def check(self, i: int, degree: int, bits: int = 0, products: int = 0):
+        """Fail at operator i if its result would pass one of the size bounds."""
         for what, value, limit in (("degree", degree, MAX_DEGREE),
                                    ("coefficient bits", bits, MAX_COEFF_BITS),
                                    ("term products", products, MAX_TERM_PRODUCTS)):
             if value > limit:
-                self.fail(f"{tok.text!r} would give {what} {value}, above the bound {limit}",
-                          tok)
+                self.fail(f"{self.tokens[i]!r} would give {what} {value}, above the bound "
+                          f"{limit}", i)
 
-    def product(self, a: Polynomial, b: Polynomial, tok: _Token) -> Polynomial:
+    def product(self, a: Polynomial, b: Polynomial, i: int) -> Polynomial:
         # a coefficient of a*b sums at most min(|a|, |b|) products
         (da, ba), (db, bb) = _size(a), _size(b)
         na, nb = len(a.terms), len(b.terms)
-        self.check(tok, da + db, ba + bb + (min(na, nb) - 1).bit_length(), na * nb)
+        self.check(i, da + db, ba + bb + (min(na, nb) - 1).bit_length(), na * nb)
         return a * b
 
-    def power(self, base: Polynomial, e: int, tok: _Token) -> Polynomial:
+    def power(self, base: Polynomial, e: int, i: int) -> Polynomial:
         # base^k has at most C(m+k-1, k) terms, each coefficient a sum of
         # products of k coefficients of base, so the e - 1 multiplications by
         # base in base ** e cost at most m * C(m+e-1, e-1) term products (a
         # monomial or zero base is raised directly; e is bounded first)
         m = len(base.terms)
         degree, bits = _size(base)
-        self.check(tok, e * degree)
-        self.check(tok, 0, e * (bits + max(m - 1, 0).bit_length()),
+        self.check(i, e * degree)
+        self.check(i, 0, e * (bits + max(m - 1, 0).bit_length()),
                    m * math.comb(m + e - 1, e - 1) if e else 0)
         return base ** e
+
+    def integer(self, i: int, message: str) -> int:
+        """The value of number token i; message is the error for any other token."""
+        tok = self.tokens[i]
+        if not tok.isdecimal():
+            self.fail(message, i)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            self.fail(f"integer literal of {len(tok)} digits is too long", i)
 
     @staticmethod
     def pairs(value):
@@ -169,28 +175,29 @@ class _ExprParser:
 
     def parse(self) -> Polynomial:
         result = self.polynomial(self.expr())
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected token {tok.text!r}", tok)
+        if self.peek():
+            self.fail(f"unexpected token {self.peek()!r}", self.pos)
         return result
 
     def expr(self):
         first = self.term()
-        if self.peek().text not in ("+", "-"):
+        if self.peek() not in ("+", "-"):
             return first  # a lone term stays a term, also inside '(' ... ')'
         # one dict for the whole sum: each '+' would copy the partial sum
         total = dict(self.pairs(first))
-        while self.peek().text in ("+", "-"):
-            plus = self.advance().text == "+"
+        while self.peek() in ("+", "-"):
+            plus = self.tokens[self.advance()] == "+"
             for m, c in self.pairs(self.term()):
-                total[m] = total.get(m, ZERO) + c if plus else total.get(m, ZERO) - c
+                if not plus:
+                    c = -c
+                total[m] = total[m] + c if m in total else c
         return Polynomial(self.nvars, Space.PRIMAL, total)
 
     def term(self):
         """A product; its factors fold into one term while both are terms."""
         total = self.factor()
-        while self.peek().text == "*":
-            tok = self.advance()
+        while self.peek() == "*":
+            i = self.advance()
             right = self.factor()
             if type(total) is tuple and type(right) is tuple:
                 (num, den, mono, degree), (rnum, rden, rmono, rdegree) = total, right
@@ -201,65 +208,58 @@ class _ExprParser:
                     total = (num * rnum, den * rden, tuple(map(add, mono, rmono)),
                              degree + rdegree)
                     continue
-            total = self.product(self.polynomial(total), self.polynomial(right), tok)
+            total = self.product(self.polynomial(total), self.polynomial(right), i)
         return total
 
     def factor(self):
-        tok = self.peek()
-        if tok.text == "-":
-            self.advance()
-            value = self.nested(self.factor, tok)
+        if self.peek() == "-":
+            value = self.nested(self.factor, self.advance())
             if type(value) is tuple:
                 num, den, mono, degree = value
                 return -num, den, mono, degree
             return -value
         base = self.atom()
-        if self.peek().text != "^":
+        if self.peek() != "^":
             return base
-        tok, etok = self.advance(), self.advance()
-        if etok.kind != "num":
-            self.fail("exponent must be a non-negative integer", etok)
-        e = _int(etok, self.line)
+        i = self.advance()
+        e = self.integer(self.advance(), "exponent must be a non-negative integer")
         if type(base) is tuple and base[0] == base[1] and base[3] == 1:
             # a variable: power() checks the degree e first, and within that bound
             # its bits (2e) and term products (e) are within theirs
             if e > MAX_DEGREE:
-                self.check(tok, e)
+                self.check(i, e)
             return 1, 1, tuple([e * x for x in base[2]]), e
-        return self.power(self.polynomial(base), e, tok)
+        return self.power(self.polynomial(base), e, i)
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "num":  # 'num' or 'num/num'
-            num, den = _int(tok, self.line), 1
-            if self.peek().text == "/":
+        i = self.advance()
+        tok = self.tokens[i]
+        if tok.isdecimal():  # 'num' or 'num/num'
+            num, den = self.integer(i, ""), 1
+            if self.peek() == "/":
                 self.advance()
-                dtok = self.advance()
-                if dtok.kind != "num":
-                    self.fail("expected an integer denominator", dtok)
-                den = _int(dtok, self.line)
+                j = self.advance()
+                den = self.integer(j, "expected an integer denominator")
                 if den == 0:
-                    self.fail("division by zero in rational literal", dtok)
+                    self.fail("division by zero in rational literal", j)
             return num, den, (0,) * self.nvars, 0
-        if tok.kind == "ident":
-            unit = self.units.get(tok.text)
-            if unit is None:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
-            return unit
-        if tok.text == "(":
-            inner = self.nested(self.expr, tok)
-            closing = self.advance()
-            if closing.text != ")":
-                self.fail("expected ')'", closing)
+        if tok == "(":
+            inner = self.nested(self.expr, i)
+            j = self.advance()
+            if self.tokens[j] != ")":
+                self.fail("expected ')'", j)
             return inner
-        if tok.kind == "end":
-            self.fail("unexpected end of line", tok)
-        self.fail(f"unexpected token {tok.text!r}", tok)
+        unit = self.units.get(tok)
+        if unit is not None:
+            return unit
+        if _NAME_RE.match(tok):
+            self.fail(f"undeclared variable {tok!r}", i)
+        self.fail(f"unexpected token {tok!r}" if tok else "unexpected end of line", i)
 
 
 def parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:
     """Parse a single expression line against declared variable names, as a primal form."""
-    return _ExprParser(_tokenize(text, line), names, line).parse()
+    return _ExprParser(text, _tokenize(text, line), names, line).parse()
 
 
 def split_lines(text: str) -> list[str]:

@@ -5,13 +5,15 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from assoform.ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
                              is_regular_sequence, vectors_to_polynomials)
 from assoform.linalg import (QMatrix, from_rows, kernel_basis,
                              row_space_basis, solve_square, unit_columns)
-from assoform.parsing import _ExprParser, _tokenize
+from assoform.parsing import ParseError, _ExprParser
 from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness, Verdict,
@@ -509,80 +511,108 @@ def reference_recognize_decomposable(gs, b: int) -> DecompositionCertificate | N
         b, tuple(vectors_to_polynomials(extracted, monos_d, n, Space.PRIMAL)))
 
 
+# Oracle for the lexer in parsing.parse_polynomial: its earlier form, one
+# token with its kind and column per match of one regex with named groups.
+_REFERENCE_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                                 r"|(?P<op>[-+*/^()])|(?P<bad>\S)")
+
+
+class _Token(NamedTuple):
+    kind: str  # 'num' | 'ident' | 'op' | 'end'
+    text: str
+    col: int
+
+
+def reference_tokenize(text: str, line: int) -> list[_Token]:
+    tokens = [_Token(m.lastgroup, m.group(), m.start() + 1)
+              for m in _REFERENCE_TOKEN_RE.finditer(text)]
+    bad = next((tok for tok in tokens if tok.kind == "bad"), None)
+    if bad:
+        raise ParseError(f"unexpected character {bad.text!r}", line, bad.col)
+    return tokens + [_Token("end", "", len(text) + 1)]
+
+
 # Oracle for parsing.parse_polynomial: its earlier general path, with one
 # Polynomial per atom, one checked product per '*' and one checked power
-# per '^'.  Only the token cursor, the nesting, the bounds (nested, check,
-# product, power) and parse's end-of-line check come from the parser it
-# checks.
+# per '^', over the tokens of reference_tokenize.  Only the token cursor,
+# the nesting, the bounds (nested, check, product, power) and parse's
+# end-of-line check come from the parser it checks; errors are placed at
+# the reference token's column.
 class _FactorByFactor(_ExprParser):
-    def __init__(self, tokens, names: tuple[str, ...], line: int):
-        super().__init__(tokens, names, line)
+    def __init__(self, text: str, names: tuple[str, ...], line: int):
+        self.lexed = reference_tokenize(text, line)
+        super().__init__(text, [tok.text for tok in self.lexed], names, line)
         self.names = names
+
+    def fail(self, message: str, i: int):
+        raise ParseError(message, self.line, self.lexed[i].col)
 
     def expr(self) -> Polynomial:
         total = self.term()
-        while self.peek().text in ("+", "-"):
-            plus = self.advance().text == "+"
+        while self.peek() in ("+", "-"):
+            plus = self.tokens[self.advance()] == "+"
             total = total + self.term() if plus else total - self.term()
         return total
 
     def term(self) -> Polynomial:
         total = self.factor()
-        while self.peek().text == "*":
-            tok = self.advance()
-            total = self.product(total, self.factor(), tok)
+        while self.peek() == "*":
+            i = self.advance()
+            total = self.product(total, self.factor(), i)
         return total
 
     def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok.text == "-":
+        i = self.pos
+        if self.lexed[i].text == "-":
             self.advance()
-            return -self.nested(self.factor, tok)
+            return -self.nested(self.factor, i)
         base = self.atom()
-        if self.peek().text != "^":
+        if self.peek() != "^":
             return base
-        tok = self.advance()
+        i = self.advance()
         return self.power(base, self.integer(self.advance(), "exponent must be a "
-                                             "non-negative integer"), tok)
+                                             "non-negative integer"), i)
 
-    def integer(self, tok, message: str = "") -> int:
-        """The value of a number token; message is the error for any other token."""
+    def integer(self, i: int, message: str = "") -> int:
+        """The value of number token i; message is the error for any other token."""
+        tok = self.lexed[i]
         if tok.kind != "num":
-            self.fail(message, tok)
+            self.fail(message, i)
         try:
             return int(tok.text)
         except ValueError:
-            self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
+            self.fail(f"integer literal of {len(tok.text)} digits is too long", i)
 
     def atom(self) -> Polynomial:
-        tok = self.advance()
+        i = self.advance()
+        tok = self.lexed[i]
         n = len(self.names)
         if tok.kind == "num":
-            value = Fraction(self.integer(tok))
-            if self.peek().text == "/":
+            value = Fraction(self.integer(i))
+            if self.peek() == "/":
                 self.advance()
-                dtok = self.advance()
-                den = self.integer(dtok, "expected an integer denominator")
+                j = self.advance()
+                den = self.integer(j, "expected an integer denominator")
                 if den == 0:
-                    self.fail("division by zero in rational literal", dtok)
+                    self.fail("division by zero in rational literal", j)
                 value /= den
             return Polynomial.constant(n, Space.PRIMAL, value)
         if tok.kind == "ident":
             if tok.text not in self.names:
-                self.fail(f"undeclared variable {tok.text!r}", tok)
+                self.fail(f"undeclared variable {tok.text!r}", i)
             return Polynomial.variable(n, self.names.index(tok.text), Space.PRIMAL)
         if tok.text == "(":
-            inner = self.nested(self.expr, tok)
-            closing = self.advance()
-            if closing.text != ")":
-                self.fail("expected ')'", closing)
+            inner = self.nested(self.expr, i)
+            j = self.advance()
+            if self.lexed[j].text != ")":
+                self.fail("expected ')'", j)
             return inner
         self.fail("unexpected end of line" if tok.kind == "end"
-                  else f"unexpected token {tok.text!r}", tok)
+                  else f"unexpected token {tok.text!r}", i)
 
 
 def reference_parse_polynomial(text: str, names: tuple[str, ...], line: int = 1) -> Polynomial:
-    return _FactorByFactor(_tokenize(text, line), names, line).parse()
+    return _FactorByFactor(text, names, line).parse()
 
 
 # Oracle for Polynomial.__pow__: its earlier binary-powering loop.

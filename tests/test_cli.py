@@ -104,6 +104,28 @@ def test_non_utf8_input_is_placed_as_the_parser_places_text(tmp_path, capsys, da
     assert "UTF-8" in err and where in err
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, write, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + SQUARES.encode())
+    code, out, _ = run(capsys, "--json", "regseq", str(path))
+    assert code == 0
+    assert out == run(capsys, "--json", "regseq", write("plain.txt", SQUARES))[1]
+
+
+@pytest.mark.parametrize("data", [b"vars: x1 x2\nx1^2 + \xff\n",
+                                  b"\xffvars: x1 x2\n",
+                                  "vars: x1 x2\nx1^2 \ufeff\n".encode()])
+def test_a_byte_order_mark_moves_no_error(tmp_path, capsys, data):
+    # a bad byte, or a U+FEFF past the start (not whitespace), is placed as
+    # in the same file without the leading mark
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    code, out, err = run(capsys, "regseq", str(marked))
+    assert (code, out) == (1, "")
+    assert err.replace("marked", "plain") == run(capsys, "regseq", str(plain))[2]
+
+
 def test_crlf_input_reads_like_lf(tmp_path, write, capsys):
     path = tmp_path / "crlf.txt"
     path.write_bytes(SQUARES.replace("\n", "\r\n").encode())

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from assoform.cli import main
 
 NOISE = ["x1", "x2", "x3", "3", "0", "1/0", "+", "-", "*", "^", "^2", "(", ")",
-         "(" * 60, ")" * 60, "$", "\t", " "]
+         "(" * 60, ")" * 60, "$", "\t", " ", "\u2028", "\x85", "\xa0", "\u0663", "\u00b2",
+         "\u00e9"]
 ATOMS = ["x1", "x2", "3", "12", "(1/2)", "7/3", "(x1+x2)", "(x1-2*x2)", "(3^25)"]
 EXPONENTS = ["", "", "", "^2", "^3", "^13", "^25", "^40", "^201", "^3000"]
 # mostly within parsing.MAX_NESTING = 100, sometimes past it

@@ -292,6 +292,36 @@ def test_a_folded_product_matches_the_factor_by_factor_parse(factors, joins, dep
         assert parse_polynomial(text, names, line) == expected
 
 
+LEXEMES = ["x1", "x2", "x9", "_", "\u00e9", "3", "\u0663", "\u00b2", "+", "-", "*", "/", "^",
+           "(", ")", "#", "."]
+SPACES = ["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(pieces=st.lists(st.tuples(st.sampled_from(SPACES), st.sampled_from(LEXEMES)),
+                       max_size=12),
+       tail=st.sampled_from(SPACES), line=st.integers(1, 9))
+@example(pieces=[("", "x1"), ("\u2028", "#")], tail="", line=1)
+@example(pieces=[("", "x1"), ("\u2028", ")")], tail="", line=2)
+@example(pieces=[("", "x1"), (" ", "+")], tail="   ", line=3)
+@example(pieces=[("", "x1"), ("\xa0", "*"), ("", "1" * 4400)], tail="", line=4)
+@example(pieces=[("\x85", "\u0663"), ("", "\u0663"), ("", "*"), ("", "x2")], tail="\xa0",
+         line=5)
+def test_lexing_matches_the_reference_lexer(pieces, tail, line):
+    # Unicode whitespace separates tokens, Unicode decimal digits are numbers,
+    # and every error sits at the reference lexer's column
+    text = "".join(space + lexeme for space, lexeme in pieces) + tail
+    names = ("x1", "x2")
+    try:
+        expected = reference_parse_polynomial(text, names, line)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_polynomial(text, names, line)
+        assert (str(got.value), got.value.line, got.value.col) == (str(err), err.line, err.col)
+    else:
+        assert parse_polynomial(text, names, line) == expected
+
+
 def test_a_huge_power_of_zero_is_zero():
     # a separate process, so that a power computed term by term fails the
     # test instead of hanging the suite
