@@ -126,8 +126,8 @@ class GradedIdeal:
             raise ValueError(f"need exactly {n} forms in {n} variables, got {m}")
         return n
 
-    def socle_kernel(self) -> list[list[Fraction]]:
-        """The RREF's kernel vectors of I_nu's rows, n forms: rank I_nu <= dim S_nu - 1."""
+    def socle_kernel(self) -> list[list[int]]:
+        """canonical_kernel's w_f of I_nu's rows, n forms: rank I_nu <= dim S_nu - 1."""
         ncols = dim_degree(self._n_forms(), self.nu)
         return canonical_kernel(list(self._macaulay_rows(self.nu)), ncols, ncols - 1)[1]
 

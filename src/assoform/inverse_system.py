@@ -33,18 +33,22 @@ The catalecticant of f (row z^a, column x^c) holds f_{a+c} (a+c)!/a!; row
 z^a scaled by a!, same kernel, holds b! f_b at b = a + c.  For f = A that is
 nu! omega(x^b): nu! times the Hankel matrix of omega, built as sparse
 integer rows on packed monomial codes (poly.mono_code), like the ideal's
-product rows; its ranks are apolar_hilbert.
+product rows; its ranks are apolar_hilbert.  They are taken from k =
+min(top, nu // 2) down, stopping at the first injective Cat_k: f_perp is an
+ideal, so x_1^(k-j) g lies in (f_perp)_k for g in (f_perp)_j, and
+(f_perp)_k = 0 forces rank Cat_j = dim S_j for every j < k.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, _koszul_basis, hilbert_function
 from .linalg import QMatrix, certified_rank, null_space
-from .poly import (ZERO, Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
+from .poly import (Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
                    jacobian_det, mono_code, mono_factorial, monomials_of_degree, pairing,
                    partial)
 
@@ -112,16 +116,18 @@ def associated_form(gs) -> AssociatedForm:
     n, nu = ideal.nvars, ideal.nu
     jac = jacobian_det(ideal.generators)
     kernel = ideal.socle_kernel()
-    raw = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
-    scale = sum((c * raw[m] for m, c in jac.terms.items() if m in raw), ZERO)
-    if len(kernel) != 1 or scale == 0:
+    w = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
+    c, ints = integer_terms(jac.terms)  # det Jac = ints / c
+    s = sum(J * w[m] for m, J in ints.items() if m in w)
+    if len(kernel) != 1 or s == 0:
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
     ideal.record_regular()
-    # A_a = (nu!/a!) omega(x^a), with omega = raw / scale: nonzero where raw is
+    # A_a = (nu!/a!) omega(x^a), with omega = c w / s: nonzero where w is
     nu_fact = math.factorial(nu)
-    form = Polynomial(n, Space.DUAL, {m: nu_fact * x / (scale * mono_factorial(m))
-                                      for m, x in raw.items()})
+    num, den = nu_fact * c.numerator, s * c.denominator
+    form = Polynomial(n, Space.DUAL, {m: Fraction(num * x, den * mono_factorial(m))
+                                      for m, x in w.items()})
     if pairing(jac, form) != nu_fact:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
     return AssociatedForm(form, ideal)
@@ -135,13 +141,14 @@ def hilbert_point_functional(gs) -> HilbertPointFunctional:
     return associated_form(gs).omega
 
 
-def catalecticants(f: Polynomial, degrees) -> list[list[dict[int, int]]]:
+def catalecticants(f: Polynomial, degrees) -> Iterator[list[dict[int, int]]]:
     """Integer rows {column: entry} of Cat_k: S_k -> D_{nu-k}, g -> g on f, k in degrees.
 
-    Cat_{nu-k} = Cat_k^T.  f is checked and its integer weights computed
-    once for all degrees.  Refused for deg f > DEGREE_CAP.  See the module
-    docstring for the rows.  Monomials are mono_codes of nu.bit_length()
-    bits a field: no exponent in degree nu fills one.
+    Cat_{nu-k} = Cat_k^T.  f and every degree are checked when called, and
+    f's integer weights computed once; each matrix is built as it is read.
+    Refused for deg f > DEGREE_CAP.  See the module docstring for the rows.
+    Monomials are mono_codes of nu.bit_length() bits a field: no exponent in
+    degree nu fills one.
     """
     if f.is_zero():
         raise ValueError("catalecticants: the zero form has no apolar ideal piece")
@@ -154,27 +161,30 @@ def catalecticants(f: Polynomial, degrees) -> list[list[dict[int, int]]]:
     bits = nu.bit_length()
     weighted = integer_terms({mono_code(b, bits): c * mono_factorial(b)
                               for b, c in f.terms.items()})[1]
-    matrices = []
-    for k in degrees:
-        if k < 0:
-            raise ValueError("catalecticants: degree must be non-negative")
+    degrees = list(degrees)
+    if min(degrees, default=0) < 0:
+        raise ValueError("catalecticants: degree must be non-negative")
+    def matrix(k):
         rows = _koszul_basis(n, 0, 0, nu - k, bits)[2]  # K_0 = S: the codes of D_{nu-k}
         src = _koszul_basis(n, 0, 0, k, bits)[2] if rows else ()
-        matrices.append([{j: w for j, c in enumerate(src) if (w := weighted.get(a + c))}
-                         for a in rows])
-    return matrices
+        return [{j: w for j, c in enumerate(src) if (w := weighted.get(a + c))} for a in rows]
+    return map(matrix, degrees)
 
 
 def perp_piece(f: Polynomial, k: int) -> QMatrix:
     """Canonical basis of the degree-k piece of the apolar ideal of f: ker Cat_k."""
-    return null_space(catalecticants(f, (k,))[0], dim_degree(f.nvars, k))
+    return null_space(next(catalecticants(f, (k,))), dim_degree(f.nvars, k))
 
 
 def apolar_hilbert(f: Polynomial, top: int) -> tuple[int, ...]:
-    """dim (S/f_perp)_k = rank Cat_k for k = 0..top; Cat_{nu-k} = Cat_k^T has its rank."""
+    """dim (S/f_perp)_k = rank Cat_k = rank Cat_{nu-k}, k <= top, ranked from nu // 2 down."""
     nu = f.degree()  # Cat_k is 0 for k > nu; for k <= nu // 2, dim S_k bounds its rank
-    ranks = [certified_rank(cat, dim_degree(f.nvars, k), dim_degree(f.nvars, k))
-             for k, cat in enumerate(catalecticants(f, range(min(top, nu // 2) + 1)))]
+    degrees = range(min(top, nu // 2), -1, -1)
+    ranks = [dim_degree(f.nvars, k) for k in reversed(degrees)]  # kept below the first full one
+    for k, cat in zip(degrees, catalecticants(f, degrees)):
+        if (rank := certified_rank(cat, ranks[k], ranks[k])) == ranks[k]:
+            break
+        ranks[k] = rank
     return tuple(ranks[min(k, nu - k)] if k <= nu else 0 for k in range(top + 1))
 
 

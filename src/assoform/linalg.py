@@ -16,12 +16,13 @@ reconstruction (von zur Gathen and Gerhard, Modern Computer Algebra, 5.10)
 after lift steps 1, 2 and 3, then every 4th and the last, and keeps them
 only if they kill every row over Z: then the rank mod p is the rank over Q.
 Where it fails, ``certified_rank`` (a rank) and ``canonical_kernel`` (the
-one kernel reader: ``reduce_rows``, ``null_space``, ``kernel_basis``, omega
-and Wolfe's minor cycle take their vectors from it) go on to the next prime
-(Chen and Storjohann, ISSAC 2005).  ``canonical_kernel`` also needs each
-w_f zero past f: a kernel basis with distinct last nonzero entries has them
-at the free columns of the RREF over Q, so the pivots mod p are those over
-Q, and w_f / w_f[f] is the RREF's kernel vector of f.
+one kernel reader) go on to the next prime (Chen and Storjohann, ISSAC
+2005).  ``canonical_kernel`` also needs each w_f zero past f: a kernel
+basis with distinct last nonzero entries has them at the free columns of
+the RREF over Q, so the pivots mod p are those over Q, and w_f / w_f[f] is
+the RREF's kernel vector of f.  It returns w_f primitive, w_f[f] > 0: omega
+is built on it in integers, and ``reduce_rows``, ``null_space``,
+``kernel_basis`` and Wolfe's minor cycle divide by w_f[f].
 
 Why the loop ends.  Let M have rank r over Q, pivot columns P in its RREF,
 and r rows R with det M[R, P] != 0.  A prime not dividing it keeps the rank
@@ -101,14 +102,14 @@ def integer_rows(rows) -> list[dict[int, int]]:
 def reduce_rows(rows, ncols: int) -> tuple[QMatrix, tuple[int, ...]]:
     """Canonical RREF basis (pivot rows only) and pivot columns of integer rows.
 
-    The RREF row of pivot c is 1 at c, 0 at the other pivots and -v_f[c] at
-    each free column f, v_f the RREF's kernel vector of f.
+    The RREF row of pivot c is 1 at c, 0 at the other pivots and
+    -w_f[c] / w_f[f] at each free column f (canonical_kernel's w_f).
     """
-    kernel = dict(zip(*canonical_kernel(list(rows), ncols, ncols)))  # f -> v_f
+    kernel = dict(zip(*canonical_kernel(list(rows), ncols, ncols)))  # f -> w_f
     pivots = tuple(c for c in range(ncols) if c not in kernel)
     zero, one = Fraction(0), Fraction(1)
-    grid = tuple(tuple(-kernel[j][c] if j in kernel else one if j == c else zero
-                       for j in range(ncols)) for c in pivots)
+    grid = tuple(tuple(Fraction(-w[c], w[j]) if (w := kernel.get(j)) and w[c]
+                       else one if j == c else zero for j in range(ncols)) for c in pivots)
     return QMatrix(len(pivots), ncols, grid), pivots
 
 
@@ -148,7 +149,7 @@ def echelon_mod_p(rows, target: int, p: int):
     if target <= 0:
         return ids, cols, lower, upper
     for i, row in enumerate(rows):
-        v = {c: x % p for c, x in row.items() if x % p}
+        v = dict(row)  # entries are taken mod p where read
         # U[k] is 0 at cols[:k]: rows go smallest k first, each k once (no entry is deleted)
         heap = sorted(where[c] for c in v if c in where)  # a sorted list is a heap
         low = []
@@ -276,24 +277,25 @@ def lifted_kernel(rows: list[dict[int, int]], ncols: int, echelon,
 
 def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space, 1 at each free column; empty iff full column rank."""
-    return [tuple(v) for v in canonical_kernel(integer_rows(m.entries), m.cols, m.cols)[1]]
+    free, kernel = canonical_kernel(integer_rows(m.entries), m.cols, m.cols)
+    zero = Fraction(0)
+    return [tuple(Fraction(x, w[f]) if x else zero for x in w) for f, w in zip(free, kernel)]
 
 
 def canonical_kernel(rows: list[dict[int, int]], ncols: int,
-                     target: int) -> tuple[list[int], list[list[Fraction]]]:
-    """The free columns over Q, and the RREF's kernel vector of each (1 there).
+                     target: int) -> tuple[list[int], list[list[int]]]:
+    """The free columns over Q, and per free column f the primitive integer w_f.
 
-    Each prime runs the echelon up to target (at least the rank over Q) and
-    its lift; the first whose W is certified, each w_f zero past f, answers.
+    w_f[f] > 0 and w_f is zero past f: w_f / w_f[f] is the RREF's kernel
+    vector of f.  Each prime runs the echelon up to target (at least the rank
+    over Q) and its lift; the first whose W is certified answers.
     """
-    zero = Fraction(0)
     for p in _primes():
         echelon = echelon_mod_p(rows, target, p)
         kernel = lifted_kernel(rows, ncols, echelon, p)
         free = sorted(set(range(ncols)).difference(echelon[1]))
         if kernel is not None and not any(any(w[f + 1:]) for w, f in zip(kernel, free)):
-            return free, [[Fraction(x, w[f]) if x else zero for x in w]
-                          for w, f in zip(kernel, free)]
+            return free, [[x // g for x in w] for w in kernel for g in (math.gcd(*w),)]
 
 
 def null_space(rows, ncols: int) -> QMatrix:
@@ -303,8 +305,10 @@ def null_space(rows, ncols: int) -> QMatrix:
     listed last free column first, are the RREF.
     """
     flipped = [{ncols - 1 - c: x for c, x in row.items()} for row in rows]
-    vectors = canonical_kernel(flipped, ncols, ncols)[1]
-    grid = tuple(tuple(v[::-1]) for v in reversed(vectors))
+    free, kernel = canonical_kernel(flipped, ncols, ncols)
+    zero = Fraction(0)
+    grid = tuple(tuple(Fraction(x, w[f]) if x else zero for x in reversed(w))
+                 for f, w in zip(reversed(free), reversed(kernel)))
     return QMatrix(len(grid), ncols, grid)
 
 

@@ -137,7 +137,7 @@ def _min_norm_point(points: list[tuple[int, ...]]):
             free, kernel = canonical_kernel(bordered, m + 2, m + 2)
             if free != [m + 1]:  # the solution is minus the kernel vector of the right side
                 raise ArithmeticError("Wolfe corral lost affine independence")
-            alpha = [-a for a in kernel[0][:m]]
+            alpha = [Fraction(-a, kernel[0][m + 1]) for a in kernel[0][:m]]
             if all(a > 0 for a in alpha):
                 weights = alpha
                 break

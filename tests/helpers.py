@@ -11,10 +11,11 @@ from typing import NamedTuple
 
 from assoform.ideals import (DEGREE_CAP, DegreeCapError, GradedIdeal, coeff_vector,
                              is_regular_sequence, vectors_to_polynomials)
-from assoform.linalg import (QMatrix, from_rows, kernel_basis,
+from assoform.inverse_system import catalecticants
+from assoform.linalg import (QMatrix, certified_rank, from_rows, kernel_basis,
                              row_space_basis, solve_square, unit_columns)
 from assoform.parsing import ParseError, _ExprParser
-from assoform.poly import (Mono, Polynomial, Space, apolar_apply, mono_factorial,
+from assoform.poly import (Mono, Polynomial, Space, apolar_apply, dim_degree, mono_factorial,
                            monomials_of_degree, pairing, partial)
 from assoform.stability import (DecompositionCertificate, OnePS, RootWitness, Verdict,
                                 torus_destabilizer)
@@ -189,6 +190,16 @@ def reference_catalecticants(f: Polynomial, k: int) -> list[dict[int, int]]:
         rows.append(row)
     assert all(x.denominator == 1 for row in rows for x in row.values())
     return [{col: int(x) for col, x in row.items()} for row in rows]
+
+
+# Oracle for inverse_system.apolar_hilbert: its earlier form, which ranks
+# Cat_k at every k <= min(top, nu // 2) instead of stopping at an injective one.
+def reference_apolar_hilbert(f: Polynomial, top: int) -> tuple[int, ...]:
+    """dim (S/f_perp)_k = rank Cat_k for k = 0..top; Cat_{nu-k} = Cat_k^T has its rank."""
+    nu = f.degree()  # Cat_k is 0 for k > nu; for k <= nu // 2, dim S_k bounds its rank
+    ranks = [certified_rank(cat, dim_degree(f.nvars, k), dim_degree(f.nvars, k))
+             for k, cat in enumerate(catalecticants(f, range(min(top, nu // 2) + 1)))]
+    return tuple(ranks[min(k, nu - k)] if k <= nu else 0 for k in range(top + 1))
 
 
 # Oracle for the Koszul complex of forms g_1..g_m of degree d in n variables:

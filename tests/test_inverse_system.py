@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from helpers import (det, identity, inverse_transpose, mat_mul, power_gens, random_form,
                      random_invertible, random_regular_sequence, random_unimodular,
-                     reference_associated_form, reference_perp_piece, series_hilbert)
+                     reference_apolar_hilbert, reference_associated_form, reference_perp_piece,
+                     series_hilbert)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -223,6 +224,50 @@ def test_perp_hilbert_matches_quotient():
         dims = [dim_degree(n, k) - perp_piece(assoc.form, k).rows
                 for k in range(nu + 2)]
         assert dims == series_hilbert(n, d, nu + 1)
+
+
+@st.composite
+def apolar_forms(draw):
+    """Associated forms, dense and sparse forms, sums of powers of linear forms, z1^a z2^b.
+
+    The apolar ideal of z1^a z2^b is (x1^(a+1), x2^(b+1)), generated in two degrees.
+    """
+    kind = draw(st.sampled_from(["assoc", "form", "powers", "monomial"]))
+    if kind == "form":
+        return draw(dual_forms())
+    if kind == "monomial":
+        return D(2, {(draw(st.integers(0, 8)), draw(st.integers(0, 8))): 1})
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if kind == "assoc":
+        n, d = draw(st.sampled_from([(1, 4), (2, 2), (2, 3), (2, 6), (3, 2), (3, 3)]))
+        return associated_form(random_regular_sequence(rng, n, d)).form
+    n, nu = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    f = Polynomial.zero(n, Space.DUAL)
+    for _ in range(draw(st.integers(1, 4))):
+        f = f + rng.choice([-2, 1, 3]) * random_form(rng, n, 1, space=Space.DUAL) ** nu
+    assume(not f.is_zero())
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(apolar_forms())
+def test_apolar_hilbert_matches_the_ranks_at_every_degree(f):
+    for top in range(f.degree() + 2):
+        assert apolar_hilbert(f, top) == reference_apolar_hilbert(f, top)
+
+
+@pytest.mark.parametrize("n, d, ranked", [(2, 13, [12]), (3, 5, [6, 5, 4])])
+def test_apolar_hilbert_stops_at_the_first_injective_catalecticant(monkeypatch, n, d, ranked):
+    # I_k = 0 below d, so Cat_k is injective there: from nu // 2 down, the
+    # ranks stop at k = d - 1 (dim S_k names k for n <= 3)
+    dims = []
+    rank_of = inverse_system.certified_rank
+    monkeypatch.setattr(inverse_system, "certified_rank",
+                        lambda rows, ncols, bound: dims.append(ncols)
+                        or rank_of(rows, ncols, bound))
+    f = associated_form(random_regular_sequence(random.Random(0), n, d)).form
+    assert apolar_hilbert(f, f.degree() + 1) == reference_apolar_hilbert(f, f.degree() + 1)
+    assert dims == [math.comb(k + n - 1, n - 1) for k in ranked]
 
 
 # -- omega from the certified modular kernel -------------------------------------

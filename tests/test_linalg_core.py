@@ -4,7 +4,8 @@ Every public elimination in ``linalg`` must return exactly what the plain
 Fraction Gauss-Jordan in ``helpers.reference_rref_rows`` gives, and
 ``rank`` must be exact whether or not its certificate holds at the first prime.
 ``echelon_mod_p`` must find the rank of any row order, stop as soon as it
-reaches its target and never before, and factor the rows it keeps.
+reaches its target and never before, and factor the rows it keeps, read
+as their residues mod p.
 ``certified_rank`` must return the exact rank for every valid bound, read no
 row past the one that reaches the bound, and take a second prime only when
 a short rank mod p is below the rank over Q.
@@ -12,6 +13,8 @@ a short rank mod p is below the rank over Q.
 multiple by a positive scale, as ``poly.integer_terms`` does for a dict.
 ``lifted_kernel`` must return a basis of the kernel, one vector per free
 column, exactly when the rank mod p is the rank over Q, and None otherwise;
+``canonical_kernel`` must give, per free column f, the primitive integer
+vector w_f, positive at f and zero past it, with w_f / w_f[f] the RREF's;
 ``null_space``, ``reduce_rows`` and ``certified_rank`` must equal the
 oracles at every corank, and take the next prime, never the same one, when
 the prime is unlucky: ``_primes`` descends from ``_PRIME`` through
@@ -31,10 +34,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.ideals import intersect_with_coordinates
-from assoform.linalg import (_PRIME, _primes, certified_rank, echelon_mod_p, from_rows,
-                             in_row_space, integer_rows, integer_vector, kernel_basis,
-                             lifted_kernel, null_space, rank, reduce_rows, row_space_basis,
-                             rref, solve_square, unit_columns)
+from assoform.linalg import (_PRIME, _primes, canonical_kernel, certified_rank, echelon_mod_p,
+                             from_rows, in_row_space, integer_rows, integer_vector,
+                             kernel_basis, lifted_kernel, null_space, rank, reduce_rows,
+                             row_space_basis, rref, solve_square, unit_columns)
 from assoform.poly import integer_terms
 
 ENTRIES = st.one_of(
@@ -280,6 +283,21 @@ def test_a_cancelled_entry_refilled_by_a_later_pivot():
     _check_factors(rows, 4, ids, cols, lower, upper)
 
 
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_unreduced_entries_factor_as_their_residues(m, data):
+    # entries past p, negative or multiples of p are taken mod p where read:
+    # the factors are those of the rows reduced mod p first, every entry in [1, p)
+    shifts = st.sampled_from([0, 1, -1, 3]).map(lambda k: k * _PRIME)
+    rows = [{c: y for c, x in enumerate(row) if (y := x + data.draw(shifts))}
+            for row in integer_rows(m.entries)]
+    residues = [{c: x % _PRIME for c, x in row.items() if x % _PRIME} for row in rows]
+    target = data.draw(st.integers(0, m.rows + 1))
+    factors = echelon_mod_p(rows, target, _PRIME)
+    assert factors == echelon_mod_p(residues, target, _PRIME)
+    _check_factors(rows, m.cols, *factors)
+
+
 @st.composite
 def ranked_matrices(draw):
     """A B with A rows x r in [-2, 2] and B r x cols in [-1, 1], rows and cols <= 6.
@@ -434,6 +452,20 @@ def test_lifted_kernel_beyond_corank_one():
     assert _kernel([], cols=2) == [[1, 0], [0, 1]]
     assert _kernel([], cols=0) == []
     assert _kernel([[1, 2], [3, 4]]) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corank_one_matrices(), matrices()))
+def test_canonical_kernel_gives_primitive_integer_vectors(m):
+    # per free column f: w_f primitive, positive at f and zero past it, and
+    # w_f / w_f[f] the RREF's kernel vector of f
+    free, kernel = canonical_kernel(integer_rows(m.entries), m.cols, m.cols)
+    assert free == [c for c in range(m.cols) if c not in _reference(m)[1]]
+    for f, w in zip(free, kernel):
+        assert all(type(x) is int for x in w) and math.gcd(*w) == 1
+        assert w[f] > 0 and not any(w[f + 1:])
+    assert [tuple(Fraction(x, w[f]) for x in w) for f, w in zip(free, kernel)] == (
+        _reference_kernel(m))
 
 
 @st.composite
