@@ -42,8 +42,8 @@ from functools import lru_cache
 
 from .linalg import (QMatrix, canonical_kernel, certified_rank, in_row_space, reduce_rows,
                      unit_columns)
-from .poly import (ZERO, Mono, Polynomial, Space, dim_degree, grevlex_key,
-                   integer_terms, mono_code, monomials_of_degree)
+from .poly import (ZERO, Mono, Polynomial, Space, _integer_jacobian_det, dim_degree,
+                   grevlex_key, integer_terms, mono_code, monomials_of_degree)
 
 DEGREE_CAP = 24
 
@@ -93,7 +93,9 @@ class GradedIdeal:
         self.nvars = nvars
         self.d = d
         self.generators = gens
-        self._integer_forms = tuple(integer_terms(g.terms)[1] for g in gens)
+        scaled = [integer_terms(g.terms) for g in gens]  # (s_i, s_i g_i)
+        self._scales = tuple(s for s, _ in scaled)
+        self._integer_forms = tuple(form for _, form in scaled)
         self._rank_cache: dict[int, int] = {}
 
     @classmethod
@@ -125,6 +127,10 @@ class GradedIdeal:
         if m != n:
             raise ValueError(f"need exactly {n} forms in {n} variables, got {m}")
         return n
+
+    def integer_jacobian(self) -> tuple[dict[Mono, int], Fraction]:
+        """(D, S), det Jac of the generators = D / S: D of their integer forms, S = prod s_i."""
+        return _integer_jacobian_det(self._integer_forms, self._n_forms()), math.prod(self._scales)
 
     def socle_kernel(self) -> list[list[int]]:
         """canonical_kernel's w_f of I_nu's rows, n forms: rank I_nu <= dim S_nu - 1."""

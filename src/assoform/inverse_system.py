@@ -14,11 +14,13 @@ Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).  As
 x^a sends z^c to a nonzero multiple of z^(c-a) if a <= c and to 0 otherwise,
 this is the one rule for monomial membership: x^a of degree at most nu lies
 outside I exactly when it divides a monomial in the support of A.  Both
-normalizations the literature uses are kept consistent here: omega(det
-Jac) = 1 by construction, and the pairing of det Jac against the form
-equals nu!, asserted at construction time.  A and omega determine each
-other through omega(x^a) = (a!/nu!) A_a, so omega is stored only as A and
-read off it on demand.
+normalizations the literature uses are kept consistent here, in integers:
+with w the kernel's primitive vector, D = det Jac of the integer forms s_i g_i
+and S = prod s_i (det Jac = D / S), s = sum D_m w_m and A_a = nu! S w_a /
+(a! s), so omega(det Jac) = 1; and <det Jac, A> = nu! is asserted on A's
+primitive integer multiple a = t A as sum D_m m! a_m = nu! S t.  A and omega
+determine each other through omega(x^a) = (a!/nu!) A_a, so omega is stored
+only as A and read off it on demand.
 
 omega alone decides regularity: n forms of degree d in n variables are a
 regular sequence exactly when ker I_nu is one line and omega(det Jac) != 0.
@@ -49,8 +51,7 @@ from fractions import Fraction
 from .ideals import DEGREE_CAP, DegreeCapError, GradedIdeal, _koszul_basis, hilbert_function
 from .linalg import QMatrix, certified_rank, null_space
 from .poly import (Mono, Polynomial, Space, apolar_apply, dim_degree, integer_terms,
-                   jacobian_det, mono_code, mono_factorial, monomials_of_degree, pairing,
-                   partial)
+                   mono_code, mono_factorial, monomials_of_degree, partial)
 
 
 class NotRegularSequence(ValueError):
@@ -110,25 +111,26 @@ class AssociatedForm:
 def associated_form(gs) -> AssociatedForm:
     """The associated form of a regular sequence, via the multinomial expansion.
 
-    gs is a list of forms or a GradedIdeal; omega decides regularity on it (module docstring).
+    gs is a list of forms or a GradedIdeal; omega decides regularity on it.
+    A_a = nu! S w_a / (a! s), checked as sum D_m m! a_m = nu! S t (module docstring).
     """
     ideal = GradedIdeal.of(gs)
     n, nu = ideal.nvars, ideal.nu
-    jac = jacobian_det(ideal.generators)
+    jac, scale = ideal.integer_jacobian()  # D and S; refuses m != n forms before the kernel
     kernel = ideal.socle_kernel()
     w = {m: x for m, x in zip(monomials_of_degree(n, nu), kernel[0]) if x}
-    c, ints = integer_terms(jac.terms)  # det Jac = ints / c
-    s = sum(J * w[m] for m, J in ints.items() if m in w)
+    s = sum(J * w[m] for m, J in jac.items() if m in w)
     if len(kernel) != 1 or s == 0:
         raise NotRegularSequence(
             "the forms have a non-trivial common zero (not a regular sequence)")
     ideal.record_regular()
-    # A_a = (nu!/a!) omega(x^a), with omega = c w / s: nonzero where w is
+    # A_a = (nu!/a!) omega(x^a), with omega = S w / s: nonzero where w is
     nu_fact = math.factorial(nu)
-    num, den = nu_fact * c.numerator, s * c.denominator
+    num, den = nu_fact * scale.numerator, s * scale.denominator
     form = Polynomial(n, Space.DUAL, {m: Fraction(num * x, den * mono_factorial(m))
                                       for m, x in w.items()})
-    if pairing(jac, form) != nu_fact:
+    t, ints = integer_terms(form.terms)  # a = t A
+    if sum(J * mono_factorial(m) * ints.get(m, 0) for m, J in jac.items()) != nu_fact * scale * t:
         raise RuntimeError("normalization check failed: <det Jac, A> != nu!")
     return AssociatedForm(form, ideal)
 
@@ -159,8 +161,10 @@ def catalecticants(f: Polynomial, degrees) -> Iterator[list[dict[int, int]]]:
         raise DegreeCapError(f"catalecticants: form degree {nu} exceeds the supported "
                              f"bound {DEGREE_CAP}")
     bits = nu.bit_length()
-    weighted = integer_terms({mono_code(b, bits): c * mono_factorial(b)
-                              for b, c in f.terms.items()})[1]
+    weighted = {mono_code(b, bits): c * mono_factorial(b)  # b! times f's numerators
+                for b, c in integer_terms(f.terms)[1].items()}
+    g = math.gcd(*weighted.values())  # the weights b! f_b, primitive with f's sign
+    weighted = {b: c // g for b, c in weighted.items()}
     degrees = list(degrees)
     if min(degrees, default=0) < 0:
         raise ValueError("catalecticants: degree must be non-negative")

@@ -8,7 +8,9 @@ pairing between pieces of equal degree.
 Monomials are exponent tuples ordered by grevlex: lower total degree first,
 ties broken so that a < b when the last nonzero entry of a - b is positive.
 Canonical term iteration is descending grevlex, which fixes the printed
-form and all matrix column orders downstream.
+form and all matrix column orders downstream.  det Jac is expanded in
+integers (``_integer_jacobian_det``) on the forms' primitive integer
+multiples s_i g_i; ``jacobian_det`` divides it once by prod s_i.
 """
 
 from __future__ import annotations
@@ -134,8 +136,7 @@ class Polynomial:
         """Canonical projective representative: leading grevlex coefficient 1."""
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.sorted_terms()[0][1]
-        return self * (1 / lead)
+        return self * (1 / self.terms[max(self.terms, key=grevlex_key)])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -213,26 +214,19 @@ class Polynomial:
         names = names or self.default_names()
         pieces = []
         for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
+            num, den = coeff.numerator, coeff.denominator
+            sign, num = ("-", -num) if num < 0 else ("+", num)
+            factors = "*".join(name if e == 1 else f"{name}^{e}"
+                               for name, e in zip(names, mono) if e)
             if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+                body = str(num) if den == 1 else f"{num}/{den}"
+            elif den != 1:
+                body = f"({num}/{den})*{factors}"
             else:
-                mag_str = str(mag) if mag.denominator == 1 else f"({mag})"
-                body = "*".join([mag_str] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                body = factors if num == 1 else f"{num}*{factors}"
+            pieces.append(f" {sign} {body}")
+        out = "".join(pieces)
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 # -- calculus and the apolarity action --------------------------------------
@@ -295,22 +289,12 @@ def integer_terms(terms: dict[Mono, Fraction]) -> tuple[Fraction, dict[Mono, int
     return scale, dict(zip(terms, ints))
 
 
-def jacobian_det(gs: list[Polynomial]) -> Polynomial:
-    """Determinant of the Jacobian matrix (dg_i/dx_j), expanded exactly.
+def _integer_jacobian_det(forms, n: int) -> dict[Mono, int]:
+    """det Jac of n integer forms {monomial: int} in n variables, as {monomial: int}.
 
-    The Laplace minors are {mono_code: int} dicts of the integer forms s_i g_i
-    (integer_terms) with D.bit_length() bits a field, D = sum max(deg g_i - 1, 0)
-    >= any minor's degree; the determinant is decoded, then divided by prod s_i.
+    The Laplace minors are {mono_code: int} dicts, D.bit_length() bits a field
+    for D = sum max(deg - 1, 0) >= any minor's degree, decoded at the end.
     """
-    if not gs:
-        raise ValueError("empty polynomial list")
-    n = gs[0].nvars
-    if len(gs) != n:
-        raise ValueError(f"need exactly {n} forms in {n} variables, got {len(gs)}")
-    for g in gs:
-        if g.nvars != n or g.space is not Space.PRIMAL:
-            raise ValueError("jacobian_det expects primal polynomials in n variables")
-    scales, forms = zip(*(integer_terms(g.terms) for g in gs))
     bits = sum(max(max(map(sum, form), default=0) - 1, 0) for form in forms).bit_length()
     jac = [[{mono_code(m, bits) - (1 << bits * j): c * m[j] for m, c in form.items() if m[j]}
             for j in range(n)] for form in forms]
@@ -328,9 +312,25 @@ def jacobian_det(gs: list[Polynomial]) -> Polynomial:
             memo[rows] = {m: c for m, c in acc.items() if c}
         return memo[rows]
 
-    scale, mask = math.prod(scales), (1 << bits) - 1
-    return Polynomial(n, Space.PRIMAL, {tuple(code >> bits * i & mask for i in range(n)): c / scale
-                                        for code, c in minor(tuple(range(n))).items()})
+    mask = (1 << bits) - 1
+    return {tuple(code >> bits * i & mask for i in range(n)): c
+            for code, c in minor(tuple(range(n))).items()}
+
+
+def jacobian_det(gs: list[Polynomial]) -> Polynomial:
+    """det (dg_i/dx_j), exactly: _integer_jacobian_det of the s_i g_i over prod s_i."""
+    if not gs:
+        raise ValueError("empty polynomial list")
+    n = gs[0].nvars
+    if len(gs) != n:
+        raise ValueError(f"need exactly {n} forms in {n} variables, got {len(gs)}")
+    for g in gs:
+        if g.nvars != n or g.space is not Space.PRIMAL:
+            raise ValueError("jacobian_det expects primal polynomials in n variables")
+    scales, forms = zip(*(integer_terms(g.terms) for g in gs))
+    scale = math.prod(scales)
+    return Polynomial(n, Space.PRIMAL, {m: c / scale
+                                        for m, c in _integer_jacobian_det(forms, n).items()})
 
 
 def substitute(f: Polynomial, m: QMatrix) -> Polynomial:

@@ -626,6 +626,37 @@ def reference_parse_polynomial(text: str, names: tuple[str, ...], line: int = 1)
     return _FactorByFactor(text, names, line).parse()
 
 
+# Oracle for Polynomial.render: its earlier form, which takes abs of each
+# Fraction coefficient and compares it with 1.
+def reference_render(f: Polynomial, names: list[str] | None = None) -> str:
+    """Canonical text form; parseable by the CLI grammar."""
+    if not f.terms:
+        return "0"
+    names = names or f.default_names()
+    pieces = []
+    for mono, coeff in f.sorted_terms():
+        factors = []
+        for name, e in zip(names, mono):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            mag_str = str(mag) if mag.denominator == 1 else f"({mag})"
+            body = "*".join([mag_str] + factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
 # Oracle for Polynomial.__pow__: its earlier binary-powering loop.
 def reference_pow(f: Polynomial, e: int) -> Polynomial:
     if e < 0:

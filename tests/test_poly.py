@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 from helpers import (from_monomial, identity, inverse_transpose, mat_mul, random_form,
-                     random_invertible, reference_jacobian_det, reference_pow)
-from hypothesis import given, settings
+                     random_invertible, reference_jacobian_det, reference_pow,
+                     reference_render)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assoform.linalg import from_rows
+from assoform.parsing import parse_polynomial
 from assoform.poly import (Polynomial, Space, apolar_apply, grevlex_key, jacobian_det,
                            mono_factorial, monomials_of_degree, pairing, partial,
                            substitute)
@@ -279,3 +281,45 @@ def test_render_golden():
     assert Polynomial.zero(2, Space.PRIMAL).render() == "0"
     assert P(2, {(0, 0): Fraction(-3, 4)}).render() == "-3/4"
     assert P(3, {(1, 2, 0): 5}).render() == "5*x1*x2^2"
+
+
+RENDER_COEFFS = st.one_of(st.sampled_from([1, -1, 5, Fraction(-3, 4)]),
+                          st.integers(-10 ** 12, 10 ** 12),
+                          st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99)))
+
+
+@st.composite
+def rendered_polynomials(draw):
+    """(f, names): 1-4 variables in either space, zero and constants too, names
+    the defaults or custom ones."""
+    n = draw(st.integers(1, 4))
+    monos = [m for k in range(4) for m in monomials_of_degree(n, k)]
+    f = Polynomial(n, draw(st.sampled_from(Space)),
+                   draw(st.dictionaries(st.sampled_from(monos), RENDER_COEFFS, max_size=6)))
+    custom = draw(st.permutations(["a_1", "y", "b22", "Z_"]))[:n]
+    return f, draw(st.sampled_from([None, custom]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rendered_polynomials())
+@example((P(1, {(0,): 5}), None))
+@example((D(2, {(0, 0): Fraction(-3, 4)}), ["a_1", "y"]))
+@example((P(2, {(1, 1): Fraction(-1, 2), (2, 0): -1, (0, 2): 1}), ["a_1", "y"]))
+def test_render_matches_the_fraction_render(case):
+    f, names = case
+    text = f.render(names)
+    assert text == reference_render(f, names)
+    parsed = parse_polynomial(text, tuple(names or f.default_names()))
+    assert parsed.retag(f.space) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_polynomials())
+def test_normalized_divides_by_the_grevlex_leading_term(case):
+    f = case[0]
+    if f.is_zero():
+        with pytest.raises(ValueError):
+            f.normalized()
+    else:
+        lead = f.sorted_terms()[0][1]
+        assert f.normalized() == f * (1 / lead)
